@@ -8,10 +8,12 @@ regression model fitted by a proximal Hager-Zhang conjugate gradient.
 
 from .agsolver import (
     AGSchedule,
+    CompositeProblem,
     SmoothObjective,
     SolveReport,
     ag_solve,
     complexity_bound,
+    make_composite,
     make_linear_objective,
     make_logistic_objective,
     pg_solve,
@@ -41,16 +43,13 @@ from .data import (
     write_table,
 )
 from .pcg import (
-    CompositeProblem,
     PCGConfig,
     linear_cg,
     linearized_moreau_grad,
-    make_composite,
     pcg_solve,
 )
 from .penalty import (
     PenaltySpec,
-    dc_decomposition,
     penalty_value,
     prox_scaled_l1,
 )

@@ -1,7 +1,9 @@
 """Accelerated gradient method for nonconvex composite problems.
 
 Minimizes Psi(x) + chi(x) where Psi = f + h is L-smooth (f the loss, h the
-concave part of a SCAD/MCP penalty) and chi = lambda*||.||_1.  One iteration:
+concave part of a SCAD/MCP penalty) and chi = lambda*||.||_1.  That split is
+built once, by make_composite, and shared by ag_solve, pg_solve, pcg_solve and
+the q-Gaussian theta step.  One iteration:
 
     x_md = (1 - alpha_k) * x_ag + alpha_k * x
     x    = P(x,    grad Psi(x_md), delta_k)
@@ -24,10 +26,13 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .penalty import PenaltySpec, dc_decomposition, lipschitz_h, prox_scaled_l1
+from . import penalty as _penalty
+from .penalty import PenaltySpec, lipschitz_h, prox_scaled_l1
 
 __all__ = [
     "SmoothObjective",
+    "CompositeProblem",
+    "make_composite",
     "AGSchedule",
     "SolveReport",
     "schedule_optimal",
@@ -57,6 +62,53 @@ class SmoothObjective:
 
 
 @dataclass(frozen=True)
+class CompositeProblem:
+    """f = g + h with g smooth (value/grad/L) and h convex with a prox.
+
+    h_prox(v, rho) must return argmin_u h(u) + ||u - v||^2 / (2 rho).
+    """
+
+    g_value: Callable[[np.ndarray], float]
+    g_grad: Callable[[np.ndarray], np.ndarray]
+    lipschitz_g: float
+    h_value: Callable[[np.ndarray], float]
+    h_prox: Callable[[np.ndarray, float], np.ndarray]
+    dimension: int
+
+
+def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> CompositeProblem:
+    """Composite problem with g = loss + concave penalty part, h = lambda*l1.
+
+    Coordinates in skip (the intercept, typically) carry no penalty at all.
+    h_value and h_grad are looked up on the penalty module at each call, so a
+    wrapper installed there (as perfbench's tracer does) sees every call.
+    """
+    mask = np.ones(obj.dimension, dtype=bool)
+    skip_idx = np.asarray(list(skip), dtype=int)
+    mask[skip_idx] = False
+    lam = penalty.lam
+
+    def g_value(x):
+        return obj.value(x) + float(np.sum(_penalty.h_value(penalty, np.where(mask, x, 0.0))))
+
+    def g_grad(x):
+        hg = _penalty.h_grad(penalty, x)
+        if skip_idx.size:
+            hg = np.where(mask, hg, 0.0)
+        return obj.grad(x) + hg
+
+    return CompositeProblem(
+        g_value=g_value,
+        g_grad=g_grad,
+        lipschitz_g=obj.lipschitz,
+        h_value=lambda x: float(lam * np.sum(np.abs(x[mask]))),
+        # prox of lam*||.||_1 is the scaled soft threshold at a zero gradient
+        h_prox=lambda v, rho: prox_scaled_l1(v, 0.0, rho, lam, skip_idx),
+        dimension=obj.dimension,
+    )
+
+
+@dataclass(frozen=True)
 class AGSchedule:
     """The (alpha, delta, omega) sequences plus the Gamma bookkeeping.
 
@@ -77,10 +129,7 @@ class AGSchedule:
         g = self.gammas
         if g is None:
             # Gamma_1 = 1, Gamma_k = (1 - alpha_k) Gamma_{k-1}
-            g = np.empty_like(a)
-            g[0] = 1.0
-            for k in range(1, len(a)):
-                g[k] = (1.0 - a[k]) * g[k - 1]
+            g = np.concatenate(([1.0], np.cumprod(1.0 - a[1:])))
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "deltas", d)
         object.__setattr__(self, "omegas", w)
@@ -160,27 +209,6 @@ def grad_mapping(x, y, c: float, penalty: PenaltySpec, skip=()) -> np.ndarray:
     return (np.asarray(x, float) - prox_scaled_l1(x, y, c, penalty.lam, skip)) / c
 
 
-def _psi_parts(obj: SmoothObjective, penalty: PenaltySpec, skip):
-    dcd = dc_decomposition(penalty)
-    mask = np.ones(obj.dimension, dtype=bool)
-    skip = np.asarray(list(skip), dtype=int)
-    if skip.size:
-        mask[skip] = False
-
-    def psi_grad(x):
-        g = obj.grad(x)
-        hg = dcd.h_grad(x)
-        if skip.size:
-            hg = np.where(mask, hg, 0.0)
-        return g + hg
-
-    def total_value(x):
-        hv = dcd.h_value(np.where(mask, x, 0.0))
-        return obj.value(x) + hv + penalty.lam * np.sum(np.abs(x[mask]))
-
-    return psi_grad, total_value
-
-
 def ag_solve(
     obj: SmoothObjective,
     penalty: PenaltySpec,
@@ -194,8 +222,7 @@ def ag_solve(
     is not monotone).  Stops when the sup-norm step falls below tol.
     """
     t0 = time.perf_counter()
-    lam = penalty.lam
-    psi_grad, total_value = _psi_parts(obj, penalty, skip)
+    p = make_composite(obj, penalty, skip)
     x = np.asarray(x0, dtype=float).copy()
     x_ag = x.copy()
     obj_trace, gm_trace = [], []
@@ -207,13 +234,13 @@ def ag_solve(
         # alpha weights the plain sequence; the aggregated sequence carries
         # the rest (this is what makes the momentum identity hold)
         x_md = (1.0 - a) * x_ag + a * x
-        g = psi_grad(x_md)
+        g = p.g_grad(x_md)
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient at iteration {k + 1}")
-        x_new = prox_scaled_l1(x, g, d, lam, skip)
-        x_ag = prox_scaled_l1(x_md, g, w, lam, skip)
+        x_new = p.h_prox(x - d * g, d)
+        x_ag = p.h_prox(x_md - w * g, w)
         gm = np.linalg.norm((x_md - x_ag) / w)
-        val = total_value(x_ag)
+        val = p.g_value(x_ag) + p.h_value(x_ag)
         if not np.isfinite(val):
             raise FloatingPointError(f"non-finite objective at iteration {k + 1}")
         obj_trace.append(val)
@@ -249,17 +276,15 @@ def pg_solve(
     t0 = time.perf_counter()
     if step > 1.0 / obj.lipschitz + 1e-15:
         raise ValueError("step must be <= 1/L")
-    lam = penalty.lam
-    psi_grad, total_value = _psi_parts(obj, penalty, skip)
+    p = make_composite(obj, penalty, skip)
     x = np.asarray(x0, dtype=float).copy()
     obj_trace, gm_trace = [], []
-    prev = total_value(x)
+    prev = p.g_value(x) + p.h_value(x)
     converged = False
     it = 0
     for k in range(max_iter):
-        g = psi_grad(x)
-        x_new = prox_scaled_l1(x, g, step, lam, skip)
-        val = total_value(x_new)
+        x_new = p.h_prox(x - step * p.g_grad(x), step)
+        val = p.g_value(x_new) + p.h_value(x_new)
         if val > prev + 1e-10:
             raise FloatingPointError(
                 f"objective increased at iteration {k + 1}; Lipschitz constant too small?"
@@ -320,12 +345,17 @@ def complexity_bound(s: AGSchedule, L_psi: float, L_h: float, x0, x_star, M: flo
 
 def power_iteration_lmax(X: np.ndarray, tol: float = 1e-8, max_iter: int = 1000) -> float:
     """Largest eigenvalue of X'X via power iteration on v -> X'(Xv)."""
+    return _power_iteration(lambda v: X.T @ (X @ v), X.shape[1], tol, max_iter)
+
+
+def _power_iteration(apply, dim: int, tol: float = 1e-8, max_iter: int = 1000) -> float:
+    """Largest eigenvalue of the PSD operator v -> apply(v) on R^dim."""
     rng = np.random.default_rng(0)
-    v = rng.normal(size=X.shape[1])
+    v = rng.normal(size=dim)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(max_iter):
-        w = X.T @ (X @ v)
+        w = apply(v)
         nl = np.linalg.norm(w)
         if nl == 0:
             return 0.0

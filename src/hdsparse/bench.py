@@ -213,7 +213,7 @@ def scaled_estimation_error(beta_true, beta_hat) -> float:
     return float(d @ d) / denom
 
 
-def lambda_path(X, y, penalty_kind: str = "scad", count: int = 50) -> np.ndarray:
+def lambda_path(X, y, count: int = 50) -> np.ndarray:
     """Equally spaced penalty levels from lambda_max down to 0.
 
     lambda_max is the null-model gradient sup-norm, which zeroes all penalized
@@ -238,7 +238,7 @@ def _iters_to_threshold(trace: np.ndarray, target: float) -> int:
     return int(hits[0]) + 1 if hits.size else len(trace)
 
 
-def _rep_screening(spec: SimSpec, rng, workers: int) -> dict:
+def _rep_screening(spec: SimSpec, rng) -> dict:
     X, y, beta = gen_dataset(spec, rng)
     truth = beta != 0
     out = {}
@@ -251,8 +251,7 @@ def _rep_screening(spec: SimSpec, rng, workers: int) -> dict:
     return out
 
 
-def _rep_ag(spec: SimSpec, rng, workers: int, penalty: PenaltySpec,
-            threshold: float, max_iter: int) -> dict:
+def _rep_ag(spec: SimSpec, rng, penalty: PenaltySpec, threshold: float, max_iter: int) -> dict:
     X, y, beta = gen_dataset(spec, rng)
     make = make_logistic_objective if spec.outcome == "logistic" else make_linear_objective
     obj = make(X.values, y.values, penalty)
@@ -269,26 +268,26 @@ def _rep_ag(spec: SimSpec, rng, workers: int, penalty: PenaltySpec,
             for k, r in runs.items()}
 
 
-def _fit_path(obj, penalty, lams, x0, tol, max_iter, skip=()):
-    # warm-started path, strongest penalty first
+def _fit_path(obj, penalty, lams, x0, tol, max_iter):
+    # warm-started path, strongest penalty first; L does not depend on lambda,
+    # so one schedule serves the whole path
+    sched = schedule_optimal(obj.lipschitz, max_iter)
     fits = []
     x = x0
     for lam in lams:
-        sched = schedule_optimal(obj.lipschitz, max_iter)
         rep = ag_solve(obj, penalty.with_lambda(float(lam)), sched, x,
-                       tol=tol, max_iter=max_iter, skip=skip)
+                       tol=tol, max_iter=max_iter)
         x = rep.estimate
         fits.append(rep.estimate)
     return fits
 
 
-def _rep_signal(spec: SimSpec, rng, workers: int, penalty: PenaltySpec,
-                path_len: int, max_iter: int) -> dict:
+def _rep_signal(spec: SimSpec, rng, penalty: PenaltySpec, path_len: int, max_iter: int) -> dict:
     X, y, beta = gen_dataset(spec, rng)
     Xv, yv = gen_dataset(spec, rng)[:2]  # fresh validation draw, same spec
     make = make_logistic_objective if spec.outcome == "logistic" else make_linear_objective
     obj = make(X.values, y.values, penalty)
-    lams = lambda_path(X.values, y.values, penalty.kind, path_len)
+    lams = lambda_path(X.values, y.values, path_len)
     fits = _fit_path(obj, penalty, lams, np.zeros(spec.p), 1e-4, max_iter)
     val_obj = make(Xv.values, yv.values)
     losses = [val_obj.value(b) for b in fits]
@@ -303,7 +302,7 @@ def _rep_signal(spec: SimSpec, rng, workers: int, penalty: PenaltySpec,
     }
 
 
-def _rep_qgaussian(spec: SimSpec, rng, workers: int, df: float | None) -> dict:
+def _rep_qgaussian(spec: SimSpec, rng, df: float | None) -> dict:
     from .qgaussian import QGaussianFitConfig, fit
 
     X, _, beta = gen_dataset(spec, rng)
@@ -333,28 +332,29 @@ def run_benchmark(
     path_len: int = 50,
     noise_df: float | None = None,
 ) -> BenchReport:
-    """Run one benchmark protocol; optionally write metrics.csv + report.json."""
+    """Run one benchmark protocol; optionally write metrics.csv + report.json.
+
+    A replication that raises becomes an error row; the summary is built from
+    the rows that succeeded.
+    """
     t0 = time.perf_counter()
     penalty = penalty or PenaltySpec("scad", 0.5, a=3.7)
+    protocols = {
+        "screening_auroc": lambda rng: _rep_screening(spec, rng),
+        "ag_convergence": lambda rng: _rep_ag(spec, rng, penalty, threshold, max_iter),
+        "signal_recovery": lambda rng: _rep_signal(spec, rng, penalty, path_len, max_iter),
+        "qgaussian_recovery": lambda rng: _rep_qgaussian(spec, rng, noise_df),
+    }
+    if kind not in protocols:
+        raise ValueError(f"unknown benchmark kind {kind!r}")
+    protocol = protocols[kind]
 
     def one(rep: int) -> dict:
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))
         try:
-            if kind == "screening_auroc":
-                row = _rep_screening(spec, rng, workers)
-            elif kind == "ag_convergence":
-                row = _rep_ag(spec, rng, workers, penalty, threshold, max_iter)
-            elif kind == "signal_recovery":
-                row = _rep_signal(spec, rng, workers, penalty, path_len, max_iter)
-            elif kind == "qgaussian_recovery":
-                row = _rep_qgaussian(spec, rng, workers, noise_df)
-            else:
-                raise ValueError(f"unknown benchmark kind {kind!r}")
-        except ValueError:
-            raise
+            return {"rep": rep, **protocol(rng)}
         except Exception as exc:  # noqa: BLE001 - keep the run going
             return {"rep": rep, "error": str(exc)}
-        return {"rep": rep, **row}
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -363,10 +363,11 @@ def run_benchmark(
         rows = [one(r) for r in range(replications)]
     rows.sort(key=lambda r: r["rep"])
 
-    keys = [k for k in rows[0] if k not in ("rep", "error")] if rows else []
+    ok = [r for r in rows if "error" not in r]
+    keys = list(dict.fromkeys(k for r in ok for k in r if k != "rep"))
     summary = {}
     for k in keys:
-        vals = np.asarray([r[k] for r in rows if k in r], float)
+        vals = np.asarray([r[k] for r in ok if k in r], float)
         vals = vals[np.isfinite(vals)]
         summary[k] = {
             "mean": float(vals.mean()) if vals.size else None,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .agsolver import (
     ag_solve,
+    make_composite,
     make_linear_objective,
     make_logistic_objective,
     pg_solve,
@@ -25,7 +26,7 @@ from .agsolver import (
 )
 from .bench import SimSpec, gen_dataset, run_benchmark
 from .data import read_table, write_table
-from .pcg import PCGConfig, make_composite, pcg_solve
+from .pcg import PCGConfig, pcg_solve
 from .penalty import PenaltySpec
 from .qgaussian import QGaussianFitConfig, fit as qfit_model
 from .screen import screen_all
@@ -171,10 +172,8 @@ def cmd_qfit(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    out = _out_dir(args, config)
-    spec = SimSpec(
+def _spec_from(args, config) -> SimSpec:
+    return SimSpec(
         n=int(_resolve(args, config, "n", 200)),
         p=int(_resolve(args, config, "p", 400)),
         tau=float(_resolve(args, config, "tau", 0.5)),
@@ -184,6 +183,12 @@ def cmd_simulate(args) -> int:
         seed=int(_resolve(args, config, "seed", 0)),
         p_true=int(_resolve(args, config, "p_true", 10)),
     )
+
+
+def cmd_simulate(args) -> int:
+    config = _load_config(args)
+    out = _out_dir(args, config)
+    spec = _spec_from(args, config)
     X, y, beta = gen_dataset(spec)
     write_table(out / "simulated.csv", X, y)
     truth = {"beta_true": beta.tolist(), "spec": spec.__dict__}
@@ -195,16 +200,7 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     config = _load_config(args)
     out = _out_dir(args, config)
-    spec = SimSpec(
-        n=int(_resolve(args, config, "n", 200)),
-        p=int(_resolve(args, config, "p", 400)),
-        tau=float(_resolve(args, config, "tau", 0.5)),
-        snr=float(_resolve(args, config, "snr", 3.0)),
-        signal=_resolve(args, config, "signal", "five_blocks"),
-        outcome=_resolve(args, config, "outcome", "linear"),
-        seed=int(_resolve(args, config, "seed", 0)),
-        p_true=int(_resolve(args, config, "p_true", 10)),
-    )
+    spec = _spec_from(args, config)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = run_benchmark(

@@ -8,21 +8,22 @@ gradient
 
 which vanishes exactly at Clarke-stationary points for rho < 1/L_g.  The
 nonlinear CG machinery (Hager-Zhang beta with truncation, Wolfe / exact /
-backtracking line searches) then runs on s as if it were a gradient.  A plain
-linear CG for SPD systems lives here too since the q-Gaussian model needs it.
+backtracking line searches) then runs on s as if it were a gradient.  The
+composite problem itself is the one the AG solver uses (agsolver.make_composite).
+A plain linear CG for SPD systems lives here too since the q-Gaussian model
+needs it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .agsolver import SmoothObjective, SolveReport
-from .penalty import PenaltySpec, dc_decomposition, prox_scaled_l1
+from .agsolver import CompositeProblem, SolveReport, make_composite
+from .penalty import prox_scaled_l1  # noqa: F401 - re-exported, looked up on this module
 
 __all__ = [
     "CompositeProblem",
@@ -30,30 +31,12 @@ __all__ = [
     "StationarityCertificate",
     "make_composite",
     "linearized_moreau_grad",
-    "moreau_lipschitz_constants",
-    "tilde_g",
-    "tilde_g_inverse",
     "hz_direction",
     "surrogate_objective",
     "line_search",
     "pcg_solve",
     "linear_cg",
 ]
-
-
-@dataclass(frozen=True)
-class CompositeProblem:
-    """f = g + h with g smooth (value/grad/L) and h convex with a prox.
-
-    h_prox(v, rho) must return argmin_u h(u) + ||u - v||^2 / (2 rho).
-    """
-
-    g_value: Callable[[np.ndarray], float]
-    g_grad: Callable[[np.ndarray], np.ndarray]
-    lipschitz_g: float
-    h_value: Callable[[np.ndarray], float]
-    h_prox: Callable[[np.ndarray, float], np.ndarray]
-    dimension: int
 
 
 @dataclass(frozen=True)
@@ -80,69 +63,10 @@ class StationarityCertificate:
     rho_used: float
 
 
-def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> CompositeProblem:
-    """Composite problem with g = loss + concave penalty part, h = lambda*l1."""
-    dcd = dc_decomposition(penalty)
-    mask = np.ones(obj.dimension, dtype=bool)
-    skip_idx = np.asarray(list(skip), dtype=int)
-    if skip_idx.size:
-        mask[skip_idx] = False
-    lam = penalty.lam
-
-    def g_value(x):
-        return obj.value(x) + dcd.h_value(np.where(mask, x, 0.0))
-
-    def g_grad(x):
-        hg = dcd.h_grad(x)
-        if skip_idx.size:
-            hg = np.where(mask, hg, 0.0)
-        return obj.grad(x) + hg
-
-    return CompositeProblem(
-        g_value=g_value,
-        g_grad=g_grad,
-        lipschitz_g=obj.lipschitz,
-        h_value=lambda x: float(lam * np.sum(np.abs(x[mask]))),
-        h_prox=lambda v, rho: prox_scaled_l1(v, np.zeros_like(v), rho, lam, skip_idx),
-        dimension=obj.dimension,
-    )
-
-
 def linearized_moreau_grad(p: CompositeProblem, x, rho: float) -> np.ndarray:
     """s(x) = (x - prox_{rho h}(x - rho*grad g(x)))/rho."""
     x = np.asarray(x, float)
     return (x - p.h_prox(x - rho * p.g_grad(x), rho)) / rho
-
-
-def moreau_lipschitz_constants(rho: float, L_g: float) -> tuple[float | None, float]:
-    """(L of the exact envelope gradient, L of the linearized one).
-
-    The exact constant only exists for rho*L_g < 1; the linearized one is the
-    crude but always-valid L_g + 1/rho.
-    """
-    L_lin = L_g + 1.0 / rho
-    if rho * L_g >= 1:
-        return None, L_lin
-    L_exact = (2 * L_g * rho + 1 + np.sqrt(8 * L_g * rho + 1)) / (2 * rho * (1 - L_g * rho))
-    return L_exact, L_lin
-
-
-def tilde_g(x, rho: float, g_grad) -> np.ndarray:
-    """The forward map x - rho*grad g(x); a bijection when rho*L < 1."""
-    x = np.asarray(x, float)
-    return x - rho * g_grad(x)
-
-
-def tilde_g_inverse(z, rho: float, g_grad, tol: float = 1e-12) -> np.ndarray:
-    """Invert tilde_g by iterating the contraction y -> z + rho*grad g(y)."""
-    z = np.asarray(z, float)
-    y = z.copy()
-    for _ in range(10_000):
-        y_new = z + rho * g_grad(y)
-        if np.linalg.norm(y_new - y) <= tol:
-            return y_new
-        y = y_new
-    raise RuntimeError("tilde_g_inverse did not contract; is rho*L < 1?")
 
 
 def hz_direction(s_next, s_prev, d_prev, eta: float = 0.01) -> np.ndarray:

@@ -2,30 +2,23 @@
 
 Each nonconvex penalty decomposes as  p(b) = lambda*|b| + h(b)  with h smooth
 and concave; h has an L-Lipschitz gradient (1/(a-1) for SCAD, 1/gamma for MCP)
-which is what the composite solvers consume.  The smoothed variants (mollified
-l1, the C^2 MCP concave part) are extras, not wired into any default solver.
+which is what the composite solvers consume.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "PenaltySpec",
-    "DCDecomposition",
     "penalty_value",
     "h_value",
     "h_grad",
     "lipschitz_h",
-    "dc_decomposition",
     "prox_scaled_l1",
-    "smoothed_l1_value",
-    "smoothed_l1_grad",
-    "smoothed_mcp_concave",
 ]
 
 
@@ -75,14 +68,6 @@ class PenaltySpec:
             gamma=cfg.get("gamma"),
             penalize_intercept=cfg.get("penalize_intercept", False),
         )
-
-
-@dataclass(frozen=True)
-class DCDecomposition:
-    chi: Callable[[np.ndarray], float]
-    h_value: Callable[[np.ndarray], float]
-    h_grad: Callable[[np.ndarray], np.ndarray]
-    lipschitz_h: float
 
 
 def _h_scad(b, lam, a):
@@ -155,16 +140,6 @@ def lipschitz_h(spec: PenaltySpec) -> float:
     return 0.0
 
 
-def dc_decomposition(spec: PenaltySpec) -> DCDecomposition:
-    lam = spec.lam
-    return DCDecomposition(
-        chi=lambda b: float(lam * np.sum(np.abs(b))),
-        h_value=lambda b: float(np.sum(h_value(spec, b))),
-        h_grad=lambda b: h_grad(spec, b),
-        lipschitz_h=lipschitz_h(spec),
-    )
-
-
 def prox_scaled_l1(x, y, c: float, lam: float, skip=()) -> np.ndarray:
     """argmin_u <y,u> + ||u-x||^2/(2c) + lam*sum_{j not in skip} |u_j|.
 
@@ -175,56 +150,8 @@ def prox_scaled_l1(x, y, c: float, lam: float, skip=()) -> np.ndarray:
         raise ValueError("c must be positive")
     z = np.asarray(x, dtype=float) - c * np.asarray(y, dtype=float)
     out = np.sign(z) * np.maximum(np.abs(z) - c * lam, 0.0)
-    skip = np.asarray(list(skip), dtype=int)
+    if not isinstance(skip, np.ndarray):  # make_composite passes a built index
+        skip = np.asarray(list(skip), dtype=int)
     if skip.size:
         out[skip] = z[skip]
     return out
-
-
-def smoothed_l1_value(theta, delta_moll: float):
-    """Mollified |theta|: -(d*t + 2 log 2 - 2 log(e^{d t}+1))/d, d=delta_moll.
-
-    delta_moll = 0 falls back to the absolute value.  Evaluated through
-    logaddexp so huge d*t never overflows.
-    """
-    if delta_moll < 0:
-        raise ValueError("delta_moll must be >= 0")
-    t = np.asarray(theta, dtype=float)
-    if delta_moll == 0:
-        out = np.abs(t)
-    else:
-        d = delta_moll
-        out = -(d * t + 2 * np.log(2.0) - 2 * np.logaddexp(0.0, d * t)) / d
-    return out if out.ndim else float(out)
-
-
-def smoothed_l1_grad(theta, delta_moll: float):
-    """Derivative of the mollified l1: tanh(d*t/2), i.e. a scaled, translated sigmoid."""
-    t = np.asarray(theta, dtype=float)
-    if delta_moll == 0:
-        out = np.sign(t)
-    else:
-        out = np.tanh(delta_moll * t / 2.0)
-    return out if out.ndim else float(out)
-
-
-def smoothed_mcp_concave(theta, lam: float, gamma: float, delta_mcp: float):
-    """C^2-smoothed MCP concave part; delta_mcp = 0 recovers plain MCP h."""
-    if not 0 <= delta_mcp < gamma * lam:
-        raise ValueError("require 0 <= delta_mcp < gamma*lambda")
-    t = np.asarray(theta, dtype=float)
-    if delta_mcp == 0:
-        out = _h_mcp(t, lam, gamma)
-        return out if out.ndim else float(out)
-    d, gl = delta_mcp, gamma * lam
-    at = np.abs(t)
-    inner = -(t**2) / (2 * gamma)
-    # transition band (gl - d <= |t| < gl + d): cubic blend keeping C^2 joins
-    poly = (
-        gl**3 - 3 * d * gl**2 + 3 * d**2 * gl - d**3 + 3 * (gl + d) * t**2
-        - (3 * gl**2 - 6 * d * gl + 3 * d**2 + t**2) * at
-    )
-    band = -poly / (12 * d * gamma)
-    outer = -lam * at + (3 * gl**2 + d**2) / (6 * gamma)
-    out = np.where(at < gl - d, inner, np.where(at < gl + d, band, outer))
-    return out if out.ndim else float(out)

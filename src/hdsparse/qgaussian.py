@@ -14,17 +14,22 @@ Every Psi^{-1} v product goes through linear CG; Psi is never inverted.
 
 from __future__ import annotations
 
-import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaln
 
-from .agsolver import SmoothObjective, ag_solve, schedule_optimal
-from .pcg import PCGConfig, linear_cg, make_composite, pcg_solve
-from .penalty import PenaltySpec, h_value, lipschitz_h
+from .agsolver import (
+    SmoothObjective,
+    _power_iteration,
+    ag_solve,
+    make_composite,
+    schedule_optimal,
+)
+from .pcg import PCGConfig, linear_cg, pcg_solve
+from .penalty import PenaltySpec, lipschitz_h
 
 __all__ = [
     "QShape",
@@ -322,21 +327,8 @@ def _theta_objective(X, y, psi, penalty: PenaltySpec, psi_cg_tol: float) -> Smoo
     def apply_A(v):
         return Xd.T @ _psi_solve(psi, Xd @ v, tol=psi_cg_tol) / n
 
-    # power iteration for the largest eigenvalue of (1/n) X' Psi^{-1} X
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=Xd.shape[1])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(1000):
-        w = apply_A(v)
-        nl = np.linalg.norm(w)
-        if nl == 0:
-            break
-        if abs(nl - lam) <= 1e-8 * max(nl, 1.0):
-            lam = nl
-            break
-        lam, v = nl, w / nl
-    L = max(lam, lipschitz_h(penalty))
+    # L of (1/n) X' Psi^{-1} X plus that of the concave part of the penalty
+    L = _power_iteration(apply_A, Xd.shape[1]) + lipschitz_h(penalty)
 
     def value(t):
         r = y - Xd @ t

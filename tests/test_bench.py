@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+import hdsparse.bench as bench
 from hdsparse.bench import (
     SimSpec,
     gen_dataset,
@@ -202,5 +203,34 @@ def test_run_benchmark_qgaussian():
 
 
 def test_run_benchmark_unknown_kind():
-    with pytest.raises(ValueError, match="unknown benchmark kind"):
-        run_benchmark("speedup", _small_spec(), replications=1)
+    for reps in (1, 0):
+        with pytest.raises(ValueError, match="unknown benchmark kind"):
+            run_benchmark("speedup", _small_spec(), replications=reps)
+
+
+def _fail_first_call(monkeypatch, exc):
+    calls = []
+
+    def rep_ag(spec, rng, *args):
+        calls.append(rng)
+        if len(calls) == 1:
+            raise exc
+        return {"iters_ag_opt": 3, "iters_pg": len(calls)}
+
+    monkeypatch.setattr(bench, "_rep_ag", rep_ag)
+
+
+def test_run_benchmark_summary_skips_failed_first_replication(monkeypatch):
+    _fail_first_call(monkeypatch, RuntimeError("boom"))
+    rep = run_benchmark("ag_convergence", _small_spec(), replications=3)
+    assert rep.rows[0] == {"rep": 0, "error": "boom"}
+    assert set(rep.summary) == {"iters_ag_opt", "iters_pg"}
+    assert rep.summary["iters_pg"]["mean"] == pytest.approx(2.5)
+    assert all(isinstance(v, dict) for v in rep.summary.values())
+
+
+def test_run_benchmark_records_replication_value_error(monkeypatch):
+    _fail_first_call(monkeypatch, ValueError("could not simulate"))
+    rep = run_benchmark("ag_convergence", _small_spec(), replications=2)
+    assert rep.rows[0] == {"rep": 0, "error": "could not simulate"}
+    assert rep.rows[1]["iters_ag_opt"] == 3

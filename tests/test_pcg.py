@@ -10,11 +10,8 @@ from hdsparse.pcg import (
     linear_cg,
     linearized_moreau_grad,
     make_composite,
-    moreau_lipschitz_constants,
     pcg_solve,
     surrogate_objective,
-    tilde_g,
-    tilde_g_inverse,
 )
 from hdsparse.penalty import PenaltySpec, prox_scaled_l1
 
@@ -65,49 +62,19 @@ def test_moreau_grad_h_zero_and_stationary():
     assert np.max(np.abs(linearized_moreau_grad(p, xstar, rho))) <= 1e-10
 
 
-def test_moreau_lipschitz_constants():
-    L_exact, L_lin = moreau_lipschitz_constants(0.1, 2.0)
-    assert L_lin == pytest.approx(12.0)
-    r, L = 0.1, 2.0
-    assert L_exact == pytest.approx(
-        (2 * L * r + 1 + np.sqrt(8 * L * r + 1)) / (2 * r * (1 - L * r)))
-    none_exact, _ = moreau_lipschitz_constants(1.0, 2.0)
-    assert none_exact is None
-
-
 def test_linearized_lipschitz_empirical():
     rng = np.random.default_rng(2)
     A = _spd(rng, 4)
     b = rng.normal(size=4)
     p = _quad_problem(A, b, h_lam=0.5)
     rho = 0.3 / p.lipschitz_g
-    _, L_lin = moreau_lipschitz_constants(rho, p.lipschitz_g)
+    L_lin = p.lipschitz_g + 1 / rho  # crude but always-valid bound
     u = rng.normal(size=(2000, 4))
     v = rng.normal(size=(2000, 4))
     for uu, vv in zip(u[:200], v[:200]):
         num = np.linalg.norm(linearized_moreau_grad(p, uu, rho)
                              - linearized_moreau_grad(p, vv, rho))
         assert num <= L_lin * np.linalg.norm(uu - vv) + 1e-10
-
-
-def test_tilde_g_roundtrip_and_linear_case():
-    rng = np.random.default_rng(3)
-    A = _spd(rng, 5)
-    L = float(np.linalg.eigvalsh(A).max())
-    rho = 0.5 / L
-    g_grad = lambda x: A @ x
-    x = rng.normal(size=5)
-    assert np.allclose(tilde_g(x, rho, g_grad), (np.eye(5) - rho * A) @ x)
-    z = rng.normal(size=5)
-    y = tilde_g_inverse(z, rho, g_grad, tol=1e-13)
-    assert np.allclose(y, np.linalg.solve(np.eye(5) - rho * A, z), atol=1e-9)
-    assert np.max(np.abs(tilde_g(y, rho, g_grad) - z)) <= 1e-12
-    # empirical Lipschitz of the inverse
-    lip = 1 / (1 - rho * L)
-    for _ in range(100):
-        z1, z2 = rng.normal(size=(2, 5))
-        d = np.linalg.norm(tilde_g_inverse(z1, rho, g_grad) - tilde_g_inverse(z2, rho, g_grad))
-        assert d <= lip * np.linalg.norm(z1 - z2) * 1.01 + 1e-12
 
 
 def test_hz_direction_hand_case():

@@ -5,15 +5,11 @@ from hypothesis import strategies as st
 
 from hdsparse.penalty import (
     PenaltySpec,
-    dc_decomposition,
     h_grad,
     h_value,
     lipschitz_h,
     penalty_value,
     prox_scaled_l1,
-    smoothed_l1_grad,
-    smoothed_l1_value,
-    smoothed_mcp_concave,
 )
 
 SCAD = PenaltySpec("scad", 0.5, a=3.7)
@@ -115,15 +111,6 @@ def test_h_lipschitz_constants():
         assert np.all(num <= lipschitz_h(spec) * np.abs(u - v) + 1e-12)
 
 
-def test_dc_decomposition_object():
-    rng = np.random.default_rng(2)
-    b = rng.normal(size=100) * 3
-    dcd = dc_decomposition(SCAD)
-    total = float(np.sum(penalty_value(SCAD, b)))
-    assert abs(dcd.chi(b) + dcd.h_value(b) - total) <= 1e-10
-    assert dcd.lipschitz_h == lipschitz_h(SCAD)
-
-
 def test_unbiasedness_region():
     # flat penalty beyond the clipping point: derivative 0
     for spec, edge in ((SCAD, 3.7 * 0.5), (MCP, 3.0 * 0.5)):
@@ -160,38 +147,3 @@ def test_prox_skip_set():
     y = np.zeros(2)
     out = prox_scaled_l1(x, y, 1.0, 1.0, skip=(0,))
     assert out[0] == 0.1 and out[1] == 0.0
-
-
-def test_smoothed_l1():
-    assert smoothed_l1_value(-2.0, 0.0) == 2.0
-    assert smoothed_l1_value(0.0, 5.0) == pytest.approx(0.0, abs=1e-12)
-    assert abs(smoothed_l1_value(3.0, 10.0) - (3.0 - 2 * np.log(2) / 10)) <= 1e-6
-    # no overflow far out
-    assert np.isfinite(smoothed_l1_value(1e8, 100.0))
-    # derivative is the (scaled, translated) sigmoid = tanh(d t / 2)
-    t = np.linspace(-3, 3, 41)
-    fd = (smoothed_l1_value(t + 1e-6, 2.0) - smoothed_l1_value(t - 1e-6, 2.0)) / 2e-6
-    assert np.max(np.abs(smoothed_l1_grad(t, 2.0) - fd)) <= 1e-8
-
-
-def test_smoothed_mcp():
-    lam, gam, d = 0.5, 3.0, 0.4
-    t = np.linspace(-4, 4, 801)
-    assert np.allclose(smoothed_mcp_concave(t, lam, gam, 0.0), h_value(MCP, t))
-    inner = np.abs(t) < gam * lam - d
-    assert np.allclose(np.asarray(smoothed_mcp_concave(t, lam, gam, d))[inner],
-                       -(t[inner] ** 2) / (2 * gam))
-    # continuity at both branch joins
-    for b in (gam * lam - d, gam * lam + d):
-        lo = smoothed_mcp_concave(b - 1e-11, lam, gam, d)
-        hi = smoothed_mcp_concave(b + 1e-11, lam, gam, d)
-        assert abs(lo - hi) <= 1e-10
-    # C^2: second differences stay bounded and continuous across the joins
-    for b in (gam * lam - d, gam * lam + d):
-        h = 1e-4
-        ts = b + h * np.arange(-3, 4)
-        vs = np.asarray([smoothed_mcp_concave(x, lam, gam, d) for x in ts])
-        d2 = (vs[:-2] - 2 * vs[1:-1] + vs[2:]) / h**2
-        assert np.max(np.abs(np.diff(d2))) <= 1e-3
-    with pytest.raises(ValueError):
-        smoothed_mcp_concave(1.0, lam, gam, gam * lam)

@@ -1,0 +1,50 @@
+"""The benchmark's tracer wraps hdsparse functions by attribute name.
+
+A renamed or deleted attribute makes every traced benchmark run crash in
+Tracer.install(); a call that no longer goes through the patched name silently
+drops out of the per-layer counts.  Both are checked here.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+from hdsparse.agsolver import ag_solve, make_linear_objective, schedule_optimal
+from hdsparse.pcg import PCGConfig, make_composite, pcg_solve
+from hdsparse.penalty import PenaltySpec
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _current(owner, attr):
+    return owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
+
+
+def test_tracer_patches_exist_and_are_restored(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._undo)
+        assert patched
+        for owner, attr, orig in patched:
+            assert _current(owner, attr).__wrapped__ is orig, attr
+        # the solvers reach the concave part, the prox and the pcg internals
+        # through the patched names
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(30, 6))
+        y = rng.normal(size=30)
+        pen = PenaltySpec("scad", 0.1, a=3.7)
+        obj = make_linear_objective(X, y, pen)
+        ag_solve(obj, pen, schedule_optimal(obj.lipschitz, 20), np.zeros(6), max_iter=20)
+        pcg_solve(make_composite(obj, pen), PCGConfig(max_iter=5), np.zeros(6))
+        calls = {name: n for name, (n, _, _) in tracer.totals().items()}
+    finally:
+        tracer.uninstall()
+    for name in ("penalty.h_grad", "penalty.h_value", "penalty.prox_scaled_l1",
+                 "pcg.line_search", "pcg.moreau_grad"):
+        assert calls.get(name, 0) > 0, name
+    for owner, attr, orig in patched:
+        assert _current(owner, attr) is orig, attr

@@ -21,6 +21,7 @@ from hdsparse.qgaussian import (
     q_log,
     q_update,
     recover_q_subset,
+    _theta_objective,
     sigma2_update,
     theta_update,
 )
@@ -168,6 +169,20 @@ def test_intercept_not_penalized():
     model = fit(X, y, penalty=PenaltySpec("l1", lam))
     assert abs(model.theta[0] - 10.0) <= 0.1     # intercept survives
     assert np.max(np.abs(model.theta[1:])) <= 1e-6
+
+
+def test_theta_lipschitz_adds_concave_part():
+    # L of loss + h is the sum of the two constants, not the larger one; with
+    # the max, AG's omega = 2/(3L) breaks omega < 1/L for a small MCP gamma
+    rng = np.random.default_rng(8)
+    n = 80
+    X = rng.normal(size=(n, 5))
+    y = rng.normal(size=n)
+    obj = _theta_objective(X, y, None, PenaltySpec("mcp", 0.1, gamma=1.5), 1e-12)
+    Xd = np.column_stack([np.ones(n), X])
+    l_loss = np.linalg.eigvalsh(Xd.T @ Xd / n).max()
+    assert obj.lipschitz == pytest.approx(l_loss + 1 / 1.5, rel=1e-6)
+    assert 2 / (3 * obj.lipschitz) < 1 / (l_loss + 1 / 1.5)
 
 
 def test_sigma2_update_stationarity():
