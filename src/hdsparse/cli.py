@@ -159,11 +159,7 @@ def cmd_qfit(args) -> int:
     if args.psi and args.psi != "identity":
         psi_fm, _ = read_table(args.psi)
         psi = psi_fm.values
-    cfg = QGaussianFitConfig(
-        solver=_resolve(args, config, "solver", "pcg"),
-        q0=None if args.q0 is None else float(args.q0),
-        outer_tol=float(_resolve(args, config, "outer_tol", 1e-8)),
-    )
+    cfg = QGaussianFitConfig(solver=_resolve(args, config, "solver", "pcg"))
     model = qfit_model(X.values, y.values, psi=psi, penalty=penalty, config=cfg)
     payload = model.to_config()
     payload["fit_trace"] = model.fit_trace.tolist()
@@ -246,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--outcome", required=True)
     p.add_argument("--psi", default="identity")
-    p.add_argument("--q0", type=float, default=None)
-    p.add_argument("--outer-tol", dest="outer_tol", type=float, default=None)
     p.add_argument("--solver", choices=("pcg", "ag"), default=None)
     _add_penalty(p)
     _add_common(p)

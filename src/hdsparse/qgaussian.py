@@ -4,12 +4,17 @@ For q in (1, 1+2/n) the n-dimensional q-Gaussian with characterization matrix
 Sigma = sigma^2 * Psi coincides with a multivariate t with m = 2/(q-1) - n
 degrees of freedom and scale Sigma, which is the form everything here reduces
 to.  The regression model treats the training outcome vector as one draw from
-an n_train-dimensional q-Gaussian centered at X*theta; fitting is blockwise:
-theta once via a penalized quadratic subproblem (it does not depend on q or
-sigma^2), then sigma^2 (closed form) and q (Brent in u = 1/(q-1), sigma^2
-profiled) alternated until the objective stabilizes.
+an n_train-dimensional q-Gaussian centered at X*theta.  It is fitted in one
+pass, with no alternation: theta by a penalized least-squares subproblem (it
+does not depend on q or sigma^2), then sigma^2 = Q/n (the minimizer for every
+q), then q.  With sigma^2 profiled out, Q/(m sigma^2) = n/m, so the objective
+is (n/2) log(Q/n) plus a function of u = 1/(q-1) alone, and that function
+decreases in u for every n (see q_update): the shape of one draw is not
+identifiable, and q is the near-Gaussian boundary of the u range.
 
-Every Psi^{-1} v product goes through linear CG; Psi is never inverted.
+Every operation with Psi (the quadratic form, the log determinant, the
+whitened theta subproblem) goes through one Cholesky factor Psi = C C';
+Psi is never inverted.
 """
 
 from __future__ import annotations
@@ -18,18 +23,19 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from .agsolver import (
     SmoothObjective,
-    _power_iteration,
     ag_solve,
     make_composite,
+    make_linear_objective,
     schedule_optimal,
 )
-from .pcg import PCGConfig, linear_cg, pcg_solve
-from .penalty import PenaltySpec, lipschitz_h
+# unused here; perfbench's tracer patches the name on this module
+from .pcg import PCGConfig, linear_cg, pcg_solve  # noqa: F401
+from .penalty import PenaltySpec
 
 __all__ = [
     "QShape",
@@ -125,20 +131,24 @@ class QGaussianParams:
             object.__setattr__(self, "psi", p)
 
 
-def _psi_solve(psi: np.ndarray | None, v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Psi^{-1} v via conjugate gradient (identity shortcut for psi=None)."""
+def _psi_cholesky(psi: np.ndarray | None) -> np.ndarray | None:
+    """Lower Cholesky factor C of Psi = C C' (None for psi=None, the identity)."""
     if psi is None:
-        return v
-    return linear_cg(psi, v, tol=tol)
+        return None
+    try:
+        return np.linalg.cholesky(psi)
+    except np.linalg.LinAlgError:
+        raise ValueError("psi must be positive definite") from None
 
 
-def _psi_logdet(psi: np.ndarray | None, n: int) -> float:
-    if psi is None:
-        return 0.0
-    sign, ld = np.linalg.slogdet(psi)
-    if sign <= 0:
-        raise ValueError("psi must be positive definite")
-    return ld
+def _whiten(C: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+    """C^{-1} v, so that <v, Psi^{-1} v> = ||C^{-1} v||^2."""
+    return v if C is None else solve_triangular(C, v, lower=True)
+
+
+def _logdet(C: np.ndarray | None) -> float:
+    """log det Psi = 2 sum log diag(C)."""
+    return 0.0 if C is None else 2.0 * float(np.sum(np.log(np.diag(C))))
 
 
 def logpdf(x, params: QGaussianParams, form: str = "sigma") -> float:
@@ -146,9 +156,10 @@ def logpdf(x, params: QGaussianParams, form: str = "sigma") -> float:
     (Lambda = m*Sigma) and both equal the multivariate t log density."""
     sh = params.shape
     n, m, u = sh.n, sh.m, sh.u
-    r = np.asarray(x, float).ravel() - params.mu
-    quad = float(r @ _psi_solve(params.psi, r)) / params.sigma2
-    logdet_sigma = n * np.log(params.sigma2) + _psi_logdet(params.psi, n)
+    C = _psi_cholesky(params.psi)
+    w = _whiten(C, np.asarray(x, float).ravel() - params.mu)
+    quad = float(w @ w) / params.sigma2
+    logdet_sigma = n * np.log(params.sigma2) + _logdet(C)
     if form == "sigma":
         return float(
             -0.5 * (n * np.log(np.pi) + logdet_sigma)
@@ -173,7 +184,7 @@ def q_covariance(params: QGaussianParams) -> np.ndarray:
     n, m, u, q = sh.n, sh.m, sh.u, sh.q
     sigma = params.sigma2 * (params.psi if params.psi is not None else np.eye(n))
     logdet_lam = n * np.log(np.pi) + n * np.log(m) + n * np.log(params.sigma2) \
-        + _psi_logdet(params.psi, n)
+        + _logdet(_psi_cholesky(params.psi))
     # |pi Lambda|^{(1-q)/2} * [G(u+1-n/2)/G(u-n/2)^q] / [G(u+1)/G(u)^q]
     logc = (
         0.5 * (1 - q) * logdet_lam
@@ -201,11 +212,6 @@ class QGaussianFitConfig:
     solver: str = "pcg"            # {"pcg", "ag"}
     solver_tol: float = 1e-6
     solver_max_iter: int = 5000
-    outer_tol: float = 1e-8
-    max_outer: int = 50
-    q0: float | None = None        # default 1 + 1/n_train
-    u_cap: float = 1e8             # Brent bracket ceiling in u = 1/(q-1)
-    psi_cg_tol: float = 1e-12
 
 
 @dataclass
@@ -234,11 +240,12 @@ def _design(X: np.ndarray) -> np.ndarray:
 
 
 def _quad_Q(model: QGaussianModel, X: np.ndarray, y: np.ndarray) -> float:
-    """Q = <r, Psi^{-1} r> + 2 n sum_j w(theta_j), the pooled quadratic that
-    drives both the sigma^2 and q subproblems."""
+    """Q = <r, Psi^{-1} r> + 2 n sum_j w(theta_j), the pooled quadratic behind
+    sigma^2 = Q/n and the objective."""
     Xd = _design(X)
-    r = np.asarray(y, float).ravel() - Xd @ model.theta
-    quad = float(r @ _psi_solve(model.psi_train, r))
+    w = _whiten(_psi_cholesky(model.psi_train),
+                np.asarray(y, float).ravel() - Xd @ model.theta)
+    quad = float(w @ w)
     pen = float(np.sum(np.asarray(
         _pen_values(model.penalty, model.theta[1:]))))
     return quad + 2.0 * model.n_train * pen
@@ -267,85 +274,44 @@ def neg_penalized_loglik(model: QGaussianModel, X, y) -> float:
 
 
 def sigma2_update(model: QGaussianModel, X, y) -> float:
-    """Closed-form minimizer of the sigma^2 block (reduces to Q/n)."""
-    n = model.n_train
-    u = 1.0 / (model.q_train - 1.0)
-    m = 2.0 * u - n
+    """Closed-form minimizer of the sigma^2 block: Q/n, whatever q is."""
     Q = _quad_Q(model, X, y)
     if Q <= 0:
         raise ValueError("quadratic-plus-penalty term must be positive")
-    return float((u / (n / 2) - 1.0) / m * Q)
+    return float(Q / model.n_train)
 
 
 def q_update(model: QGaussianModel, X, y, u_cap: float = 1e8) -> float:
-    """Brent minimization of the objective over u = 1/(q-1) in
-    (n/2 + eps, u_cap), with sigma^2 profiled out at its closed form.
+    """Minimizer of the objective over u = 1/(q-1) in (n/2, u_cap], with
+    sigma^2 profiled out at Q/n.
 
-    If the objective keeps decreasing all the way to the cap (near-Gaussian
-    regime) the boundary value is returned with a warning.
+    That profile is (n/2) log(Q/n) plus a function of u alone whose
+    derivative, [log u - digamma(u)] - [log(u - n/2) - digamma(u - n/2)], is
+    negative because log x - digamma(x) decreases in x.  So the minimizer is
+    the near-Gaussian boundary u_cap whatever the data (X and y are not
+    read); it is returned with a warning.
     """
     n = model.n_train
-    Q = _quad_Q(model, X, y)
-    eps_u = 1e-6 * n
-    u_lo = n / 2 + eps_u
-
-    def obj(u):
-        m = 2.0 * u - n
-        s2 = (u / (n / 2) - 1.0) / m * Q  # profiled sigma^2 (= Q/n)
-        return (
-            (n / 2) * np.log(s2)
-            - gammaln(u) + gammaln(u - n / 2) + (n / 2) * np.log(m)
-            + u * np.log1p(Q / (m * s2))
-        )
-
-    # expand the upper end until the objective turns upward or we hit the cap
-    a, b = u_lo, max(2.0 * n, 2.0 * u_lo)
-    fa, fb = obj(a), obj(b)
-    while True:
-        c = min(2.0 * b, u_cap)
-        fc = obj(c)
-        if fb < fa and fb <= fc:
-            break  # interior minimum bracketed by (a, b, c)
-        if c >= u_cap:
-            if fc <= fb:
-                warnings.warn(
-                    "q objective decreases up to the bracket cap; "
-                    "returning the near-Gaussian boundary", stacklevel=2)
-                return q_from_dof(2.0 * u_cap - n, n)
-            break
-        a, fa, b, fb = b, fb, c, fc
-    res = minimize_scalar(obj, bracket=None, bounds=(a, c), method="bounded",
-                          options={"xatol": 1e-8 * n})
-    return 1.0 + 1.0 / float(res.x)
+    warnings.warn(
+        "the profiled q objective decreases in u = 1/(q-1) for every n and Q; "
+        "returning the near-Gaussian boundary", stacklevel=2)
+    return q_from_dof(2.0 * u_cap - n, n)
 
 
-def _theta_objective(X, y, psi, penalty: PenaltySpec, psi_cg_tol: float) -> SmoothObjective:
-    Xd = _design(X)
-    y = np.asarray(y, float).ravel()
-    n = Xd.shape[0]
-
-    def apply_A(v):
-        return Xd.T @ _psi_solve(psi, Xd @ v, tol=psi_cg_tol) / n
-
-    # L of (1/n) X' Psi^{-1} X plus that of the concave part of the penalty
-    L = _power_iteration(apply_A, Xd.shape[1]) + lipschitz_h(penalty)
-
-    def value(t):
-        r = y - Xd @ t
-        return float(r @ _psi_solve(psi, r, tol=psi_cg_tol)) / (2 * n)
-
-    def grad(t):
-        r = y - Xd @ t
-        return -Xd.T @ _psi_solve(psi, r, tol=psi_cg_tol) / n
-
-    return SmoothObjective(value=value, grad=grad, lipschitz=L, dimension=Xd.shape[1])
+def _theta_objective(X, y, psi, penalty: PenaltySpec, _unused=None) -> SmoothObjective:
+    """(1/2n) <r, Psi^{-1} r> with r = y - [1 X] theta: least squares on the
+    design and y whitened once by Psi's Cholesky factor.  The fifth argument
+    is ignored; it is kept so that callers passing a solve tolerance still work."""
+    C = _psi_cholesky(psi)
+    return make_linear_objective(
+        _whiten(C, _design(X)), _whiten(C, np.asarray(y, float).ravel()), penalty)
 
 
 def theta_update(model: QGaussianModel, X, y,
                  config: QGaussianFitConfig | None = None) -> np.ndarray:
     """Solve the central-trend subproblem; independent of current q, sigma^2."""
     config = config or QGaussianFitConfig()
-    obj = _theta_objective(X, y, model.psi_train, model.penalty, config.psi_cg_tol)
+    obj = _theta_objective(X, y, model.psi_train, model.penalty)
     skip = () if model.penalty.penalize_intercept else (0,)
     if config.solver == "pcg":
         comp = make_composite(obj, model.penalty, skip=skip)
@@ -370,8 +336,12 @@ def theta_update(model: QGaussianModel, X, y,
 
 def fit(X, y, psi=None, penalty: PenaltySpec | None = None,
         config: QGaussianFitConfig | None = None) -> QGaussianModel:
-    """Blockwise fit: theta once, then alternate sigma^2 / q until the
-    objective moves less than outer_tol.  The trace is monotone by descent."""
+    """One blockwise pass: theta, then sigma^2 = Q/n, then the boundary q
+    (q_update warns once).  fit_trace holds the one final objective.
+
+    A Psi that is not (n, n), not symmetric or not positive definite raises
+    ValueError before any solve.
+    """
     config = config or QGaussianFitConfig()
     penalty = penalty or PenaltySpec("l1", 0.0)
     X = np.asarray(X, float)
@@ -379,26 +349,18 @@ def fit(X, y, psi=None, penalty: PenaltySpec | None = None,
     n = X.shape[0]
     if y.size != n:
         raise ValueError("X and y length mismatch")
-    q0 = config.q0 if config.q0 is not None else 1.0 + 1.0 / n
-    model = QGaussianModel(
-        theta=np.zeros(X.shape[1] + 1),
-        sigma2=1.0,
-        q_train=q0,
-        n_train=n,
-        psi_train=None if psi is None else np.asarray(psi, float),
-        penalty=penalty,
-    )
+    if psi is not None:
+        psi = np.asarray(psi, float)
+        if psi.shape != (n, n):
+            raise ValueError(f"psi must be ({n}, {n}) for {n} rows, got {psi.shape}")
+        if not np.allclose(psi, psi.T):
+            raise ValueError("psi must be symmetric")
+        # positive definiteness: theta_update factors psi before any solve
+    model = QGaussianModel(np.zeros(X.shape[1] + 1), 1.0, 1.0 + 1.0 / n, n, psi, penalty)
     model.theta = theta_update(model, X, y, config)
     model.sigma2 = sigma2_update(model, X, y)
-    trace = [neg_penalized_loglik(model, X, y)]
-    for _ in range(config.max_outer):
-        model.sigma2 = sigma2_update(model, X, y)
-        model.q_train = q_update(model, X, y, u_cap=config.u_cap)
-        model.sigma2 = sigma2_update(model, X, y)
-        trace.append(neg_penalized_loglik(model, X, y))
-        if abs(trace[-1] - trace[-2]) < config.outer_tol:
-            break
-    model.fit_trace = np.asarray(trace)
+    model.q_train = q_update(model, X, y)
+    model.fit_trace = np.array([neg_penalized_loglik(model, X, y)])
     return model
 
 

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from hdsparse.cli import main
 from hdsparse.data import FeatureMatrix, ResponseVector, write_table
@@ -56,9 +57,14 @@ def test_fit_command_solvers(linear_csv, tmp_path):
     assert abs(estimates["pg"][0] - 2.0) <= 0.2
 
 
-def test_qfit_command(linear_csv, tmp_path):
+@pytest.mark.parametrize("psi", ["identity", "toeplitz"])
+def test_qfit_command(linear_csv, tmp_path, psi):
+    if psi == "toeplitz":
+        psi = tmp_path / "psi.csv"
+        write_table(psi, FeatureMatrix(toeplitz(0.5 ** np.arange(60)),
+                                       tuple(f"r{i}" for i in range(60))))
     out = tmp_path / "qfit_out"
-    rc = main(["qfit", "--data", str(linear_csv), "--outcome", "y",
+    rc = main(["qfit", "--data", str(linear_csv), "--outcome", "y", "--psi", str(psi),
                "--penalty", "l1", "--lambda", "0.0", "--out-dir", str(out)])
     assert rc == 0
     payload = json.loads((out / "qfit.json").read_text())

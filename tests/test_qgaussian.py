@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import toeplitz
 from scipy.stats import multivariate_t
 
 from hdsparse.penalty import PenaltySpec
@@ -218,6 +219,56 @@ def test_q_update_near_gaussian_boundary():
     with pytest.warns(UserWarning, match="boundary"):
         q = q_update(model, X, y, u_cap=1e6)
     assert q == pytest.approx(q_from_dof(2e6 - 60, 60))
+
+
+@pytest.mark.parametrize("n, s", [(3, 1.0), (50, 1e-3), (60, 1e3)])
+def test_q_update_boundary_is_exact(n, s):
+    # the profiled objective falls in u for every n and Q, so q is the cap
+    # exactly, also where float64 rounding flattens the objective's tail
+    model = QGaussianModel(np.zeros(2), 1.0, 1 + 1 / n, n, None, PenaltySpec("l1", 0.0))
+    X = np.zeros((n, 1))
+    y = np.random.default_rng(0).normal(scale=s, size=n)
+    with pytest.warns(UserWarning, match="boundary") as record:
+        q = q_update(model, X, y)
+    assert len(record) == 1
+    assert q == q_from_dof(2e8 - n, n)
+
+
+def test_theta_update_with_psi_matches_gls():
+    rng = np.random.default_rng(9)
+    n = 120
+    X = rng.normal(size=(n, 4))
+    psi = toeplitz(0.5 ** np.arange(n))
+    y = 0.3 + X @ np.array([1.0, -2.0, 0.0, 0.5]) + np.linalg.cholesky(psi) @ rng.normal(size=n)
+    Xd = np.column_stack([np.ones(n), X])
+    gls = np.linalg.solve(Xd.T @ np.linalg.solve(psi, Xd), Xd.T @ np.linalg.solve(psi, y))
+    model = QGaussianModel(np.zeros(5), 1.0, 1 + 1 / n, n, psi, PenaltySpec("l1", 0.0))
+    for solver in ("pcg", "ag"):
+        theta = theta_update(model, X, y, QGaussianFitConfig(
+            solver=solver, solver_tol=1e-9, solver_max_iter=20_000))
+        assert np.max(np.abs(theta - gls)) <= 1e-6, solver
+    with pytest.warns(UserWarning, match="boundary"):
+        fitted = fit(X, y, psi=psi)
+    r = y - Xd @ fitted.theta
+    assert fitted.sigma2 == pytest.approx(float(r @ np.linalg.solve(psi, r)) / n, rel=1e-12)
+    assert fitted.fit_trace.size == 1
+
+
+@pytest.mark.parametrize("bad, match", [
+    ("nonpd", "positive definite"),
+    ("shape", r"psi must be \(40, 40\)"),
+    ("asymmetric", "symmetric"),
+])
+def test_fit_rejects_bad_psi(bad, match):
+    rng = np.random.default_rng(10)
+    n = 40
+    X = rng.normal(size=(n, 3))
+    y = X[:, 0] + rng.normal(size=n)
+    psi = {"nonpd": np.diag([1.0] * (n - 1) + [-1.0]),
+           "shape": np.eye(n + 1),
+           "asymmetric": np.eye(n) + np.triu(np.full((n, n), 0.3), 1)}[bad]
+    with pytest.raises(ValueError, match=match):
+        fit(X, y, psi=psi)
 
 
 def test_fit_trace_monotone_and_converges():
