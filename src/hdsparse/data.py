@@ -200,19 +200,15 @@ def read_table(
     if not body:
         raise ValueError(f"{path}: no data rows")
     width = len(body[0])
-    values = np.empty((len(body), width), dtype=float)
-    for i, row in enumerate(body):
-        rownum = i + 1 + (1 if has_header else 0)
-        if len(row) != width:
-            raise ValueError(f"{path}: row {rownum} has {len(row)} fields, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
-                v = np.nan
-            if not np.isfinite(v):
-                raise ValueError(f"{path}: non-numeric cell at row {rownum}, column {j}")
-            values[i, j] = v
+    # numpy parses each cell with float(); a ragged, non-numeric or
+    # non-finite body is rescanned cell by cell to name the first bad one
+    try:
+        values = np.array(body, dtype=float)
+        parsed = bool(np.isfinite(values).all())
+    except ValueError:
+        parsed = False
+    if not parsed:
+        values = _scan_body(path, body, width, 2 if has_header else 1)
 
     if outcome is None:
         return FeatureMatrix(values, names), None
@@ -229,6 +225,24 @@ def read_table(
     kind = outcome_kind or ("binary" if np.all(np.isin(yv, (0.0, 1.0))) else "continuous")
     fm = FeatureMatrix(values[:, keep], tuple(names[j] for j in keep) if names else None)
     return fm, ResponseVector(yv, kind)
+
+
+def _scan_body(path, body, width: int, first_row: int) -> np.ndarray:
+    # row-major scan that raises at the first bad row or cell
+    values = np.empty((len(body), width), dtype=float)
+    for i, row in enumerate(body):
+        rownum = i + first_row
+        if len(row) != width:
+            raise ValueError(f"{path}: row {rownum} has {len(row)} fields, expected {width}")
+        for j, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
+                v = np.nan
+            if not np.isfinite(v):
+                raise ValueError(f"{path}: non-numeric cell at row {rownum}, column {j}")
+            values[i, j] = v
+    return values
 
 
 def write_table(path, m: FeatureMatrix, y: ResponseVector | None = None,

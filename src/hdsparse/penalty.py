@@ -148,7 +148,9 @@ def prox_scaled_l1(x, y, c: float, lam: float, skip=()) -> np.ndarray:
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    z = np.asarray(x, dtype=float) - c * np.asarray(y, dtype=float)
+    z = np.asarray(x, dtype=float)
+    if not (isinstance(y, float) and y == 0.0):  # h_prox's zero gradient: z is x
+        z = z - c * np.asarray(y, dtype=float)
     out = np.sign(z) * np.maximum(np.abs(z) - c * lam, 0.0)
     if not isinstance(skip, np.ndarray):  # make_composite passes a built index
         skip = np.asarray(list(skip), dtype=int)

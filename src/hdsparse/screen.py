@@ -5,6 +5,9 @@ plus a parallel whole-matrix screener and the selection-AUROC metric.
 All MI values are in nats.  The FFT estimator linearly bins the sample onto a
 power-of-two grid and convolves with a separable kernel (zero-padded, so no
 wrap-around), which is what makes screening thousands of columns tractable.
+Separability turns the 2-D convolution into two 1-D passes (Wand 1994): a
+sparse product of the binned weights with the banded y-kernel matrix, then an
+FFT convolution along x.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg import toeplitz
+from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 from scipy.special import digamma
-from scipy.stats import rankdata
 
 from .data import FeatureMatrix, ResponseVector
 
@@ -118,6 +122,13 @@ def _kernel_1d(kind: str, offsets: np.ndarray, h: float) -> np.ndarray:
     raise ValueError(f"unknown kernel {kind!r}")
 
 
+def _kernel_half(kind: str, h: float, step: float, nodes: int) -> np.ndarray:
+    # kernel at offsets 0, step, ..., reach*step; the support is full for
+    # Epanechnikov and 8 sigma of the Gaussian tail, capped at nodes-1 steps
+    reach = min(nodes - 1, int(np.ceil((h if kind == "epanechnikov" else 8 * h) / step)) + 1)
+    return _kernel_1d(kind, np.arange(reach + 1) * step, h)
+
+
 def make_grid(x, y, hx: float, hy: float, nx: int = 256, ny: int = 256,
               pad_bandwidths: float = 3.0) -> Grid2D:
     """Grid covering the data plus pad_bandwidths*max(h) on every side."""
@@ -129,27 +140,30 @@ def make_grid(x, y, hx: float, hy: float, nx: int = 256, ny: int = 256,
     )
 
 
-def _linear_bin_2d(x, y, grid: Grid2D) -> np.ndarray:
-    # cloud-in-cell assignment: each sample spreads over its 4 surrounding nodes
+def _linear_bin_2d(x, y, grid: Grid2D) -> coo_matrix:
+    # cloud-in-cell assignment: each sample spreads over its 4 surrounding
+    # nodes; entries that land on the same node are summed by any product
     fx = (x - grid.x_min) / grid.dx
     fy = (y - grid.y_min) / grid.dy
     ix = np.clip(fx.astype(int), 0, grid.nx - 2)
     iy = np.clip(fy.astype(int), 0, grid.ny - 2)
     wx = fx - ix
     wy = fy - iy
-    counts = np.zeros((grid.nx, grid.ny))
-    np.add.at(counts, (ix, iy), (1 - wx) * (1 - wy))
-    np.add.at(counts, (ix + 1, iy), wx * (1 - wy))
-    np.add.at(counts, (ix, iy + 1), (1 - wx) * wy)
-    np.add.at(counts, (ix + 1, iy + 1), wx * wy)
-    return counts / x.size
+    rows = np.concatenate((ix, ix + 1, ix, ix + 1))
+    cols = np.concatenate((iy, iy, iy + 1, iy + 1))
+    mass = np.concatenate(((1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy))
+    return coo_matrix((mass / x.size, (rows, cols)), shape=(grid.nx, grid.ny))
 
 
 def fft_kde_2d(x, y, kernel: str, hx: float, hy: float, grid: Grid2D) -> np.ndarray:
     """Bivariate KDE on the grid via linear binning + separable convolution.
 
-    Zero-padded (linear) convolution, so there is no wrap-around; tiny negative
-    FFT artifacts are clipped and the density renormalized to unit Euler sum.
+    The product kernel is applied in two 1-D passes: the binned weights (a
+    sparse matrix with at most 4n entries) times the banded Toeplitz matrix of
+    the y kernel, then an FFT convolution of every column with the x kernel.
+    Both passes are zero-padded (linear) convolutions, so there is no
+    wrap-around; tiny negative FFT artifacts are clipped and the density
+    renormalized to unit Euler sum.
     """
     x = np.asarray(x, float).ravel()
     y = np.asarray(y, float).ravel()
@@ -160,18 +174,28 @@ def fft_kde_2d(x, y, kernel: str, hx: float, hy: float, grid: Grid2D) -> np.ndar
     if (x.min() - 3 * hx < grid.x_min or x.max() + 3 * hx > grid.x_max
             or y.min() - 3 * hy < grid.y_min or y.max() + 3 * hy > grid.y_max):
         raise ValueError("grid does not cover the data plus 3 bandwidths")
-    w = _linear_bin_2d(x, y, grid)
-    # kernel support: full for Epanechnikov, 8 sigma for the Gaussian tail
-    reach_x = min(grid.nx - 1, int(np.ceil((hx if kernel == "epanechnikov" else 8 * hx) / grid.dx)) + 1)
-    reach_y = min(grid.ny - 1, int(np.ceil((hy if kernel == "epanechnikov" else 8 * hy) / grid.dy)) + 1)
-    kx = _kernel_1d(kernel, np.arange(-reach_x, reach_x + 1) * grid.dx, hx)
-    ky = _kernel_1d(kernel, np.arange(-reach_y, reach_y + 1) * grid.dy, hy)
-    dens = fftconvolve(w, np.outer(kx, ky), mode="same")
-    dens = np.clip(dens, 0.0, None)
+    kx = _kernel_half(kernel, hx, grid.dx, grid.nx)
+    ky = _kernel_half(kernel, hy, grid.dy, grid.ny)
+    # y pass: row i of the product sums ky(y_node - y_j) over row i's weights;
+    # it is stored transposed so that the x pass runs along contiguous rows
+    # (an FFT along the strided axis does not scale across threads)
+    col = np.zeros(grid.ny)
+    col[:ky.size] = ky
+    smooth_t = (_linear_bin_2d(x, y, grid) @ toeplitz(col)).T.copy()
+    # x pass: a circular convolution of length >= nx + reach, with the kernel
+    # centred on index 0, equals the linear one on the first nx nodes
+    size = next_fast_len(grid.nx + kx.size - 1, real=True)
+    kc = np.zeros(size)
+    kc[:kx.size] = kx
+    kc[size - kx.size + 1:] = kx[:0:-1]
+    spec = rfft(smooth_t, size)
+    spec *= rfft(kc).real                   # an even kernel has a real spectrum
+    dens = irfft(spec, size, overwrite_x=True)[:, :grid.nx].T
+    np.clip(dens, 0.0, None, out=dens)
     total = dens.sum() * grid.dx * grid.dy
     if total <= 0:
         raise ValueError("degenerate density")
-    return dens / total
+    return np.divide(dens, total, out=np.empty((grid.nx, grid.ny)))   # C order
 
 
 def mi_fftkde(x, y, kernel: str = "gaussian", bandwidth=silverman_bandwidth,
@@ -187,7 +211,8 @@ def mi_fftkde(x, y, kernel: str = "gaussian", bandwidth=silverman_bandwidth,
     py = pxy.sum(axis=0) * grid.dx
     outer = np.outer(px, py)
     ok = (pxy > eps_floor) & (outer > eps_floor)
-    mi = float(np.sum(pxy[ok] * np.log(pxy[ok] / outer[ok])) * grid.dx * grid.dy)
+    p = pxy[ok]
+    mi = float(np.sum(p * np.log(p / outer[ok])) * grid.dx * grid.dy)
     return MIResult(mi, "fftkde",
                     {"hx": hx, "hy": hy, "nx": nx, "ny": ny, "kernel": kernel})
 
@@ -196,24 +221,46 @@ def bin_count(x) -> int:
     """Penalized-likelihood choice of the number of equal-width histogram bins.
 
     Maximizes sum_i N_i ln(D N_i / n) - (D - 1 + (ln D)^2.5) over
-    D in [2, ceil(n/ln n)].
+    D in [2, ceil(n/ln n)].  The bins are np.histogram's: edges from
+    np.linspace over [min, max], every bin half-open except the last.
     """
     x = np.asarray(x, float).ravel()
     n = x.size
     if n < 10:
         raise ValueError("bin_count needs n >= 10")
-    if x.max() == x.min():
+    lo, hi = x.min(), x.max()
+    if hi == lo:
         warnings.warn("constant vector: one bin", stacklevel=2)
         return 1
-    d_max = int(np.ceil(n / np.log(n)))
-    best_d, best_val = 2, -np.inf
-    for d in range(2, d_max + 1):
-        counts, _ = np.histogram(x, bins=d)
-        nz = counts[counts > 0]
-        val = np.sum(nz * np.log(d * nz / n)) - (d - 1 + np.log(d) ** 2.5)
-        if val > best_val:
-            best_d, best_val = d, val
-    return best_d
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"autodetected range of [{lo}, {hi}] is not finite")
+    xs = np.sort(x)
+    ds = np.arange(2, int(np.ceil(n / np.log(n))) + 1)
+    # blocks of about 2^20 edges keep the memory flat for large n
+    blocks = np.array_split(ds, 1 + ds.size * (ds[-1] + 1) // 2**20)
+    loglik = np.concatenate([_histogram_loglik(xs, lo, hi, b) for b in blocks])
+    return int(ds[np.argmax(loglik - (ds - 1 + np.log(ds) ** 2.5))])
+
+
+def _histogram_loglik(xs, lo, hi, ds) -> np.ndarray:
+    # sum_i N_i ln(D N_i / n) over the nonempty bins, for each D in ds, from
+    # the sorted sample xs.  Every D's edges are laid end to end and built
+    # with np.linspace's arithmetic, lo + k*((hi - lo)/D) with the last edge
+    # set to hi, so the counts are np.histogram's.
+    n = xs.size
+    d_of = np.repeat(ds, ds + 1)
+    k = np.arange(d_of.size) - np.repeat(np.cumsum(ds + 1) - (ds + 1), ds + 1)
+    edges = lo + k * ((hi - lo) / d_of)
+    last = k == d_of
+    edges[last] = hi
+    below = np.searchsorted(xs, edges)      # samples left of each edge
+    below[last] = n                         # the last bin is closed
+    inner = ~last[:-1]
+    counts = (below[1:] - below[:-1])[inner]
+    d = d_of[:-1][inner]
+    nz = counts > 0
+    counts, d = counts[nz], d[nz]
+    return np.bincount(d - ds[0], weights=counts * np.log(d * counts / n), minlength=ds.size)
 
 
 def mi_binning(x, y) -> MIResult:
@@ -240,11 +287,9 @@ def _dedupe_jitter(v: np.ndarray) -> np.ndarray:
     scale = 1e-10 * max(v.std(), 1.0)
     sorted_v = v[order]
     dup = np.concatenate(([False], sorted_v[1:] == sorted_v[:-1]))
-    run = np.zeros(v.size)
-    acc = 0
-    for i in range(v.size):
-        acc = acc + 1 if dup[i] else 0
-        run[i] = acc
+    # position within the run of ties: distance to the run's first element
+    pos = np.arange(v.size)
+    run = pos - np.maximum.accumulate(np.where(dup, 0, pos))
     out[order] = sorted_v + run * scale
     return out
 
@@ -334,5 +379,10 @@ def selection_auroc(scores, truth) -> float:
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need at least one true and one false label")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():     # a NaN score has no rank
+        return float("nan")
+    # midranks: a tie group holding sorted positions s+1 .. e has rank (s+1+e)/2
+    ordered = np.sort(scores)
+    ranks = (np.searchsorted(ordered, scores, "left")
+             + np.searchsorted(ordered, scores, "right") + 1) / 2
     return float((ranks[truth].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))

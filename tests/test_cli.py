@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
+import hdsparse
 from hdsparse.cli import main
 from hdsparse.data import FeatureMatrix, ResponseVector, write_table
 
@@ -134,3 +139,13 @@ def test_screen_requires_outcome_column(tmp_path):
     with pytest.raises(ValueError):
         main(["screen", "--data", str(path), "--outcome", "y",
               "--out-dir", str(tmp_path / "x")])
+
+
+def test_cli_import_skips_scipy_signal_and_stats():
+    # each costs about half a second of start-up and nothing needs them
+    code = ("import sys, hdsparse.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    src = str(Path(hdsparse.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

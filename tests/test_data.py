@@ -111,3 +111,31 @@ def test_read_table_bad_cells(tmp_path):
     ragged.write_text("a,b\n1,2\n3\n")
     with pytest.raises(ValueError, match="row 3"):
         read_table(ragged)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n1,2\n3,abc\n", "row 3, column 1"),
+    ("a,b\n1,inf\n3,4\n", "row 2, column 1"),
+    # the non-finite cell comes first in row-major order, the word later
+    ("a,b,c\n1,2,3\n4,1e400,x\nabc,5,6\n", "row 3, column 1"),
+    ("1,2\n-inf,4\n", "row 2, column 0"),
+])
+def test_read_table_names_first_bad_cell(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"non-numeric cell at {message}$"):
+        read_table(path, has_header=text.startswith("a"))
+
+
+def test_read_table_parses_like_float(tmp_path):
+    # the whole-body numpy parse must read every cell as float() does
+    cells = ["1_0", " 2 ", "-.5", "+1e-3", "\t7", "1e-400", "-0",
+             "0.1000000000000000055511151231257827"]
+    path = tmp_path / "odd.csv"
+    path.write_text(",".join(cells) + "\n")
+    fm, _ = read_table(path, has_header=False)
+    assert fm.values.tobytes() == np.array([float(c) for c in cells]).tobytes()
+    rng = np.random.default_rng(9)
+    v = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-30, 30, size=(50, 4))
+    path.write_text("\n".join(",".join(repr(float(c)) for c in row) for row in v) + "\n")
+    assert np.array_equal(read_table(path, has_header=False)[0].values, v)

@@ -142,6 +142,19 @@ def test_prox_special_cases():
     assert prox_scaled_l1(np.array([0.1]), np.array([0.0]), 1.0, 1.0)[0] == 0.0
 
 
+def test_prox_zero_gradient_is_bitwise_the_plain_step():
+    # h_prox passes the scalar 0.0 and skips the subtraction; the result
+    # must equal the general path's x - c*0
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=50)
+    x[:3] = (-0.0, 0.0, 0.25)
+    for skip in ((), np.array([0, 7])):
+        want = prox_scaled_l1(x, np.zeros(50), 0.5, 0.5, skip)
+        got = prox_scaled_l1(x, 0.0, 0.5, 0.5, skip)
+        assert got.tobytes() == want.tobytes()
+    assert x[0] == 0.0 and np.signbit(x[0])     # the input is not modified
+
+
 def test_prox_skip_set():
     x = np.array([0.1, 0.1])
     y = np.zeros(2)

@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from hdsparse.agsolver import ag_solve, make_linear_objective, schedule_optimal
+from hdsparse.data import FeatureMatrix, ResponseVector
 from hdsparse.pcg import PCGConfig, make_composite, pcg_solve
 from hdsparse.penalty import PenaltySpec
+from hdsparse.screen import screen_all
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,11 +42,17 @@ def test_tracer_patches_exist_and_are_restored(monkeypatch):
         obj = make_linear_objective(X, y, pen)
         ag_solve(obj, pen, schedule_optimal(obj.lipschitz, 20), np.zeros(6), max_iter=20)
         pcg_solve(make_composite(obj, pen), PCGConfig(max_iter=5), np.zeros(6))
+        # screen_all reaches every estimator and both kernels through the
+        # dispatch table and the module names
+        for method in ("fftkde", "binning", "knn", "pearson"):
+            screen_all(FeatureMatrix(X), ResponseVector(y), method=method)
         calls = {name: n for name, (n, _, _) in tracer.totals().items()}
     finally:
         tracer.uninstall()
     for name in ("penalty.h_grad", "penalty.h_value", "penalty.prox_scaled_l1",
-                 "pcg.line_search", "pcg.moreau_grad"):
+                 "pcg.line_search", "pcg.moreau_grad",
+                 "screen.mi_fftkde", "screen.mi_binning", "screen.mi_knn",
+                 "screen.pearson_abs", "screen.fft_kde_2d", "screen.bin_count"):
         assert calls.get(name, 0) > 0, name
     for owner, attr, orig in patched:
         assert _current(owner, attr) is orig, attr

@@ -4,6 +4,7 @@ import pytest
 from hdsparse.data import FeatureMatrix, ResponseVector
 from hdsparse.screen import (
     Grid2D,
+    _kernel_1d,
     bin_count,
     fft_kde_2d,
     make_grid,
@@ -87,6 +88,36 @@ def test_fft_kde_matches_direct_sum():
     assert np.max(np.abs(dens - direct)) <= 1e-6
 
 
+def test_fft_kde_matches_2d_fftconvolve():
+    # off-grid data: the two 1-D passes against one 2-D FFT convolution of
+    # the linearly binned weights with the outer-product kernel
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(13)
+    x, y = _bvn(rng, 300, 0.6)
+    y = y**3 + 0.1 * rng.normal(size=300)
+    hx, hy = silverman_bandwidth(x), silverman_bandwidth(y)
+    g = make_grid(x, y, hx, hy, nx=128, ny=256)
+    fx, fy = (x - g.x_min) / g.dx, (y - g.y_min) / g.dy
+    ix, iy = fx.astype(int), fy.astype(int)
+    wx, wy = fx - ix, fy - iy
+    w = np.zeros((g.nx, g.ny))
+    np.add.at(w, (ix, iy), (1 - wx) * (1 - wy))
+    np.add.at(w, (ix + 1, iy), wx * (1 - wy))
+    np.add.at(w, (ix, iy + 1), (1 - wx) * wy)
+    np.add.at(w, (ix + 1, iy + 1), wx * wy)
+    for kern in ("gaussian", "epanechnikov"):
+        support = 1.0 if kern == "epanechnikov" else 8.0
+        rx = int(np.ceil(support * hx / g.dx)) + 1
+        ry = int(np.ceil(support * hy / g.dy)) + 1
+        kx, ky = (_kernel_1d(kern, np.arange(-r, r + 1) * step, h)
+                  for r, step, h in ((rx, g.dx, hx), (ry, g.dy, hy)))
+        ref = np.clip(fftconvolve(w / x.size, np.outer(kx, ky), mode="same"), 0.0, None)
+        ref /= ref.sum() * g.dx * g.dy
+        got = fft_kde_2d(x, y, kern, hx, hy, g)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref), kern
+
+
 def test_fft_kde_properties():
     rng = np.random.default_rng(2)
     x, y = _bvn(rng, 400, 0.3)
@@ -125,7 +156,11 @@ def test_mi_fftkde_calibration():
 
 def test_bin_count_matches_bruteforce():
     rng = np.random.default_rng(4)
-    for x in (rng.normal(size=200), rng.uniform(size=500), rng.exponential(size=80)):
+    lognormal = rng.lognormal(size=300)
+    lognormal[7] = 1e4                             # one far outlier
+    for x in (rng.normal(size=200), rng.uniform(size=500), rng.exponential(size=80),
+              np.round(rng.normal(size=400), 1),   # ties on bin edges
+              lognormal, rng.standard_t(3, size=2000)):
         n = x.size
         d_max = int(np.ceil(n / np.log(n)))
         vals = []
@@ -253,3 +288,19 @@ def test_selection_auroc():
     assert selection_auroc([1, 1, 1, 1], truth) == 0.5
     with pytest.raises(ValueError):
         selection_auroc([1, 2], [True, True])
+
+
+def test_selection_auroc_matches_rankdata_midranks():
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(14)
+    for n in (5, 60, 1000):
+        scores = rng.integers(0, 4, size=n).astype(float)   # heavy ties
+        scores[: n // 5] = -np.inf                            # failed columns
+        truth = rng.random(n) < 0.3
+        truth[:2] = (True, False)
+        n_pos = truth.sum()
+        ranks = rankdata(scores)
+        want = (ranks[truth].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * (n - n_pos))
+        assert selection_auroc(scores, truth) == want
+    assert np.isnan(selection_auroc([1.0, np.nan, 2.0], [True, False, True]))
