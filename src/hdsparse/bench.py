@@ -73,12 +73,20 @@ class SimSpec:
     nonlinear: bool = True    # screening recipe step 4 (element-wise square)
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("n must be at least 2")
+        if self.p < 1:
+            raise ValueError("p must be at least 1")
         if not 0 <= self.tau < 1:
             raise ValueError("tau must lie in [0, 1)")
+        if not self.snr > 0:
+            raise ValueError("snr must be positive (inf for a noiseless outcome)")
         if self.signal not in SIGNALS:
             raise ValueError(f"unknown signal {self.signal!r}")
         if self.outcome not in OUTCOMES:
             raise ValueError(f"unknown outcome {self.outcome!r}")
+        if self.signal == "screening_recipe" and not 1 <= self.p_true <= self.p:
+            raise ValueError("p_true must lie in [1, p] for the screening_recipe signal")
 
 
 @dataclass
@@ -102,10 +110,7 @@ def gen_design(spec: SimSpec, rng: np.random.Generator | None = None) -> Feature
     z = rng.standard_normal((spec.n, spec.p))
     L = _toeplitz_chol(spec.tau, spec.p)
     x = z if L is None else z @ L.T
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fm, _ = standardize_columns(FeatureMatrix(x))
-    return fm
+    return FeatureMatrix(_standardize_matrix(x), standardized=True)
 
 
 def gen_signal(spec: SimSpec, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -157,12 +162,7 @@ def gen_outcome(spec: SimSpec, X: FeatureMatrix, beta_true: np.ndarray,
         eta = xv @ beta_true + rng.normal(0.0, sigma, size=spec.n)
         if spec.outcome == "linear":
             return ResponseVector(eta, "continuous")
-        for attempt in range(10):
-            y = rng.binomial(1, expit(eta)).astype(float)
-            if 0 < y.sum() < spec.n:
-                return ResponseVector(y, "binary")
-            warnings.warn("degenerate logistic sample; resampling", stacklevel=2)
-        raise ValueError("could not simulate a two-class outcome in 10 attempts")
+        return _two_class(rng, expit(eta), "logistic")
 
     # screening recipe: build X_true,2 from the support
     support = np.nonzero(beta_true)[0]
@@ -176,11 +176,16 @@ def gen_outcome(spec: SimSpec, X: FeatureMatrix, beta_true: np.ndarray,
     tau_p = (eta - eta.mean()) / eta.std(ddof=1)
     if spec.outcome == "screening_binary_translated":
         tau_p = tau_p + np.arctanh(np.sqrt(1.0 / 3.0))
-    for attempt in range(10):
-        y = rng.binomial(1, expit(tau_p)).astype(float)
-        if 0 < y.sum() < spec.n:
+    return _two_class(rng, expit(tau_p), "binary")
+
+
+def _two_class(rng: np.random.Generator, prob: np.ndarray, what: str) -> ResponseVector:
+    """Bernoulli(prob) draws, redrawn up to 10 times until both classes occur."""
+    for _ in range(10):
+        y = rng.binomial(1, prob).astype(float)
+        if 0 < y.sum() < y.size:
             return ResponseVector(y, "binary")
-        warnings.warn("degenerate binary sample; resampling", stacklevel=2)
+        warnings.warn(f"degenerate {what} sample; resampling", stacklevel=3)
     raise ValueError("could not simulate a two-class outcome in 10 attempts")
 
 

@@ -13,8 +13,8 @@ decreases in u for every n (see q_update): the shape of one draw is not
 identifiable, and q is the near-Gaussian boundary of the u range.
 
 Every operation with Psi (the quadratic form, the log determinant, the
-whitened theta subproblem) goes through one Cholesky factor Psi = C C';
-Psi is never inverted.
+whitened theta subproblem) goes through one Cholesky factor Psi = C C',
+which a model computes once and keeps; Psi is never inverted.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .agsolver import (
 )
 # unused here; perfbench's tracer patches the name on this module
 from .pcg import PCGConfig, linear_cg, pcg_solve  # noqa: F401
-from .penalty import PenaltySpec
+from .penalty import PenaltySpec, penalty_value
 
 __all__ = [
     "QShape",
@@ -223,6 +223,8 @@ class QGaussianModel:
     psi_train: np.ndarray | None
     penalty: PenaltySpec
     fit_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # (psi_train, its Cholesky factor), so that the blocks of one fit factor once
+    _psi_factor: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def to_config(self) -> dict:
         return {
@@ -234,6 +236,13 @@ class QGaussianModel:
         }
 
 
+def _model_cholesky(model: QGaussianModel) -> np.ndarray | None:
+    """Cholesky factor of model.psi_train, computed once per psi_train array."""
+    if model._psi_factor[0] is not model.psi_train:
+        model._psi_factor = (model.psi_train, _psi_cholesky(model.psi_train))
+    return model._psi_factor[1]
+
+
 def _design(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, float)
     return np.column_stack([np.ones(X.shape[0]), X])
@@ -243,18 +252,10 @@ def _quad_Q(model: QGaussianModel, X: np.ndarray, y: np.ndarray) -> float:
     """Q = <r, Psi^{-1} r> + 2 n sum_j w(theta_j), the pooled quadratic behind
     sigma^2 = Q/n and the objective."""
     Xd = _design(X)
-    w = _whiten(_psi_cholesky(model.psi_train),
-                np.asarray(y, float).ravel() - Xd @ model.theta)
+    w = _whiten(_model_cholesky(model), np.asarray(y, float).ravel() - Xd @ model.theta)
     quad = float(w @ w)
-    pen = float(np.sum(np.asarray(
-        _pen_values(model.penalty, model.theta[1:]))))
+    pen = float(np.sum(penalty_value(model.penalty, model.theta[1:])))
     return quad + 2.0 * model.n_train * pen
-
-
-def _pen_values(penalty: PenaltySpec, coefs: np.ndarray) -> np.ndarray:
-    from .penalty import penalty_value
-
-    return np.atleast_1d(penalty_value(penalty, coefs))
 
 
 def neg_penalized_loglik(model: QGaussianModel, X, y) -> float:
@@ -302,7 +303,10 @@ def _theta_objective(X, y, psi, penalty: PenaltySpec, _unused=None) -> SmoothObj
     """(1/2n) <r, Psi^{-1} r> with r = y - [1 X] theta: least squares on the
     design and y whitened once by Psi's Cholesky factor.  The fifth argument
     is ignored; it is kept so that callers passing a solve tolerance still work."""
-    C = _psi_cholesky(psi)
+    return _whitened_objective(X, y, _psi_cholesky(psi), penalty)
+
+
+def _whitened_objective(X, y, C: np.ndarray | None, penalty: PenaltySpec) -> SmoothObjective:
     return make_linear_objective(
         _whiten(C, _design(X)), _whiten(C, np.asarray(y, float).ravel()), penalty)
 
@@ -311,7 +315,7 @@ def theta_update(model: QGaussianModel, X, y,
                  config: QGaussianFitConfig | None = None) -> np.ndarray:
     """Solve the central-trend subproblem; independent of current q, sigma^2."""
     config = config or QGaussianFitConfig()
-    obj = _theta_objective(X, y, model.psi_train, model.penalty)
+    obj = _whitened_objective(X, y, _model_cholesky(model), model.penalty)
     skip = () if model.penalty.penalize_intercept else (0,)
     if config.solver == "pcg":
         comp = make_composite(obj, model.penalty, skip=skip)

@@ -41,7 +41,8 @@ __all__ = [
     "selection_auroc",
 ]
 
-KERNELS = ("gaussian", "epanechnikov")
+# the KDE grid reaches this many bandwidths beyond the data on every side
+PAD_BANDWIDTHS = 3.0
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,9 @@ def _kernel_half(kind: str, h: float, step: float, nodes: int) -> np.ndarray:
     return _kernel_1d(kind, np.arange(reach + 1) * step, h)
 
 
-def make_grid(x, y, hx: float, hy: float, nx: int = 256, ny: int = 256,
-              pad_bandwidths: float = 3.0) -> Grid2D:
-    """Grid covering the data plus pad_bandwidths*max(h) on every side."""
-    pad = pad_bandwidths * max(hx, hy)
+def make_grid(x, y, hx: float, hy: float, nx: int = 256, ny: int = 256) -> Grid2D:
+    """Grid covering the data plus PAD_BANDWIDTHS*max(h) on every side."""
+    pad = PAD_BANDWIDTHS * max(hx, hy)
     return Grid2D(
         float(np.min(x) - pad), float(np.max(x) + pad),
         float(np.min(y) - pad), float(np.max(y) + pad),
@@ -171,9 +171,10 @@ def fft_kde_2d(x, y, kernel: str, hx: float, hy: float, grid: Grid2D) -> np.ndar
         raise ValueError("x and y must share length n >= 2")
     if hx <= 0 or hy <= 0:
         raise ValueError("bandwidths must be positive")
-    if (x.min() - 3 * hx < grid.x_min or x.max() + 3 * hx > grid.x_max
-            or y.min() - 3 * hy < grid.y_min or y.max() + 3 * hy > grid.y_max):
-        raise ValueError("grid does not cover the data plus 3 bandwidths")
+    px, py = PAD_BANDWIDTHS * hx, PAD_BANDWIDTHS * hy
+    if (x.min() - px < grid.x_min or x.max() + px > grid.x_max
+            or y.min() - py < grid.y_min or y.max() + py > grid.y_max):
+        raise ValueError(f"grid does not cover the data plus {PAD_BANDWIDTHS:g} bandwidths")
     kx = _kernel_half(kernel, hx, grid.dx, grid.nx)
     ky = _kernel_half(kernel, hy, grid.dy, grid.ny)
     # y pass: row i of the product sums ky(y_node - y_j) over row i's weights;
@@ -332,9 +333,9 @@ def pearson_abs(x, y) -> MIResult:
 
 
 _METHODS = {
-    "fftkde": lambda x, y: mi_fftkde(x, y),
+    "fftkde": mi_fftkde,
     "binning": mi_binning,
-    "knn": lambda x, y: mi_knn(x, y),
+    "knn": mi_knn,
     "pearson": pearson_abs,
 }
 

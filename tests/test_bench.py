@@ -28,6 +28,27 @@ def test_simspec_validation():
         SimSpec(outcome="poisson")
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("n", dict(n=1)),
+    ("p", dict(p=0)),
+    ("snr", dict(snr=0.0)),
+    ("snr", dict(snr=-1.0)),
+    ("snr", dict(snr=float("nan"))),
+    ("p_true", dict(p_true=0)),
+    ("p_true", dict(p_true=21)),
+])
+def test_simspec_rejects_bad_sizes_and_snr(field, bad):
+    # snr=0 used to give a non-finite screening outcome and a ZeroDivisionError
+    # for a linear one; p_true outside [1, p] failed deep in the generator with
+    # a message about something else
+    base = dict(n=30, p=20, signal="screening_recipe", outcome="screening_continuous")
+    with pytest.raises(ValueError, match=rf"^{field} must"):
+        SimSpec(**{**base, **bad})
+    assert SimSpec(**{**base, "snr": float("inf"), "p_true": 20}).snr == float("inf")
+    # p_true is read by the screening recipe only
+    assert SimSpec(n=30, p=6, signal="four_fixed").p_true == 10
+
+
 def test_gen_design_correlation_structure():
     spec = SimSpec(n=4000, p=6, tau=0.5, seed=1)
     X = gen_design(spec)

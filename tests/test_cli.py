@@ -149,3 +149,88 @@ def test_cli_import_skips_scipy_signal_and_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def _fit_value(out, key):
+    payload = json.loads((out / "fit.json").read_text())
+    return {"lambda": payload["penalty"]["lambda"], "max_iter": payload["iterations"],
+            "solver": payload.get("solver", "pcg")}[key]
+
+
+@pytest.mark.parametrize("command, key, values", [
+    # the value a run reports: by default, from the config file, the environment, a flag
+    ("fit", "lambda", (0.5, 0.1, 0.2, 0.3)),
+    ("fit", "max_iter", (2000, 5, 6, 7)),
+    ("fit", "solver", ("ag", "pg", "ag-orig", "pcg")),
+    ("simulate", "p_true", (10, 3, 4, 5)),
+])
+def test_layer_precedence(linear_csv, tmp_path, monkeypatch, command, key, values):
+    default, from_config, from_env, from_flag = values
+    if command == "fit":
+        argv = ["fit", "--data", str(linear_csv), "--outcome", "y"]
+        argv += ["--tol", "0"] if key == "max_iter" else []
+        read = lambda out: _fit_value(out, key)  # noqa: E731
+    else:
+        argv = ["simulate", "--n", "30", "--p", "20", "--signal", "screening_recipe",
+                "--outcome", "screening_continuous"]
+        read = lambda out: json.loads((out / "truth.json").read_text())["spec"][key]  # noqa: E731
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: from_config}))
+    flag = "--" + key.replace("_", "-")
+    seen = []
+    for layer in range(4):
+        if layer == 1:
+            argv += ["--config", str(cfg)]
+        if layer == 2:
+            monkeypatch.setenv(f"HDSL_{key.upper()}", str(from_env))
+        extra = [flag, str(from_flag)] if layer == 3 else []
+        out = tmp_path / f"layer{layer}"
+        assert main([*argv, *extra, "--out-dir", str(out)]) == 0
+        seen.append(read(out))
+    assert seen == [default, from_config, from_env, from_flag]
+
+
+@pytest.mark.parametrize("layer", ["env", "config"])
+def test_layered_solver_gets_the_flag_choice_check(linear_csv, tmp_path, monkeypatch,
+                                                   capsys, layer):
+    # a misspelt solver used to run AG and record the typo in fit.json
+    argv = ["fit", "--data", str(linear_csv), "--outcome", "y", "--out-dir", str(tmp_path / "o")]
+    if layer == "env":
+        monkeypatch.setenv("HDSL_SOLVER", "pgg")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solver": "PCG"}))
+        argv += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --solver: invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_and_env_values_are_honoured(linear_csv, tmp_path, monkeypatch):
+    # keys follow the long flags (lambda, max_iter); both used to be ignored.
+    # method is a screen option, so fit ignores it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": 0.01, "max_iter": 5, "method": "knn"}))
+    argv = ["fit", "--data", str(linear_csv), "--outcome", "y", "--tol", "0",
+            "--config", str(cfg)]
+    main([*argv, "--out-dir", str(tmp_path / "o1")])
+    assert [_fit_value(tmp_path / "o1", k) for k in ("lambda", "max_iter")] == [0.01, 5]
+    monkeypatch.setenv("HDSL_LAMBDA", "0.02")
+    main([*argv, "--out-dir", str(tmp_path / "o2")])
+    assert [_fit_value(tmp_path / "o2", k) for k in ("lambda", "max_iter")] == [0.02, 5]
+
+
+@pytest.mark.parametrize("layer, name", [("config", "'lam'"), ("env", "HDSL_LAM"),
+                                         ("config", "'max-iter'")])
+def test_unknown_layered_key_is_named(linear_csv, tmp_path, monkeypatch, layer, name):
+    argv = ["fit", "--data", str(linear_csv), "--outcome", "y", "--out-dir", str(tmp_path / "o")]
+    if layer == "env":
+        monkeypatch.setenv(name, "0.1")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name.strip("'"): 0.1}))
+        argv += ["--config", str(cfg)]
+    with pytest.raises(ValueError, match=name):
+        main(argv)

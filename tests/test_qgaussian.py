@@ -271,6 +271,20 @@ def test_fit_rejects_bad_psi(bad, match):
         fit(X, y, psi=psi)
 
 
+def test_fit_factors_psi_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    n = 50
+    X = rng.normal(size=(n, 3))
+    y = X[:, 0] + rng.normal(size=n)
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    with pytest.warns(UserWarning, match="boundary"):
+        model = fit(X, y, psi=toeplitz(0.5 ** np.arange(n)))
+    assert len(calls) == 1
+    assert model.sigma2 > 0 and model.fit_trace.size == 1
+
+
 def test_fit_trace_monotone_and_converges():
     rng = np.random.default_rng(7)
     X, y, _ = _toy_fit_data(rng, n=50)

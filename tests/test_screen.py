@@ -62,7 +62,7 @@ def test_grid2d_validation():
 def test_make_grid_padding():
     x = np.array([0.0, 1.0])
     y = np.array([-1.0, 2.0])
-    g = make_grid(x, y, hx=0.1, hy=0.2, pad_bandwidths=3.0)
+    g = make_grid(x, y, hx=0.1, hy=0.2)
     assert g.x_min == pytest.approx(-0.6) and g.x_max == pytest.approx(1.6)
     assert g.y_min == pytest.approx(-1.6) and g.y_max == pytest.approx(2.6)
 
