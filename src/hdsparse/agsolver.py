@@ -53,12 +53,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SmoothObjective:
-    """Smooth part of the composite objective: value, gradient, Lipschitz L."""
+    """Smooth part of the composite objective: value, gradient, Lipschitz L.
+
+    curvature, when given, is the constant Hessian-vector product d -> H d of
+    a quadratic loss; it lets a line search move the gradient along d without
+    a matvec per step.
+    """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
     dimension: int
+    curvature: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,8 @@ class CompositeProblem:
     """f = g + h with g smooth (value/grad/L) and h convex with a prox.
 
     h_prox(v, rho) must return argmin_u h(u) + ||u - v||^2 / (2 rho).
+    g_grad_along(x, d) returns alpha -> grad g(x + alpha d); by default it is
+    g_grad at x + alpha d.
     """
 
     g_value: Callable[[np.ndarray], float]
@@ -74,6 +82,13 @@ class CompositeProblem:
     h_value: Callable[[np.ndarray], float]
     h_prox: Callable[[np.ndarray, float], np.ndarray]
     dimension: int
+    g_grad_along: Callable[[np.ndarray, np.ndarray], Callable[[float], np.ndarray]] | None = None
+
+    def __post_init__(self):
+        if self.g_grad_along is None:
+            g_grad = self.g_grad
+            object.__setattr__(self, "g_grad_along",
+                               lambda x, d: lambda alpha: g_grad(x + alpha * d))
 
 
 def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> CompositeProblem:
@@ -82,29 +97,55 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
     Coordinates in skip (the intercept, typically) carry no penalty at all.
     h_value and h_grad are looked up on the penalty module at each call, so a
     wrapper installed there (as perfbench's tracer does) sees every call.
+    With obj.curvature, g_grad_along computes the loss gradient once and
+    moves it along d by alpha * H d.
     """
-    mask = np.ones(obj.dimension, dtype=bool)
     skip_idx = np.asarray(list(skip), dtype=int)
-    mask[skip_idx] = False
+    mask = None
+    if skip_idx.size:
+        mask = np.ones(obj.dimension, dtype=bool)
+        mask[skip_idx] = False
     lam = penalty.lam
 
+    def concave_grad(x):
+        hg = _penalty.h_grad(penalty, x)
+        if mask is not None:
+            hg[skip_idx] = 0.0
+        return hg
+
     def g_value(x):
-        return obj.value(x) + float(np.sum(_penalty.h_value(penalty, np.where(mask, x, 0.0))))
+        h = _penalty.h_value(penalty, x if mask is None else np.where(mask, x, 0.0))
+        return obj.value(x) + float(h.sum())
 
     def g_grad(x):
-        hg = _penalty.h_grad(penalty, x)
-        if skip_idx.size:
-            hg = np.where(mask, hg, 0.0)
-        return obj.grad(x) + hg
+        hg = concave_grad(x)
+        hg += obj.grad(x)
+        return hg
+
+    def h_value(x):
+        return lam * float(np.abs(x if mask is None else x[mask]).sum())
+
+    g_grad_along = None
+    if obj.curvature is not None:
+        def g_grad_along(x, d):
+            loss_grad, hd = obj.grad(x), obj.curvature(d)
+
+            def grad(alpha):
+                hg = concave_grad(x + alpha * d)
+                hg += loss_grad + alpha * hd
+                return hg
+
+            return grad
 
     return CompositeProblem(
         g_value=g_value,
         g_grad=g_grad,
         lipschitz_g=obj.lipschitz,
-        h_value=lambda x: float(lam * np.sum(np.abs(x[mask]))),
+        h_value=h_value,
         # prox of lam*||.||_1 is the scaled soft threshold at a zero gradient
         h_prox=lambda v, rho: prox_scaled_l1(v, 0.0, rho, lam, skip_idx),
         dimension=obj.dimension,
+        g_grad_along=g_grad_along,
     )
 
 
@@ -235,19 +276,19 @@ def ag_solve(
         # the rest (this is what makes the momentum identity hold)
         x_md = (1.0 - a) * x_ag + a * x
         g = p.g_grad(x_md)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient at iteration {k + 1}")
         x_new = p.h_prox(x - d * g, d)
         x_ag = p.h_prox(x_md - w * g, w)
-        gm = np.linalg.norm((x_md - x_ag) / w)
+        gap = x_md - x_ag
         val = p.g_value(x_ag) + p.h_value(x_ag)
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise FloatingPointError(f"non-finite objective at iteration {k + 1}")
         obj_trace.append(val)
-        gm_trace.append(gm)
-        if val < best_val:
-            best_val, best_x = val, x_ag.copy()
-        step = np.max(np.abs(x_new - x))
+        gm_trace.append(math.sqrt(gap @ gap) / w)
+        if val < best_val:  # x_ag is a fresh array that no later step writes to
+            best_val, best_x = val, x_ag
+        step = np.abs(x_new - x).max()
         x = x_new
         it = k + 1
         if step < tol:
@@ -290,8 +331,9 @@ def pg_solve(
                 f"objective increased at iteration {k + 1}; Lipschitz constant too small?"
             )
         obj_trace.append(val)
-        gm_trace.append(np.linalg.norm((x - x_new) / step))
-        diff = np.max(np.abs(x_new - x))
+        moved = x - x_new
+        gm_trace.append(math.sqrt(moved @ moved) / step)
+        diff = np.abs(moved).max()
         x, prev = x_new, val
         it = k + 1
         if diff < tol:
@@ -374,11 +416,17 @@ def make_linear_objective(X: np.ndarray, y: np.ndarray,
     n = X.shape[0]
     lip_h = 0.0 if penalty is None else lipschitz_h(penalty)
     L = power_iteration_lmax(X) / n + lip_h
+
+    def value(b):
+        r = X @ b - y
+        return float(r @ r) * (0.5 / n)
+
     return SmoothObjective(
-        value=lambda b: float(0.5 / n * np.sum((X @ b - y) ** 2)),
+        value=value,
         grad=lambda b: X.T @ (X @ b - y) / n,
         lipschitz=L,
         dimension=X.shape[1],
+        curvature=lambda d: X.T @ (X @ d) / n,
     )
 
 

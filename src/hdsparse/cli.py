@@ -52,8 +52,7 @@ def _out_dir(args) -> Path:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    # every command's options; --seed and --workers go only where they are read
     p.add_argument("--out-dir", dest="out_dir", default=".")
     p.add_argument("--config", help="JSON file of option values")
 
@@ -171,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", required=True)
     p.add_argument("--method", choices=("fftkde", "binning", "knn", "pearson"),
                    default="fftkde")
+    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_screen)
 
@@ -212,7 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
                                             "screening_recipe"), default="five_blocks")
         p.add_argument("--outcome", default="linear")
         p.add_argument("--p-true", dest="p_true", type=int, default=10)
-        _add_penalty(p)
+        p.add_argument("--seed", type=int, default=0)
+        if name == "bench":
+            p.add_argument("--workers", type=int, default=1)
+            _add_penalty(p)
         _add_common(p)
         p.set_defaults(func=fn)
     for p in sub.choices.values():       # --help lists every default

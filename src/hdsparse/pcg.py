@@ -63,10 +63,12 @@ class StationarityCertificate:
     rho_used: float
 
 
-def linearized_moreau_grad(p: CompositeProblem, x, rho: float) -> np.ndarray:
-    """s(x) = (x - prox_{rho h}(x - rho*grad g(x)))/rho."""
+def linearized_moreau_grad(p: CompositeProblem, x, rho: float, g=None) -> np.ndarray:
+    """s(x) = (x - prox_{rho h}(x - rho*grad g(x)))/rho; g is grad g(x) if known."""
     x = np.asarray(x, float)
-    return (x - p.h_prox(x - rho * p.g_grad(x), rho)) / rho
+    if g is None:
+        g = p.g_grad(x)
+    return (x - p.h_prox(x - rho * g, rho)) / rho
 
 
 def hz_direction(s_next, s_prev, d_prev, eta: float = 0.01) -> np.ndarray:
@@ -99,9 +101,13 @@ def surrogate_objective(p: CompositeProblem, x, rho: float) -> float:
 
 
 def _phi_grad(p, x, d, rho):
-    # directional derivative surrogate: <s(x + alpha d), d>
+    # directional derivative surrogate: <s(x + alpha d), d>, with the gradient
+    # along d built once (no matvec per step for a quadratic loss)
+    grad_along = p.g_grad_along(x, d)
+
     def phi(alpha):
-        return float(np.dot(linearized_moreau_grad(p, x + alpha * d, rho), d))
+        s = linearized_moreau_grad(p, x + alpha * d, rho, grad_along(alpha))
+        return float(s @ d)
 
     return phi
 

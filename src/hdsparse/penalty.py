@@ -3,6 +3,17 @@
 Each nonconvex penalty decomposes as  p(b) = lambda*|b| + h(b)  with h smooth
 and concave; h has an L-Lipschitz gradient (1/(a-1) for SCAD, 1/gamma for MCP)
 which is what the composite solvers consume.
+
+Every kernel is in closed "clip" form, with no piecewise branches.  With
+t = min(|b|, a*lambda) for SCAD and t = min(|b|, gamma*lambda) for MCP:
+
+    SCAD  p = lambda*t - (t - lambda)_+^2 / (2(a-1))
+    MCP   p = lambda*t - t^2 / (2 gamma)
+    h = p - lambda*|b|
+    SCAD  h' = -copysign(clip(|b| - lambda, 0, (a-1) lambda), b) / (a-1)
+    MCP   h' = -copysign(min(|b|, gamma lambda), b) / gamma = clip(-b/gamma, +-lambda)
+
+and the soft threshold is copysign(max(|z| - c*lambda, 0), z).
 """
 
 from __future__ import annotations
@@ -70,54 +81,36 @@ class PenaltySpec:
         )
 
 
-def _h_scad(b, lam, a):
-    # concave part of SCAD: zero near 0, quadratic in the middle, affine tail
-    b = np.abs(b)
-    mid = (2 * lam * b - b**2 - lam**2) / (2 * (a - 1))
-    tail = (a + 1) * lam**2 / 2 - lam * b
-    return np.where(b < lam, 0.0, np.where(b < a * lam, mid, tail))
-
-
-def _h_scad_grad(b, lam, a):
-    s = np.sign(b)
-    b = np.abs(b)
-    mid = (lam - b) / (a - 1)
-    return s * np.where(b < lam, 0.0, np.where(b < a * lam, mid, -lam))
-
-
-def _h_mcp(b, lam, gamma):
-    b = np.abs(b)
-    return np.where(b < gamma * lam, -(b**2) / (2 * gamma), gamma * lam**2 / 2 - lam * b)
-
-
-def _h_mcp_grad(b, lam, gamma):
-    s = np.sign(b)
-    b = np.abs(b)
-    return s * np.where(b < gamma * lam, -b / gamma, -lam)
+def _clip(spec: PenaltySpec, b):
+    """(t, q) at b = |beta| for SCAD/MCP, with p = lam*t - q and h = p - lam*b."""
+    lam = spec.lam
+    if spec.kind == "scad":
+        t = np.minimum(b, spec.a * lam)
+        u = np.maximum(t - lam, 0.0)
+        return t, u * u / (2.0 * (spec.a - 1.0))
+    t = np.minimum(b, spec.gamma * lam)
+    return t, t * t / (2.0 * spec.gamma)
 
 
 def penalty_value(spec: PenaltySpec, beta):
     """Elementwise penalty p(beta); even in beta."""
     b = np.abs(np.asarray(beta, dtype=float))
-    lam = spec.lam
     if spec.kind == "l1":
-        out = lam * b
-    elif spec.kind == "scad":
-        out = lam * b + _h_scad(b, lam, spec.a)
+        out = spec.lam * b
     else:
-        out = lam * b + _h_mcp(b, lam, spec.gamma)
+        t, q = _clip(spec, b)
+        out = spec.lam * t - q
     return out if out.ndim else float(out)
 
 
 def h_value(spec: PenaltySpec, beta):
-    """Elementwise concave part h(beta)."""
-    b = np.asarray(beta, dtype=float)
+    """Elementwise concave part h(beta) = p(beta) - lam*|beta|."""
+    b = np.abs(np.asarray(beta, dtype=float))
     if spec.kind == "l1":
         out = np.zeros_like(b)
-    elif spec.kind == "scad":
-        out = _h_scad(b, spec.lam, spec.a)
     else:
-        out = _h_mcp(b, spec.lam, spec.gamma)
+        t, q = _clip(spec, b)
+        out = spec.lam * (t - b) - q
     return out if out.ndim else float(out)
 
 
@@ -126,9 +119,11 @@ def h_grad(spec: PenaltySpec, beta) -> np.ndarray:
     b = np.asarray(beta, dtype=float)
     if spec.kind == "l1":
         return np.zeros_like(b)
+    lam = spec.lam
     if spec.kind == "scad":
-        return _h_scad_grad(b, spec.lam, spec.a)
-    return _h_mcp_grad(b, spec.lam, spec.gamma)
+        g = np.minimum(np.maximum(np.abs(b) - lam, 0.0), (spec.a - 1.0) * lam)
+        return np.copysign(g, b) / (1.0 - spec.a)
+    return np.minimum(np.maximum(b / -spec.gamma, -lam), lam)
 
 
 def lipschitz_h(spec: PenaltySpec) -> float:
@@ -151,7 +146,7 @@ def prox_scaled_l1(x, y, c: float, lam: float, skip=()) -> np.ndarray:
     z = np.asarray(x, dtype=float)
     if not (isinstance(y, float) and y == 0.0):  # h_prox's zero gradient: z is x
         z = z - c * np.asarray(y, dtype=float)
-    out = np.sign(z) * np.maximum(np.abs(z) - c * lam, 0.0)
+    out = np.copysign(np.maximum(np.abs(z) - c * lam, 0.0), z)
     if not isinstance(skip, np.ndarray):  # make_composite passes a built index
         skip = np.asarray(list(skip), dtype=int)
     if skip.size:

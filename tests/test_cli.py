@@ -69,8 +69,9 @@ def test_qfit_command(linear_csv, tmp_path, psi):
         write_table(psi, FeatureMatrix(toeplitz(0.5 ** np.arange(60)),
                                        tuple(f"r{i}" for i in range(60))))
     out = tmp_path / "qfit_out"
-    rc = main(["qfit", "--data", str(linear_csv), "--outcome", "y", "--psi", str(psi),
-               "--penalty", "l1", "--lambda", "0.0", "--out-dir", str(out)])
+    with pytest.warns(UserWarning, match="near-Gaussian boundary"):
+        rc = main(["qfit", "--data", str(linear_csv), "--outcome", "y", "--psi", str(psi),
+                   "--penalty", "l1", "--lambda", "0.0", "--out-dir", str(out)])
     assert rc == 0
     payload = json.loads((out / "qfit.json").read_text())
     assert len(payload["theta"]) == 7           # intercept + 6 coefficients
@@ -234,3 +235,31 @@ def test_unknown_layered_key_is_named(linear_csv, tmp_path, monkeypatch, layer, 
         argv += ["--config", str(cfg)]
     with pytest.raises(ValueError, match=name):
         main(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "d.csv", "--outcome", "y", "--seed", "3"],
+    ["fit", "--data", "d.csv", "--outcome", "y", "--workers", "2"],
+    ["qfit", "--data", "d.csv", "--outcome", "y", "--seed", "3"],
+    ["screen", "--data", "d.csv", "--outcome", "y", "--seed", "3"],
+    ["simulate", "--lambda", "0.1"],
+    ["simulate", "--penalty", "mcp"],
+    ["simulate", "--workers", "2"],
+])
+def test_commands_reject_options_they_never_read(tmp_path, capsys, argv):
+    # these options used to be accepted and dropped without a word
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_config_key_still_serves_fit(linear_csv, tmp_path):
+    # seed is an option of simulate and bench, so fit ignores the key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "workers": 2}))
+    out = tmp_path / "o"
+    assert main(["fit", "--data", str(linear_csv), "--outcome", "y", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 0
+    assert json.loads((out / "fit.json").read_text())["converged"]

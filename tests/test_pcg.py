@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hdsparse.agsolver import make_linear_objective, pg_solve
+from hdsparse.agsolver import make_linear_objective, make_logistic_objective, pg_solve
 from hdsparse.pcg import (
     CompositeProblem,
     PCGConfig,
@@ -244,3 +246,46 @@ def test_linear_cg_max_iter_error():
     A = _spd(rng, 30, cond=1e6)
     with pytest.raises(RuntimeError, match="residual"):
         linear_cg(A, rng.normal(size=30), tol=1e-14, max_iter=2)
+
+
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+@pytest.mark.parametrize("skip", [(), (0, 5)])
+def test_gradient_along_d_matches_gradient_at_the_point(loss, skip):
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(60, 12))
+    y = X[:, 0] - X[:, 1] + 0.2 * rng.normal(size=60)
+    pen = PenaltySpec("scad", 0.2, a=3.7)
+    if loss == "linear":
+        obj = make_linear_objective(X, y, pen)
+        assert obj.curvature is not None
+    else:
+        obj = make_logistic_objective(X, (y > 0).astype(float), pen)
+        assert obj.curvature is None
+    comp = make_composite(obj, pen, skip)
+    x, d = rng.normal(size=(2, 12))
+    along = comp.g_grad_along(x, d)
+    for alpha in (0.0, 1e-3, 0.3, 1.0, 7.5):
+        want = comp.g_grad(x + alpha * d)
+        assert np.max(np.abs(along(alpha) - want)) <= 1e-12 * np.max(np.abs(want)), alpha
+    if skip:  # the skipped coordinates get no concave part along d either
+        idx = list(skip)
+        assert np.allclose(along(0.3)[idx], obj.grad(x + 0.3 * d)[idx], rtol=1e-12, atol=0)
+
+
+def test_brent_line_search_takes_one_loss_gradient():
+    # the least-squares gradient is affine along d, so the search forms it once
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(80, 20))
+    y = X[:, :3].sum(axis=1) + 0.3 * rng.normal(size=80)
+    pen = PenaltySpec("scad", 0.1, a=3.7)
+    obj = make_linear_objective(X, y, pen)
+    calls = []
+    counted = replace(obj, grad=lambda b: calls.append(1) or obj.grad(b))
+    comp = make_composite(counted, pen)
+    rho = 0.5 / comp.lipschitz_g
+    x = rng.normal(size=20)
+    d = -linearized_moreau_grad(comp, x, rho)
+    calls.clear()
+    alpha = line_search(comp, x, d, "brent", PCGConfig(), rho)
+    assert alpha > 0 and len(calls) == 1
+    assert abs(np.dot(linearized_moreau_grad(comp, x + alpha * d, rho), d)) <= 1e-9

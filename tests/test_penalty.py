@@ -160,3 +160,49 @@ def test_prox_skip_set():
     y = np.zeros(2)
     out = prox_scaled_l1(x, y, 1.0, 1.0, skip=(0,))
     assert out[0] == 0.1 and out[1] == 0.0
+
+
+# The piecewise SCAD/MCP formulas the clip-form kernels replaced, kept as the
+# reference: h(b) and h'(b), with |b| split at lam and a*lam (SCAD) or gamma*lam.
+def _ref_h(spec, b):
+    lam, s, b = spec.lam, np.sign(b), np.abs(b)
+    if spec.kind == "scad":
+        a = spec.a
+        mid = (2 * lam * b - b**2 - lam**2) / (2 * (a - 1))
+        tail = (a + 1) * lam**2 / 2 - lam * b
+        h = np.where(b < lam, 0.0, np.where(b < a * lam, mid, tail))
+        g = s * np.where(b < lam, 0.0, np.where(b < a * lam, (lam - b) / (a - 1), -lam))
+        return h, g
+    gam = spec.gamma
+    h = np.where(b < gam * lam, -(b**2) / (2 * gam), gam * lam**2 / 2 - lam * b)
+    return h, s * np.where(b < gam * lam, -b / gam, -lam)
+
+
+@st.composite
+def _spec_and_values(draw):
+    lam = draw(st.sampled_from([0.0, 1e-3, 0.5, 2.0]) | st.floats(0.0, 10.0))
+    kind = draw(st.sampled_from(["scad", "mcp", "l1"]))
+    spec = PenaltySpec(kind, lam, a=draw(st.floats(2.01, 10.0)) if kind == "scad" else None,
+                       gamma=draw(st.floats(1.01, 10.0)) if kind == "mcp" else None)
+    edges = [lam, (spec.a or 0.0) * lam, (spec.gamma or 0.0) * lam, 1e6, 3.7e9]
+    special = st.sampled_from([0.0, -0.0] + edges + [-e for e in edges])
+    values = st.lists(special | st.floats(-1e12, 1e12), min_size=1, max_size=20)
+    return spec, np.asarray(draw(values), dtype=float)
+
+
+@given(_spec_and_values())
+@settings(max_examples=500, deadline=None)
+def test_clip_kernels_match_piecewise_reference(case):
+    spec, b = case
+    tol = 1e-13 * np.maximum(np.maximum(1.0, np.abs(b)), spec.lam**2)
+    h, hg, p = h_value(spec, b), h_grad(spec, b), penalty_value(spec, b)
+    if spec.kind == "l1":
+        # exact zeros, not rounding noise
+        assert np.all(h == 0.0) and np.all(hg == 0.0)
+        assert np.array_equal(p, spec.lam * np.abs(b))
+        return
+    ref_h, ref_g = _ref_h(spec, b)
+    assert np.all(np.abs(h - ref_h) <= tol)
+    assert np.all(np.abs(hg - ref_g) <= 1e-13 * max(1.0, spec.lam))  # |h'| <= lam
+    assert np.all(np.abs(p - (spec.lam * np.abs(b) + ref_h)) <= tol)
+    assert np.all(np.abs(p - (spec.lam * np.abs(b) + h)) <= tol)

@@ -167,7 +167,8 @@ def test_intercept_not_penalized():
     X = rng.normal(size=(n, 3))
     y = 10.0 + rng.normal(scale=0.1, size=n)     # big intercept, no signal
     lam = float(np.max(np.abs(X.T @ (y - y.mean()) / n))) * 1.5
-    model = fit(X, y, penalty=PenaltySpec("l1", lam))
+    with pytest.warns(UserWarning, match="near-Gaussian boundary"):
+        model = fit(X, y, penalty=PenaltySpec("l1", lam))
     assert abs(model.theta[0] - 10.0) <= 0.1     # intercept survives
     assert np.max(np.abs(model.theta[1:])) <= 1e-6
 
@@ -288,7 +289,8 @@ def test_fit_factors_psi_once(monkeypatch):
 def test_fit_trace_monotone_and_converges():
     rng = np.random.default_rng(7)
     X, y, _ = _toy_fit_data(rng, n=50)
-    model = fit(X, y, penalty=PenaltySpec("mcp", 0.05, gamma=3.0))
+    with pytest.warns(UserWarning, match="near-Gaussian boundary"):
+        model = fit(X, y, penalty=PenaltySpec("mcp", 0.05, gamma=3.0))
     assert np.all(np.diff(model.fit_trace) <= 1e-8)
     assert model.fit_trace.size <= 51
     assert model.sigma2 > 0
