@@ -12,8 +12,9 @@ the q-Gaussian theta step.  One iteration:
 with P the scaled soft-threshold prox.  The damping schedule must satisfy
 alpha_k*delta_k <= omega_k < 1/L and alpha_k/(delta_k*Gamma_k) nonincreasing;
 two ready-made schedules are provided (the optimal one and the classical
-2/(k+1) one) plus a checker, the theoretical complexity bound, and a plain
-proximal-gradient baseline.
+2/(k+1) one) plus a checker and the theoretical complexity bound.  The plain
+proximal-gradient baseline, pg_solve, is the constant schedule alpha_k = 1,
+delta_k = omega_k = step: then x_md = x and the two prox steps are one.
 """
 
 from __future__ import annotations
@@ -259,8 +260,12 @@ def ag_solve(
     max_iter: int = 2000,
     skip=(),
 ) -> SolveReport:
-    """Run the accelerated scheme; returns the best iterate seen (the method
-    is not monotone).  Stops when the sup-norm step falls below tol.
+    """Run the accelerated scheme; stops when the sup-norm step falls below tol.
+
+    The method is not monotone, so it returns the best iterate seen.  A
+    schedule with every alpha_k = 1 and delta_k = omega_k is proximal gradient,
+    a descent method for steps up to 1/L: there every step must not raise the
+    objective (else FloatingPointError) and the last iterate is returned.
     """
     t0 = time.perf_counter()
     p = make_composite(obj, penalty, skip)
@@ -268,34 +273,47 @@ def ag_solve(
     x_ag = x.copy()
     obj_trace, gm_trace = [], []
     best_val, best_x = np.inf, x.copy()
+    descent = bool((s.alphas == 1.0).all()) and np.array_equal(s.deltas, s.omegas)
+    prev = p.g_value(x) + p.h_value(x) if descent else None
     converged = False
     it = 0
-    for k in range(min(max_iter, len(s))):
-        a, d, w = s.alphas[k], s.deltas[k], s.omegas[k]
+    schedule = zip(range(max_iter), s.alphas.tolist(), s.deltas.tolist(), s.omegas.tolist())
+    for k, a, d, w in schedule:
         # alpha weights the plain sequence; the aggregated sequence carries
         # the rest (this is what makes the momentum identity hold)
-        x_md = (1.0 - a) * x_ag + a * x
+        x_md = x if a == 1.0 else (1.0 - a) * x_ag + a * x
         g = p.g_grad(x_md)
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient at iteration {k + 1}")
         x_new = p.h_prox(x - d * g, d)
-        x_ag = p.h_prox(x_md - w * g, w)
+        # with x_md = x and delta = omega both prox steps take the same point
+        one_prox = a == 1.0 and d == w
+        x_ag = x_new if one_prox else p.h_prox(x_md - w * g, w)
         gap = x_md - x_ag
+        gap2 = gap @ gap
+        # a non-finite entry of g makes that entry of x_ag, and so gap2,
+        # non-finite; only then does g itself need a scan
+        if not math.isfinite(gap2) and not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient at iteration {k + 1}")
         val = p.g_value(x_ag) + p.h_value(x_ag)
         if not math.isfinite(val):
             raise FloatingPointError(f"non-finite objective at iteration {k + 1}")
+        if descent:
+            if val > prev + 1e-10:
+                raise FloatingPointError(
+                    f"objective increased at iteration {k + 1}; Lipschitz constant too small?"
+                )
+            prev = val
         obj_trace.append(val)
-        gm_trace.append(math.sqrt(gap @ gap) / w)
+        gm_trace.append(math.sqrt(gap2) / w)
         if val < best_val:  # x_ag is a fresh array that no later step writes to
             best_val, best_x = val, x_ag
-        step = np.abs(x_new - x).max()
+        step = np.abs(gap if one_prox else x_new - x).max()  # gap = x - x_new there
         x = x_new
         it = k + 1
         if step < tol:
             converged = True
             break
     return SolveReport(
-        estimate=best_x,
+        estimate=x_ag if descent else best_x,
         iterations=it,
         objective_trace=np.asarray(obj_trace),
         grad_map_trace=np.asarray(gm_trace),
@@ -313,40 +331,18 @@ def pg_solve(
     max_iter: int = 2000,
     skip=(),
 ) -> SolveReport:
-    """Plain proximal gradient with fixed step; monotone descent baseline."""
-    t0 = time.perf_counter()
+    """Plain proximal gradient with fixed step <= 1/L; monotone descent baseline.
+
+    This is ag_solve on the constant schedule alpha_k = 1, delta_k = omega_k =
+    step, which is not passed through verify_schedule: its omega < 1/L is
+    strict, while proximal gradient descends for any step up to 1/L.
+    """
     if step > 1.0 / obj.lipschitz + 1e-15:
         raise ValueError("step must be <= 1/L")
-    p = make_composite(obj, penalty, skip)
-    x = np.asarray(x0, dtype=float).copy()
-    obj_trace, gm_trace = [], []
-    prev = p.g_value(x) + p.h_value(x)
-    converged = False
-    it = 0
-    for k in range(max_iter):
-        x_new = p.h_prox(x - step * p.g_grad(x), step)
-        val = p.g_value(x_new) + p.h_value(x_new)
-        if val > prev + 1e-10:
-            raise FloatingPointError(
-                f"objective increased at iteration {k + 1}; Lipschitz constant too small?"
-            )
-        obj_trace.append(val)
-        moved = x - x_new
-        gm_trace.append(math.sqrt(moved @ moved) / step)
-        diff = np.abs(moved).max()
-        x, prev = x_new, val
-        it = k + 1
-        if diff < tol:
-            converged = True
-            break
-    return SolveReport(
-        estimate=x,
-        iterations=it,
-        objective_trace=np.asarray(obj_trace),
-        grad_map_trace=np.asarray(gm_trace),
-        converged=converged,
-        wall_time=time.perf_counter() - t0,
-    )
+    n = max(max_iter, 1)
+    steps = np.full(n, step, dtype=float)
+    return ag_solve(obj, penalty, AGSchedule(np.ones(n), steps, steps),
+                    x0, tol, max_iter, skip)
 
 
 def damping_lower_bound(k, a: float, b: float):

@@ -353,6 +353,8 @@ def run_benchmark(
     if kind not in protocols:
         raise ValueError(f"unknown benchmark kind {kind!r}")
     protocol = protocols[kind]
+    if replications < 1:
+        raise ValueError(f"replications must be at least 1, got {replications}")
 
     def one(rep: int) -> dict:
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))

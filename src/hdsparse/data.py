@@ -200,6 +200,8 @@ def read_table(
     if not body:
         raise ValueError(f"{path}: no data rows")
     width = len(body[0])
+    if names is not None and len(names) != width:
+        raise ValueError(f"{path}: header has {len(names)} fields, rows have {width}")
     # numpy parses each cell with float(); a ragged, non-numeric or
     # non-finite body is rescanned cell by cell to name the first bad one
     try:

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from hdsparse.agsolver import (
     complexity_bound,
     damping_lower_bound,
     grad_mapping,
+    make_composite,
     make_linear_objective,
     make_logistic_objective,
     optimal_ab,
@@ -173,6 +177,75 @@ def test_pg_step_validation():
     obj = _quad_obj()
     with pytest.raises(ValueError):
         pg_solve(obj, PenaltySpec("l1", 0.0), 1.0, np.zeros(1))
+
+
+def _pg_reference(obj, penalty, step, x0, tol, max_iter, skip):
+    """Proximal gradient written out as its own loop, for pg_solve to match."""
+    p = make_composite(obj, penalty, skip)
+    x = np.asarray(x0, dtype=float).copy()
+    obj_trace, gm_trace = [], []
+    prev = p.g_value(x) + p.h_value(x)
+    converged = False
+    it = 0
+    for k in range(max_iter):
+        x_new = p.h_prox(x - step * p.g_grad(x), step)
+        val = p.g_value(x_new) + p.h_value(x_new)
+        assert val <= prev + 1e-10
+        obj_trace.append(val)
+        moved = x - x_new
+        gm_trace.append(math.sqrt(moved @ moved) / step)
+        diff = np.abs(moved).max()
+        x, prev = x_new, val
+        it = k + 1
+        if diff < tol:
+            converged = True
+            break
+    return x, it, np.asarray(obj_trace), np.asarray(gm_trace), converged
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+@pytest.mark.parametrize("skip", [(), (0,)])
+@pytest.mark.parametrize("kind", ["l1", "scad", "mcp"])
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+def test_pg_solve_is_the_plain_loop_bitwise(loss, kind, skip, tol):
+    rng = np.random.default_rng(11)
+    n, p = 60, 90
+    X = rng.normal(size=(n, p))
+    eta = X[:, :4] @ np.array([1.5, -1.0, 1.0, -0.8])
+    if loss == "linear":
+        y, make, lam = eta + rng.normal(size=n), make_linear_objective, 0.1
+    else:
+        y = (rng.uniform(size=n) < 1 / (1 + np.exp(-eta))).astype(float)
+        make, lam = make_logistic_objective, 0.03
+    pen = PenaltySpec(kind, lam, a=3.7 if kind == "scad" else None,
+                      gamma=3.0 if kind == "mcp" else None)
+    obj = make(X, y, pen)
+    max_iter = 300 if tol == 0.0 else 2000
+    rep = pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(p), tol, max_iter, skip)
+    est, it, objs, gms, conv = _pg_reference(obj, pen, 1 / obj.lipschitz, np.zeros(p),
+                                             tol, max_iter, skip)
+    assert rep.estimate.tobytes() == est.tobytes()
+    assert rep.objective_trace.tobytes() == objs.tobytes()
+    assert rep.grad_map_trace.tobytes() == gms.tobytes()
+    assert (rep.iterations, rep.converged) == (it, conv)
+
+
+def test_pg_solve_rejects_nan_response():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(30, 5))
+    y = rng.normal(size=30)
+    y[4] = np.nan
+    obj = make_linear_objective(X, y)
+    with pytest.raises(FloatingPointError, match="non-finite gradient at iteration 1"):
+        pg_solve(obj, PenaltySpec("l1", 0.1), 1 / obj.lipschitz, np.zeros(5), max_iter=300)
+
+
+@pytest.mark.parametrize("max_iter", [50, 2000])
+def test_pg_solve_raises_at_first_rise_with_understated_lipschitz(max_iter):
+    # with L understated 4x the first step overshoots 3 to 12
+    obj = replace(_quad_obj(L=2.0), lipschitz=0.5)
+    with pytest.raises(FloatingPointError, match="objective increased at iteration 1;"):
+        pg_solve(obj, PenaltySpec("l1", 0.0), 2.0, np.zeros(1), max_iter=max_iter)
 
 
 def test_damping_bounds_and_optimal_ab():

@@ -229,6 +229,18 @@ def test_run_benchmark_unknown_kind():
             run_benchmark("speedup", _small_spec(), replications=reps)
 
 
+def test_run_benchmark_rejects_zero_replications(tmp_path, monkeypatch):
+    def rep_ag(*args):
+        raise AssertionError("no replication may run")
+
+    monkeypatch.setattr(bench, "_rep_ag", rep_ag)
+    for reps in (0, -2):
+        with pytest.raises(ValueError, match=f"replications must be at least 1, got {reps}"):
+            run_benchmark("ag_convergence", _small_spec(), replications=reps,
+                          out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def _fail_first_call(monkeypatch, exc):
     calls = []
 

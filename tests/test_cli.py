@@ -110,6 +110,18 @@ def test_bench_command(tmp_path):
     assert len(rows) == 2
 
 
+def test_bench_command_rejects_zero_replications(tmp_path):
+    out = tmp_path / "bench_out"
+    src = str(Path(hdsparse.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "hdsparse.cli", "bench", "--kind",
+                          "ag_convergence", "--replications", "0", "--out-dir", str(out)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode != 0
+    assert "replications must be at least 1, got 0" in run.stderr
+    assert not (out / "metrics.csv").exists()
+    assert not (out / "report.json").exists()
+
+
 def test_option_precedence(linear_csv, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"method": "pearson", "workers": 1}))

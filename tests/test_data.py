@@ -113,6 +113,15 @@ def test_read_table_bad_cells(tmp_path):
         read_table(ragged)
 
 
+@pytest.mark.parametrize("outcome", [None, "a", 0, 2])
+def test_read_table_header_width_must_match_rows(tmp_path, outcome):
+    path = tmp_path / "short_header.csv"
+    path.write_text("a,b\n1,2,3\n4,5,6\n")
+    with pytest.raises(ValueError) as exc:
+        read_table(path, outcome=outcome)
+    assert str(exc.value) == f"{path}: header has 2 fields, rows have 3"
+
+
 @pytest.mark.parametrize("text, message", [
     ("a,b\n1,2\n3,abc\n", "row 3, column 1"),
     ("a,b\n1,inf\n3,4\n", "row 2, column 1"),

@@ -56,3 +56,28 @@ def test_tracer_patches_exist_and_are_restored(monkeypatch):
         assert calls.get(name, 0) > 0, name
     for owner, attr, orig in patched:
         assert _current(owner, attr) is orig, attr
+
+
+def test_pg_solve_counts_only_as_pg_under_the_tracer(monkeypatch):
+    # pg_solve runs ag_solve on a constant schedule; that nested call goes
+    # through agsolver's own name, so it must not add AG iterations
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    import hdsparse.bench
+
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(30, 6))
+    y = rng.normal(size=30)
+    pen = PenaltySpec("scad", 0.1, a=3.7)
+    obj = make_linear_objective(X, y, pen)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        rep = hdsparse.bench.pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(6), max_iter=40)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert rep.iterations > 0
+    assert metrics["agsolver.pg_iterations"] == rep.iterations
+    assert metrics["agsolver.ag_iterations"] == 0
+    assert metrics["agsolver.solves"] == 1
