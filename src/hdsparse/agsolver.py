@@ -47,6 +47,8 @@ __all__ = [
     "optimal_ab",
     "complexity_bound",
     "power_iteration_lmax",
+    "least_squares_loss",
+    "logistic_loss",
     "make_linear_objective",
     "make_logistic_objective",
 ]
@@ -74,22 +76,25 @@ class CompositeProblem:
 
     h_prox(v, rho) must return argmin_u h(u) + ||u - v||^2 / (2 rho).
     g_grad_along(x, d) returns alpha -> grad g(x + alpha d); by default it is
-    g_grad at x + alpha d.
+    g_grad at x + alpha d.  loss_grad, when given, is the loss's share of
+    g_grad: then g_grad(x, lg) and g_grad_along(x, d, lg) take a known
+    lg = loss_grad(x) instead of forming it again.
     """
 
     g_value: Callable[[np.ndarray], float]
-    g_grad: Callable[[np.ndarray], np.ndarray]
+    g_grad: Callable[..., np.ndarray]
     lipschitz_g: float
     h_value: Callable[[np.ndarray], float]
     h_prox: Callable[[np.ndarray, float], np.ndarray]
     dimension: int
-    g_grad_along: Callable[[np.ndarray, np.ndarray], Callable[[float], np.ndarray]] | None = None
+    g_grad_along: Callable[..., Callable[[float], np.ndarray]] | None = None
+    loss_grad: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.g_grad_along is None:
             g_grad = self.g_grad
             object.__setattr__(self, "g_grad_along",
-                               lambda x, d: lambda alpha: g_grad(x + alpha * d))
+                               lambda x, d, loss_grad=None: lambda alpha: g_grad(x + alpha * d))
 
 
 def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> CompositeProblem:
@@ -118,9 +123,9 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
         h = _penalty.h_value(penalty, x if mask is None else np.where(mask, x, 0.0))
         return obj.value(x) + float(h.sum())
 
-    def g_grad(x):
+    def g_grad(x, loss_grad=None):
         hg = concave_grad(x)
-        hg += obj.grad(x)
+        hg += obj.grad(x) if loss_grad is None else loss_grad
         return hg
 
     def h_value(x):
@@ -128,8 +133,10 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
 
     g_grad_along = None
     if obj.curvature is not None:
-        def g_grad_along(x, d):
-            loss_grad, hd = obj.grad(x), obj.curvature(d)
+        def g_grad_along(x, d, loss_grad=None):
+            if loss_grad is None:
+                loss_grad = obj.grad(x)
+            hd = obj.curvature(d)
 
             def grad(alpha):
                 hg = concave_grad(x + alpha * d)
@@ -147,6 +154,7 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
         h_prox=lambda v, rho: prox_scaled_l1(v, 0.0, rho, lam, skip_idx),
         dimension=obj.dimension,
         g_grad_along=g_grad_along,
+        loss_grad=obj.grad,
     )
 
 
@@ -404,6 +412,19 @@ def _power_iteration(apply, dim: int, tol: float = 1e-8, max_iter: int = 1000) -
     return lam
 
 
+def least_squares_loss(X: np.ndarray, y: np.ndarray, b) -> float:
+    """1/(2n)||Xb - y||^2, the value of make_linear_objective."""
+    r = X @ b - y
+    return float(r @ r) * (0.5 / X.shape[0])
+
+
+def logistic_loss(X: np.ndarray, y: np.ndarray, b) -> float:
+    """Mean negative Bernoulli log-likelihood, the value of make_logistic_objective."""
+    z = X @ b
+    # log(1 + e^z) via logaddexp keeps large z finite
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
 def make_linear_objective(X: np.ndarray, y: np.ndarray,
                           penalty: PenaltySpec | None = None) -> SmoothObjective:
     """Least squares 1/(2n)||Xb - y||^2; L folds in the penalty's concave part."""
@@ -412,13 +433,8 @@ def make_linear_objective(X: np.ndarray, y: np.ndarray,
     n = X.shape[0]
     lip_h = 0.0 if penalty is None else lipschitz_h(penalty)
     L = power_iteration_lmax(X) / n + lip_h
-
-    def value(b):
-        r = X @ b - y
-        return float(r @ r) * (0.5 / n)
-
     return SmoothObjective(
-        value=value,
+        value=lambda b: least_squares_loss(X, y, b),
         grad=lambda b: X.T @ (X @ b - y) / n,
         lipschitz=L,
         dimension=X.shape[1],
@@ -437,12 +453,8 @@ def make_logistic_objective(X: np.ndarray, y: np.ndarray,
     lip_h = 0.0 if penalty is None else lipschitz_h(penalty)
     L = power_iteration_lmax(X) / (4.0 * n) + lip_h
 
-    def value(b):
-        z = X @ b
-        # log(1 + e^z) via logaddexp keeps large z finite
-        return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
     def grad(b):
         return X.T @ (expit(X @ b) - y) / n
 
-    return SmoothObjective(value=value, grad=grad, lipschitz=L, dimension=X.shape[1])
+    return SmoothObjective(value=lambda b: logistic_loss(X, y, b), grad=grad,
+                           lipschitz=L, dimension=X.shape[1])

@@ -27,6 +27,8 @@ from scipy.special import expit
 
 from .agsolver import (
     ag_solve,
+    least_squares_loss,
+    logistic_loss,
     make_linear_objective,
     make_logistic_objective,
     pg_solve,
@@ -294,8 +296,9 @@ def _rep_signal(spec: SimSpec, rng, penalty: PenaltySpec, path_len: int, max_ite
     obj = make(X.values, y.values, penalty)
     lams = lambda_path(X.values, y.values, path_len)
     fits = _fit_path(obj, penalty, lams, np.zeros(spec.p), 1e-4, max_iter)
-    val_obj = make(Xv.values, yv.values)
-    losses = [val_obj.value(b) for b in fits]
+    # the validation loss alone: an objective would also run a power iteration
+    loss = logistic_loss if spec.outcome == "logistic" else least_squares_loss
+    losses = [loss(Xv.values, yv.values, b) for b in fits]
     best = int(np.argmin(losses))
     bhat = fits[best]
     ppv, npv = ppv_npv(bhat != 0, beta != 0)

@@ -245,11 +245,18 @@ def _layered_flags(parser: argparse.ArgumentParser, args) -> list[str]:
     named = [(f"config key {key!r}", key, value) for key, value in config.items()]
     named += [(f"environment variable {name}", name[5:].lower(), value)
               for name, value in os.environ.items() if name.startswith("HDSL_")]
+    sub = commands[args.command]
     tokens = []
     for what, key, value in named:
         if key not in every:
             raise ValueError(f"{what} names no option of any hdsparse command")
         if key in ours:
+            # argparse's own type and choices check, run here so that its
+            # error can say where the value came from
+            try:
+                sub._get_values(sub._option_string_actions[ours[key]], [str(value)])
+            except argparse.ArgumentError as exc:
+                sub.error(f"{exc} (from {what}={value})")
             tokens.append(f"{ours[key]}={value}")
     return tokens
 

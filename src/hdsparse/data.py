@@ -8,6 +8,7 @@ dataclasses around numpy arrays.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 
@@ -189,7 +190,63 @@ def read_table(
     `outcome` can be a column name (needs a header) or a 0-based index.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        text = fh.read()
+    fast = _read_fast(text, has_header)
+    if fast is not None:
+        names, values = fast
+    else:
+        names, values = _read_csv(path, text, has_header)
+    width = values.shape[1]
+
+    if outcome is None:
+        return FeatureMatrix(values, names), None
+    if isinstance(outcome, str):
+        if names is None or outcome not in names:
+            raise ValueError(f"outcome column {outcome!r} not found")
+        oj = names.index(outcome)
+    else:
+        oj = int(outcome)
+        if not 0 <= oj < width:
+            raise ValueError(f"outcome column index {oj} out of range")
+    yv = values[:, oj]
+    keep = [j for j in range(width) if j != oj]
+    kind = outcome_kind or ("binary" if np.all(np.isin(yv, (0.0, 1.0))) else "continuous")
+    fm = FeatureMatrix(values[:, keep], tuple(names[j] for j in keep) if names else None)
+    return fm, ResponseVector(yv, kind)
+
+
+def _read_fast(text: str, has_header: bool):
+    """(names, values) from numpy's C parser, or None wherever the csv path
+    could read the text differently: quotes, a lone CR (a row break to
+    csv.reader), the separators \\x1c-\\x1f (stripped from a cell by numpy but
+    not by float()), a skipped blank line, a cell numpy rejects, a
+    non-finite value, or a header and body of different widths."""
+    if (text.count("\r") != text.count("\r\n")
+            or any(c in text for c in '"\x1c\x1d\x1e\x1f')):
+        return None
+    # a CR left before each LF is whitespace to numpy and to str.strip
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    names = None
+    if has_header and lines:
+        names = tuple(s.strip() for s in lines[0].split(","))
+        lines = lines[1:]
+    if not lines or "" in lines or "\r" in lines:    # numpy would skip blank lines
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (values.shape[0] != len(lines) or (names is not None and values.shape[1] != len(names))
+            or not np.isfinite(values).all()):
+        return None
+    return names, values
+
+
+def _read_csv(path, text: str, has_header: bool):
+    # the csv.reader path: every message names the file and the bad row or cell
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise ValueError(f"{path}: empty file")
     names: tuple[str, ...] | None = None
@@ -211,22 +268,7 @@ def read_table(
         parsed = False
     if not parsed:
         values = _scan_body(path, body, width, 2 if has_header else 1)
-
-    if outcome is None:
-        return FeatureMatrix(values, names), None
-    if isinstance(outcome, str):
-        if names is None or outcome not in names:
-            raise ValueError(f"outcome column {outcome!r} not found")
-        oj = names.index(outcome)
-    else:
-        oj = int(outcome)
-        if not 0 <= oj < width:
-            raise ValueError(f"outcome column index {oj} out of range")
-    yv = values[:, oj]
-    keep = [j for j in range(width) if j != oj]
-    kind = outcome_kind or ("binary" if np.all(np.isin(yv, (0.0, 1.0))) else "continuous")
-    fm = FeatureMatrix(values[:, keep], tuple(names[j] for j in keep) if names else None)
-    return fm, ResponseVector(yv, kind)
+    return names, values
 
 
 def _scan_body(path, body, width: int, first_row: int) -> np.ndarray:
@@ -259,8 +301,9 @@ def write_table(path, m: FeatureMatrix, y: ResponseVector | None = None,
     if y is not None:
         values = np.column_stack([values, y.values])
         names = names + [outcome_name]
+    # one printf-style format per row writes what csv.writer would: numbers
+    # never need quoting, and rows end in the excel dialect's CRLF
+    row = ",".join(["%.17g"] * values.shape[1]) + csv.excel.lineterminator
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(names)
-        for row in values:
-            w.writerow([f"{v:.17g}" for v in row])
+        csv.writer(fh).writerow(names)
+        fh.writelines(row % tuple(r) for r in values.tolist())

@@ -100,10 +100,18 @@ def surrogate_objective(p: CompositeProblem, x, rho: float) -> float:
     return float(p.g_value(x) + np.dot(g, diff) + np.dot(diff, diff) / (2 * rho) + p.h_value(u))
 
 
-def _phi_grad(p, x, d, rho):
+def _grad_parts(p: CompositeProblem, x):
+    # grad g(x), and the loss's share of it when p splits it off (else None)
+    if p.loss_grad is None:
+        return p.g_grad(x), None
+    loss_grad = p.loss_grad(x)
+    return p.g_grad(x, loss_grad), loss_grad
+
+
+def _phi_grad(p, x, d, rho, loss_grad):
     # directional derivative surrogate: <s(x + alpha d), d>, with the gradient
     # along d built once (no matvec per step for a quadratic loss)
-    grad_along = p.g_grad_along(x, d)
+    grad_along = p.g_grad_along(x, d, loss_grad)
 
     def phi(alpha):
         s = linearized_moreau_grad(p, x + alpha * d, rho, grad_along(alpha))
@@ -112,16 +120,19 @@ def _phi_grad(p, x, d, rho):
     return phi
 
 
-def line_search(p: CompositeProblem, x, d, mode: str, config: PCGConfig, rho: float) -> float:
+def line_search(p: CompositeProblem, x, d, mode: str, config: PCGConfig, rho: float,
+                loss_grad=None) -> float:
     """Pick a step along the descent direction d.  Three flavors:
 
     - "brent": root of <s(x + alpha d), d> = 0, bracket found by doubling;
     - "wolfe": Armijo + curvature on the surrogate objective;
     - "backtrack": halve alpha until -<s(x + c1 alpha d), d> >= c1 c2 alpha ||d||^2.
+
+    loss_grad is p.loss_grad(x), if the caller has it already.
     """
     x = np.asarray(x, float)
     d = np.asarray(d, float)
-    phi = _phi_grad(p, x, d, rho)
+    phi = _phi_grad(p, x, d, rho, loss_grad)
     d0 = phi(0.0)
     if d0 >= 0:
         raise ValueError("line search needs a descent direction")
@@ -186,7 +197,10 @@ def pcg_solve(
     if rho * p.lipschitz_g >= 1:
         raise ValueError("rho must satisfy rho * L_g < 1")
     x = np.zeros(p.dimension) if x0 is None else np.asarray(x0, float).copy()
-    s = linearized_moreau_grad(p, x, rho)
+    # the loss gradient at each iterate is formed once, for s, and handed on
+    # to the line search that starts there
+    g, loss_grad = _grad_parts(p, x)
+    s = linearized_moreau_grad(p, x, rho, g)
     d = -s
     obj_trace, gm_trace = [], []
     converged = False
@@ -201,11 +215,12 @@ def pcg_solve(
         # hard restart periodically and whenever d stops being a descent dir
         if k % p.dimension == 0 or np.dot(d, s) >= 0:
             d = -s
-        alpha = line_search(p, x, d, config.line_search, config, rho)
+        alpha = line_search(p, x, d, config.line_search, config, rho, loss_grad=loss_grad)
         x_new = x + alpha * d
         if not np.all(np.isfinite(x_new)):
             raise FloatingPointError(f"non-finite iterate at iteration {k + 1}")
-        s_new = linearized_moreau_grad(p, x_new, rho)
+        g, loss_grad = _grad_parts(p, x_new)
+        s_new = linearized_moreau_grad(p, x_new, rho, g)
         d = hz_direction(s_new, s, d, config.eta)
         x, s = x_new, s_new
         it = k + 1

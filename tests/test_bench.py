@@ -267,3 +267,18 @@ def test_run_benchmark_records_replication_value_error(monkeypatch):
     rep = run_benchmark("ag_convergence", _small_spec(), replications=2)
     assert rep.rows[0] == {"rep": 0, "error": "could not simulate"}
     assert rep.rows[1]["iters_ag_opt"] == 3
+
+
+def test_signal_recovery_validation_loss_needs_no_power_iteration(monkeypatch):
+    # only the training objective needs a Lipschitz constant; the validation
+    # draw is scored by the loss alone
+    import hdsparse.agsolver as agsolver
+
+    calls = []
+    orig = agsolver.power_iteration_lmax
+    monkeypatch.setattr(agsolver, "power_iteration_lmax",
+                        lambda X, *a, **k: calls.append(X.shape) or orig(X, *a, **k))
+    spec = SimSpec(n=40, p=30, signal="four_fixed", seed=5)
+    rep = run_benchmark("signal_recovery", spec, replications=1, path_len=4, max_iter=50)
+    assert "error" not in rep.rows[0]
+    assert len(calls) == 1

@@ -275,3 +275,23 @@ def test_seed_config_key_still_serves_fit(linear_csv, tmp_path):
     assert main(["fit", "--data", str(linear_csv), "--outcome", "y", "--config", str(cfg),
                  "--out-dir", str(out)]) == 0
     assert json.loads((out / "fit.json").read_text())["converged"]
+
+
+@pytest.mark.parametrize("layer", ["env", "config"])
+def test_bad_layered_value_names_its_source(linear_csv, tmp_path, monkeypatch, capsys, layer):
+    argv = ["fit", "--data", str(linear_csv), "--outcome", "y", "--out-dir", str(tmp_path / "o")]
+    if layer == "env":
+        monkeypatch.setenv("HDSL_MAX_ITER", "5.0")
+        source = "environment variable HDSL_MAX_ITER=5.0"
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iter": 5.0}))
+        argv += ["--config", str(cfg)]
+        source = "config key 'max_iter'=5.0"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-iter: invalid int value: '5.0'" in err
+    assert f"(from {source})" in err
+    assert not (tmp_path / "o").exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hdsparse import data
 from hdsparse.data import (
     DataSplit,
     FeatureMatrix,
@@ -148,3 +149,70 @@ def test_read_table_parses_like_float(tmp_path):
     v = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-30, 30, size=(50, 4))
     path.write_text("\n".join(",".join(repr(float(c)) for c in row) for row in v) + "\n")
     assert np.array_equal(read_table(path, has_header=False)[0].values, v)
+
+
+def _csv_path(path, has_header=True):
+    # the csv.reader path alone: values, or the message it raises
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return data._read_csv(path, text, has_header)[1]
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name, text, fast", [
+    ("crlf", "a,b\r\n1,2\r\n3.5,-4e-3\r\n", True),
+    ("spaces", "a , b\n 1 ,\t2\n3 , 4 \n", True),
+    ("no_final_newline", "a,b\n1,2\n3,4", True),
+    ("one_column", "a\n1\n2\n", True),
+    ("quoted", 'a,b\n"1",2\n3,"4.5"\n', False),
+    ("blank_middle", "a,b\n1,2\n\n3,4\n", False),
+    ("blank_end", "a,b\n1,2\n3,4\n\n", False),
+    ("blank_crlf", "a,b\r\n1,2\r\n\r\n", False),
+    ("blank_body", "a,b\n\n\n", False),
+    ("whitespace_line", "a\n1\n \n2\n", False),
+    ("nan", "a,b\n1,nan\n3,4\n", False),
+    ("inf", "a,b\n1,2\n-inf,4\n", False),
+    ("ragged", "a,b\n1,2\n3\n", False),
+    ("ragged_long", "a,b\n1,2\n3,4,5\n", False),
+    ("word", "a,b\n1,2\n3,abc\n", False),
+    ("empty_cell", "a,b\n1,\n3,4\n", False),
+    ("underscore", "a,b\n1_0,2\n3,4\n", False),
+    ("header_width", "a,b\n1,2,3\n4,5,6\n", False),
+    ("lone_cr", "a,b\r1,2\r3,4\r", False),
+    ("separator_char", "a,b\n1\x1c,2\n3,4\n", False),
+    ("header_only", "a,b\n", False),
+    ("empty", "", False),
+])
+@pytest.mark.filterwarnings("error")
+def test_read_table_fast_path_matches_csv_path(tmp_path, name, text, fast):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (data._read_fast(text, True) is not None) == fast
+    want = _csv_path(path)
+    try:
+        got = read_table(path)[0].values
+    except ValueError as exc:
+        got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+def test_write_table_bytes_match_csv_writer(tmp_path):
+    import csv
+
+    v = np.array([[-1.5, 1e-300, 5e-324, 1.7976931348623157e308],
+                  [3.0, -0.0, 0.1, 2.0 ** 60],
+                  [-7.0, 1e22, np.pi, -1e-7]])
+    path = tmp_path / "w.csv"
+    write_table(path, FeatureMatrix(v, ("a", "b c", "d,e", "f")), ResponseVector(v[:, 0]))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["a", "b c", "d,e", "f", "y"])
+        for row in np.column_stack([v, v[:, 0]]):
+            w.writerow([f"{x:.17g}" for x in row])
+    assert path.read_bytes() == ref.read_bytes()

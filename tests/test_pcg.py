@@ -289,3 +289,24 @@ def test_brent_line_search_takes_one_loss_gradient():
     alpha = line_search(comp, x, d, "brent", PCGConfig(), rho)
     assert alpha > 0 and len(calls) == 1
     assert abs(np.dot(linearized_moreau_grad(comp, x + alpha * d, rho), d)) <= 1e-9
+
+
+def test_pcg_forms_each_loss_gradient_once():
+    # one loss gradient at x0, one per iterate (shared by s and the next line
+    # search), one for the certificate; the search used to form it again
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(100, 30))
+    y = X[:, :3].sum(axis=1) + 0.3 * rng.normal(size=100)
+    pen = PenaltySpec("scad", 0.1, a=3.7)
+    obj = make_linear_objective(X, y, pen)
+    calls = []
+    counted = replace(obj, grad=lambda b: calls.append(1) or obj.grad(b))
+    rep, cert = pcg_solve(make_composite(counted, pen), PCGConfig(tol=1e-8), np.zeros(30))
+    assert rep.converged and rep.iterations > 5
+    assert len(calls) == rep.iterations + 2
+    # the iterates are those of a search that forms the gradient itself
+    plain = replace(make_composite(obj, pen), loss_grad=None)
+    rep0, cert0 = pcg_solve(plain, PCGConfig(tol=1e-8), np.zeros(30))
+    assert rep0.estimate.tobytes() == rep.estimate.tobytes()
+    assert rep0.objective_trace.tobytes() == rep.objective_trace.tobytes()
+    assert cert0.moreau_grad_norm == cert.moreau_grad_norm

@@ -4,6 +4,7 @@ import pytest
 from hdsparse.data import FeatureMatrix, ResponseVector
 from hdsparse.screen import (
     Grid2D,
+    KDEWorkspace,
     _kernel_1d,
     bin_count,
     fft_kde_2d,
@@ -304,3 +305,97 @@ def test_selection_auroc_matches_rankdata_midranks():
         want = (ranks[truth].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * (n - n_pos))
         assert selection_auroc(scores, truth) == want
     assert np.isnan(selection_auroc([1.0, np.nan, 2.0], [True, False, True]))
+
+
+_PER_PAIR = {"fftkde": mi_fftkde, "binning": mi_binning, "knn": mi_knn,
+             "pearson": pearson_abs}
+
+
+def _scores(ranked):
+    out = np.empty(len(ranked.ranking))
+    for j, s in ranked.ranking:
+        out[j] = s
+    return out
+
+
+@pytest.mark.parametrize("method", sorted(_PER_PAIR))
+def test_screen_all_matches_per_pair_function_bitwise(method):
+    # the outcome is prepared once per block, yet every score is the one the
+    # public per-pair function gives, whatever the worker count
+    rng = np.random.default_rng(21)
+    m, y = _signal_matrix(rng, n=150, p=9)
+    want = np.array([_PER_PAIR[method](m.values[:, j], y.values).value for j in range(m.p)])
+    for workers in (1, 2, 4):
+        got = _scores(screen_all(m, y, method=method, workers=workers))
+        assert got.tobytes() == want.tobytes(), workers
+
+
+@pytest.mark.parametrize("method", ["fftkde", "pearson"])
+def test_constant_column_mid_block_fails_alone(method):
+    rng = np.random.default_rng(22)
+    m, y = _signal_matrix(rng, n=150, p=9)
+    base = _scores(screen_all(m, y, method=method, workers=2))
+    vals = m.values.copy()
+    vals[:, 2] = 1.5                  # inside the first of two blocks
+    ranked = screen_all(FeatureMatrix(vals), y, method=method, workers=2)
+    got = _scores(ranked)
+    with pytest.raises(ValueError) as exc:
+        _PER_PAIR[method](vals[:, 2], y.values)
+    assert got[2] == -np.inf
+    assert ranked.failures == ((2, str(exc.value)),)
+    keep = np.arange(m.p) != 2
+    assert got[keep].tobytes() == base[keep].tobytes()
+
+
+@pytest.mark.parametrize("method, y, message", [
+    ("fftkde", np.full(40, 3.0), "constant vector has no bandwidth"),
+    ("pearson", np.full(40, 3.0), "constant vector has no correlation"),
+    ("binning", np.arange(9.0), "bin_count needs n >= 10"),
+    ("knn", np.arange(3.0), "need 1 <= k < n"),
+    ("fftkde", np.array([1.0]), "bandwidth needs n >= 2"),
+])
+def test_bad_outcome_fails_every_column(method, y, message):
+    rng = np.random.default_rng(23)
+    m = FeatureMatrix(rng.normal(size=(y.size, 5)))
+    for workers in (1, 2):
+        ranked = screen_all(m, ResponseVector(y), method=method, workers=workers)
+        assert ranked.failures == tuple((j, message) for j in range(5))
+        assert all(s == -np.inf for _, s in ranked.ranking)
+    with pytest.raises(ValueError, match=message):
+        _PER_PAIR[method](m.values[:, 0], y)
+
+
+def test_column_error_comes_before_the_outcome_error():
+    # as in the per-pair function, a column's own failure is reported first
+    rng = np.random.default_rng(24)
+    y = rng.normal(size=30)
+    y[0] = np.inf
+    vals = rng.normal(size=(30, 3))
+    vals[1, 1] = -np.inf
+    ranked = screen_all(FeatureMatrix(vals), ResponseVector(y), method="binning")
+    msgs = dict(ranked.failures)
+    assert msgs[1].startswith("autodetected range of [-inf, ")
+    assert msgs[0].startswith("autodetected range of [") and msgs[0].endswith(", inf] is not finite")
+    for j in range(3):
+        with pytest.raises(ValueError) as exc:
+            mi_binning(vals[:, j], y)
+        assert str(exc.value) == msgs[j]
+
+
+def test_kde_workspace_reuse_is_bitwise_fresh():
+    # buffers and the cached y-kernel matrix carry nothing from one call to
+    # the next, across changing grids, bandwidths and kernels
+    rng = np.random.default_rng(25)
+    ws = KDEWorkspace()
+    for kern, n, nx, ny, scale in (("gaussian", 200, 128, 128, 1.0),
+                                   ("gaussian", 200, 128, 128, 4.0),
+                                   ("epanechnikov", 300, 64, 256, 1.0),
+                                   ("gaussian", 150, 128, 128, 1.0)):
+        x, y = _bvn(rng, n, 0.4)
+        x = x * scale
+        hx, hy = silverman_bandwidth(x), silverman_bandwidth(y)
+        g = make_grid(x, y, hx, hy, nx, ny)
+        want = fft_kde_2d(x, y, kern, hx, hy, g)
+        got = fft_kde_2d(x, y, kern, hx, hy, g, workspace=ws)
+        assert got is ws.density
+        assert got.tobytes() == want.tobytes(), (kern, n, nx, ny, scale)
