@@ -78,7 +78,8 @@ class CompositeProblem:
     g_grad_along(x, d) returns alpha -> grad g(x + alpha d); by default it is
     g_grad at x + alpha d.  loss_grad, when given, is the loss's share of
     g_grad: then g_grad(x, lg) and g_grad_along(x, d, lg) take a known
-    lg = loss_grad(x) instead of forming it again.
+    lg = loss_grad(x) instead of forming it again.  Without loss_grad they
+    are only ever called as g_grad(x) and g_grad_along(x, d).
     """
 
     g_value: Callable[[np.ndarray], float]

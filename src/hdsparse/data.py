@@ -217,21 +217,26 @@ def read_table(
 
 def _read_fast(text: str, has_header: bool):
     """(names, values) from numpy's C parser, or None wherever the csv path
-    could read the text differently: quotes, a lone CR (a row break to
+    could read the body differently: quotes, a lone CR (a row break to
     csv.reader), the separators \\x1c-\\x1f (stripped from a cell by numpy but
     not by float()), a skipped blank line, a cell numpy rejects, a
-    non-finite value, or a header and body of different widths."""
-    if (text.count("\r") != text.count("\r\n")
-            or any(c in text for c in '"\x1c\x1d\x1e\x1f')):
+    non-finite value, or a header and body of different widths.  The header
+    is read by csv.reader itself, so quoted names keep the fast path."""
+    stream = io.StringIO(text, newline="")
+    names = None
+    if has_header:
+        header = next(csv.reader(stream), None)
+        if header is None:
+            return None
+        names = tuple(s.strip() for s in header)
+    body = stream.read()
+    if (body.count("\r") != body.count("\r\n")
+            or any(c in body for c in '"\x1c\x1d\x1e\x1f')):
         return None
-    # a CR left before each LF is whitespace to numpy and to str.strip
-    lines = text.split("\n")
+    # a CR left before each LF is whitespace to numpy and to float()
+    lines = body.split("\n")
     if lines[-1] == "":
         lines.pop()
-    names = None
-    if has_header and lines:
-        names = tuple(s.strip() for s in lines[0].split(","))
-        lines = lines[1:]
     if not lines or "" in lines or "\r" in lines:    # numpy would skip blank lines
         return None
     try:
@@ -245,7 +250,8 @@ def _read_fast(text: str, has_header: bool):
 
 
 def _read_csv(path, text: str, has_header: bool):
-    # the csv.reader path: every message names the file and the bad row or cell
+    # the reference path, and the one that raises: every message names the
+    # file and the bad row or cell
     rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -259,16 +265,7 @@ def _read_csv(path, text: str, has_header: bool):
     width = len(body[0])
     if names is not None and len(names) != width:
         raise ValueError(f"{path}: header has {len(names)} fields, rows have {width}")
-    # numpy parses each cell with float(); a ragged, non-numeric or
-    # non-finite body is rescanned cell by cell to name the first bad one
-    try:
-        values = np.array(body, dtype=float)
-        parsed = bool(np.isfinite(values).all())
-    except ValueError:
-        parsed = False
-    if not parsed:
-        values = _scan_body(path, body, width, 2 if has_header else 1)
-    return names, values
+    return names, _scan_body(path, body, width, 2 if has_header else 1)
 
 
 def _scan_body(path, body, width: int, first_row: int) -> np.ndarray:

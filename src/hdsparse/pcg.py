@@ -110,8 +110,12 @@ def _grad_parts(p: CompositeProblem, x):
 
 def _phi_grad(p, x, d, rho, loss_grad):
     # directional derivative surrogate: <s(x + alpha d), d>, with the gradient
-    # along d built once (no matvec per step for a quadratic loss)
-    grad_along = p.g_grad_along(x, d, loss_grad)
+    # along d built once (no matvec per step for a quadratic loss); a known
+    # loss gradient is handed on only to a problem that splits it off
+    if loss_grad is None:
+        grad_along = p.g_grad_along(x, d)
+    else:
+        grad_along = p.g_grad_along(x, d, loss_grad)
 
     def phi(alpha):
         s = linearized_moreau_grad(p, x + alpha * d, rho, grad_along(alpha))

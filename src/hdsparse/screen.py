@@ -11,8 +11,8 @@ FFT convolution along x.
 
 screen_all prepares the outcome's share of each estimator once (its bandwidth
 and range, bin count, jittered and sorted copy, or centred copy) and then runs
-only the column's share per column; the public per-pair functions prepare and
-run one column the same way.
+only the column's share per column; the public per-pair functions run the same
+arithmetic on one pair, the column's share first.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import toeplitz
 from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
@@ -36,7 +36,6 @@ __all__ = [
     "RankedFeatures",
     "silverman_bandwidth",
     "make_grid",
-    "KDEWorkspace",
     "fft_kde_2d",
     "mi_fftkde",
     "bin_count",
@@ -161,48 +160,7 @@ def _linear_bin_2d(x, y, grid: Grid2D) -> coo_matrix:
     return coo_matrix((mass / x.size, (rows, cols)), shape=(grid.nx, grid.ny))
 
 
-class KDEWorkspace:
-    """Buffers that fft_kde_2d and mi_fftkde reuse across calls.
-
-    In the manner of numpy's out=: the y-kernel Toeplitz matrix is rebuilt
-    only when (kernel, hy, dy, ny) changes, and the x pass's padded input,
-    spectrum and inverse transform, the density and mi_fftkde's outer-product
-    and mask arrays are allocated once per grid shape.  The density that
-    fft_kde_2d returns through a workspace is overwritten by its next call,
-    and one workspace must not serve two threads at once.
-    """
-
-    def __init__(self):
-        self._toeplitz_key = None
-        self._shape = None
-
-    def toeplitz(self, kernel: str, hy: float, dy: float, ny: int) -> np.ndarray:
-        key = (kernel, hy, dy, ny)
-        if key != self._toeplitz_key:
-            ky = _kernel_half(kernel, hy, dy, ny)
-            col = np.zeros(ny)
-            col[:ky.size] = ky
-            self._toeplitz, self._toeplitz_key = toeplitz(col), key
-        return self._toeplitz
-
-    def reserve(self, nx: int, ny: int) -> None:
-        if (nx, ny) == self._shape:
-            return
-        # the x pass is longest when the x kernel spans all nx nodes; columns
-        # from nx on stay zero, which is the padding
-        width = next_fast_len(2 * nx - 1, real=True)
-        self.padded = np.zeros((ny, width))
-        self.spectrum = np.empty((ny, width // 2 + 1), complex)
-        self.inverse = np.empty((ny, width))
-        self.density = np.empty((nx, ny))
-        self.outer = np.empty((nx, ny))
-        self.mask = np.empty((nx, ny), bool)
-        self.mask_outer = np.empty((nx, ny), bool)
-        self._shape = (nx, ny)
-
-
-def fft_kde_2d(x, y, kernel: str, hx: float, hy: float, grid: Grid2D, *,
-               workspace: KDEWorkspace | None = None) -> np.ndarray:
+def fft_kde_2d(x, y, kernel: str, hx: float, hy: float, grid: Grid2D) -> np.ndarray:
     """Bivariate KDE on the grid via linear binning + separable convolution.
 
     The product kernel is applied in two 1-D passes: the binned weights (a
@@ -210,8 +168,7 @@ def fft_kde_2d(x, y, kernel: str, hx: float, hy: float, grid: Grid2D, *,
     the y kernel, then an FFT convolution of every column with the x kernel.
     Both passes are zero-padded (linear) convolutions, so there is no
     wrap-around; tiny negative FFT artifacts are clipped and the density
-    renormalized to unit Euler sum.  With a workspace the result is the
-    workspace's density buffer (see KDEWorkspace).
+    renormalized to unit Euler sum.
     """
     x = np.asarray(x, float).ravel()
     y = np.asarray(y, float).ravel()
@@ -223,76 +180,53 @@ def fft_kde_2d(x, y, kernel: str, hx: float, hy: float, grid: Grid2D, *,
     if (x.min() - px < grid.x_min or x.max() + px > grid.x_max
             or y.min() - py < grid.y_min or y.max() + py > grid.y_max):
         raise ValueError(f"grid does not cover the data plus {PAD_BANDWIDTHS:g} bandwidths")
-    ws = KDEWorkspace() if workspace is None else workspace
     kx = _kernel_half(kernel, hx, grid.dx, grid.nx)
-    ws.reserve(grid.nx, grid.ny)
+    ky = _kernel_half(kernel, hy, grid.dy, grid.ny)
     # y pass: row i of the product sums ky(y_node - y_j) over row i's weights;
     # it is stored transposed so that the x pass runs along contiguous rows
     # (an FFT along the strided axis does not scale across threads)
-    size = next_fast_len(grid.nx + kx.size - 1, real=True)
-    padded = ws.padded[:, :size]
-    padded[:, :grid.nx] = (_linear_bin_2d(x, y, grid)
-                           @ ws.toeplitz(kernel, hy, grid.dy, grid.ny)).T
+    col = np.zeros(grid.ny)
+    col[:ky.size] = ky
+    smooth_t = (_linear_bin_2d(x, y, grid) @ toeplitz(col)).T.copy()
     # x pass: a circular convolution of length >= nx + reach, with the kernel
     # centred on index 0, equals the linear one on the first nx nodes
+    size = next_fast_len(grid.nx + kx.size - 1, real=True)
     kc = np.zeros(size)
     kc[:kx.size] = kx
     kc[size - kx.size + 1:] = kx[:0:-1]
-    spec = np.fft.rfft(padded, out=ws.spectrum[:, :size // 2 + 1])
-    spec *= np.fft.rfft(kc).real            # an even kernel has a real spectrum
-    dens = np.fft.irfft(spec, size, out=ws.inverse[:, :size])[:, :grid.nx].T
+    spec = rfft(smooth_t, size)
+    spec *= rfft(kc).real                   # an even kernel has a real spectrum
+    dens = irfft(spec, size, overwrite_x=True)[:, :grid.nx].T
     np.clip(dens, 0.0, None, out=dens)
     total = dens.sum() * grid.dx * grid.dy
     if total <= 0:
         raise ValueError("degenerate density")
-    return np.divide(dens, total, out=ws.density)   # C order
+    return np.divide(dens, total, out=np.empty((grid.nx, grid.ny)))   # C order
 
 
-class _Result:
-    # a value computed from the outcome, or the exception computing it raised;
-    # get() raises it again where the per-pair function would have reached it
-    def __init__(self, fn, *args):
-        try:
-            self._value, self._error = fn(*args), None
-        except Exception as exc:  # noqa: BLE001 - re-raised by get()
-            self._value, self._error, self._tb = None, exc, exc.__traceback__
+# Each method's prepared outcome is a plain tuple, built by _prepare_<method>
+# and unpacked by the per-column kernel _<method>_column(x, prepared).
 
-    def get(self):
-        if self._error is not None:
-            raise self._error.with_traceback(self._tb)
-        return self._value
-
-
-@dataclass(frozen=True)
-class _FftkdeOutcome:
-    y: np.ndarray
-    scale: _Result          # (h_y, [min y, max y]): all that make_grid reads of y
-    workspace: KDEWorkspace
-
-
-def _prepare_fftkde(y, bandwidth=silverman_bandwidth) -> _FftkdeOutcome:
+def _prepare_fftkde(y, bandwidth=silverman_bandwidth):
+    # y, h_y and [min y, max y]: with h_y, all that make_grid reads of y
     y = np.asarray(y, float).ravel()
-
-    def scale():
-        return bandwidth(y), np.array([y.min(), y.max()])
-
-    return _FftkdeOutcome(y, _Result(scale), KDEWorkspace())
+    return y, bandwidth(y), np.array([y.min(), y.max()])
 
 
-def _fftkde_column(x, prep: _FftkdeOutcome, kernel: str = "gaussian",
-                   bandwidth=silverman_bandwidth, nx: int = 256, ny: int = 256,
-                   eps_floor: float = 1e-12) -> MIResult:
+def _fftkde_column(x, prep) -> MIResult:
     x = np.asarray(x, float).ravel()
-    hx = bandwidth(x)
-    hy, y_range = prep.scale.get()
+    return _fftkde_mi(x, silverman_bandwidth(x), prep)
+
+
+def _fftkde_mi(x, hx: float, prep, kernel: str = "gaussian",
+               nx: int = 256, ny: int = 256, eps_floor: float = 1e-12) -> MIResult:
+    y, hy, y_range = prep
     grid = make_grid(x, y_range, hx, hy, nx, ny)
-    ws = prep.workspace
-    pxy = fft_kde_2d(x, prep.y, kernel, hx, hy, grid, workspace=ws)
+    pxy = fft_kde_2d(x, y, kernel, hx, hy, grid)
     px = pxy.sum(axis=1) * grid.dy
     py = pxy.sum(axis=0) * grid.dx
-    outer = np.outer(px, py, out=ws.outer)
-    ok = np.greater(pxy, eps_floor, out=ws.mask)
-    ok &= np.greater(outer, eps_floor, out=ws.mask_outer)
+    outer = np.outer(px, py)
+    ok = (pxy > eps_floor) & (outer > eps_floor)
     p = pxy[ok]
     mi = float(np.sum(p * np.log(p / outer[ok])) * grid.dx * grid.dy)
     return MIResult(mi, "fftkde",
@@ -303,8 +237,9 @@ def mi_fftkde(x, y, kernel: str = "gaussian", bandwidth=silverman_bandwidth,
               nx: int = 256, ny: int = 256, eps_floor: float = 1e-12) -> MIResult:
     """Plug-in MI from the FFT-KDE joint; marginals are joint sums, so the
     three densities are consistent by construction."""
-    return _fftkde_column(x, _prepare_fftkde(y, bandwidth), kernel, bandwidth,
-                          nx, ny, eps_floor)
+    x = np.asarray(x, float).ravel()
+    hx = bandwidth(x)           # x's share first, so a bad x is reported first
+    return _fftkde_mi(x, hx, _prepare_fftkde(y, bandwidth), kernel, nx, ny, eps_floor)
 
 
 def bin_count(x) -> int:
@@ -353,24 +288,19 @@ def _histogram_loglik(xs, lo, hi, ds) -> np.ndarray:
     return np.bincount(d - ds[0], weights=counts * np.log(d * counts / n), minlength=ds.size)
 
 
-@dataclass(frozen=True)
-class _BinningOutcome:
-    y: np.ndarray
-    bins: _Result
-
-
-def _prepare_binning(y) -> _BinningOutcome:
+def _prepare_binning(y):
     y = np.asarray(y, float).ravel()
-    return _BinningOutcome(y, _Result(bin_count, y))
+    return y, bin_count(y)
 
 
-def _binning_column(x, prep: _BinningOutcome) -> MIResult:
+def _binning_column(x, prep) -> MIResult:
     x = np.asarray(x, float).ravel()
-    n = x.size
-    dx_bins = bin_count(x)
-    dy_bins = prep.bins.get()
-    joint, _, _ = np.histogram2d(x, prep.y, bins=(dx_bins, dy_bins))
-    pij = joint / n
+    return _binning_mi(x, bin_count(x), *prep)
+
+
+def _binning_mi(x, dx_bins: int, y, dy_bins: int) -> MIResult:
+    joint, _, _ = np.histogram2d(x, y, bins=(dx_bins, dy_bins))
+    pij = joint / x.size
     pi = pij.sum(axis=1, keepdims=True)
     pj = pij.sum(axis=0, keepdims=True)
     nz = pij > 0
@@ -380,7 +310,9 @@ def _binning_column(x, prep: _BinningOutcome) -> MIResult:
 
 def mi_binning(x, y) -> MIResult:
     """Histogram plug-in MI with data-driven equal-width bin counts."""
-    return _binning_column(x, _prepare_binning(y))
+    x = np.asarray(x, float).ravel()
+    y = np.asarray(y, float).ravel()
+    return _binning_mi(x, bin_count(x), y, bin_count(y))     # x's bins first
 
 
 def _dedupe_jitter(v: np.ndarray) -> np.ndarray:
@@ -398,24 +330,19 @@ def _dedupe_jitter(v: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _KnnOutcome:
-    jittered: np.ndarray
-    sorted: np.ndarray
-
-
-def _prepare_knn(y) -> _KnnOutcome:
+def _prepare_knn(y):
+    # the jittered y and its sorted copy
     yj = _dedupe_jitter(np.asarray(y, float).ravel())
-    return _KnnOutcome(yj, np.sort(yj))
+    return yj, np.sort(yj)
 
 
-def _knn_column(x, prep: _KnnOutcome, k: int = 3) -> MIResult:
+def _knn_column(x, prep, k: int = 3) -> MIResult:
     x = np.asarray(x, float).ravel()
     n = x.size
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     xj = _dedupe_jitter(x)
-    yj, ys = prep.jittered, prep.sorted
+    yj, ys = prep
     z = np.column_stack([xj, yj])
     tree = cKDTree(z)
     dist, _ = tree.query(z, k=k + 1, p=np.inf)
@@ -435,25 +362,21 @@ def mi_knn(x, y, k: int = 3) -> MIResult:
     return _knn_column(x, _prepare_knn(y), k)
 
 
-@dataclass(frozen=True)
-class _PearsonOutcome:
-    centred: np.ndarray
-    norm: float
-
-
-def _prepare_pearson(y) -> _PearsonOutcome:
+def _prepare_pearson(y):
+    # the centred y and its norm
     y = np.asarray(y, float).ravel()
     yc = y - y.mean()
-    return _PearsonOutcome(yc, np.linalg.norm(yc))
+    return yc, np.linalg.norm(yc)
 
 
-def _pearson_column(x, prep: _PearsonOutcome) -> MIResult:
+def _pearson_column(x, prep) -> MIResult:
     x = np.asarray(x, float).ravel()
+    yc, ny_ = prep
     xc = x - x.mean()
     nx_ = np.linalg.norm(xc)
-    if nx_ == 0 or prep.norm == 0:
+    if nx_ == 0 or ny_ == 0:
         raise ValueError("constant vector has no correlation")
-    r = abs(float(np.dot(xc, prep.centred) / (nx_ * prep.norm)))
+    r = abs(float(np.dot(xc, yc) / (nx_ * ny_)))
     return MIResult(min(r, 1.0), "pearson", {})
 
 
@@ -462,13 +385,14 @@ def pearson_abs(x, y) -> MIResult:
     return _pearson_column(x, _prepare_pearson(y))
 
 
-# per method: the outcome's preparation, and the per-column kernel that takes
-# (x, prepared outcome)
-_PREPARE = {
-    "fftkde": _prepare_fftkde,
-    "binning": _prepare_binning,
-    "knn": _prepare_knn,
-    "pearson": _prepare_pearson,
+# per method: the outcome's preparation, and the per-pair function that
+# scores a column when the preparation fails; _METHODS holds the per-column
+# kernels that take (x, prepared outcome)
+_OUTCOME = {
+    "fftkde": (_prepare_fftkde, mi_fftkde),
+    "binning": (_prepare_binning, mi_binning),
+    "knn": (_prepare_knn, mi_knn),
+    "pearson": (_prepare_pearson, pearson_abs),
 }
 _METHODS = {
     "fftkde": _fftkde_column,
@@ -484,23 +408,28 @@ def screen_all(m: FeatureMatrix, y: ResponseVector, method: str = "fftkde",
 
     The outcome's share of the estimator is prepared once per block of
     columns.  With workers > 1 the columns split into one contiguous block
-    per worker, and each block prepares its own outcome record and buffers,
-    so the threads share nothing they write.  Pure function of the data and
-    method: the worker count only affects speed.
+    per worker, and each block prepares its own outcome record, so the
+    threads share nothing they write.  If the outcome cannot be
+    prepared, every column is scored by the per-pair function, which fails
+    it with the column's own error or the outcome's.  Pure function of the
+    data and method: the worker count only affects speed.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown screening method {method!r}")
     if m.n != y.n:
         raise ValueError("feature matrix and response length mismatch")
-    prepare, column = _PREPARE[method], _METHODS[method]
+    (prepare, per_pair), column = _OUTCOME[method], _METHODS[method]
     X, yv = m.values, y.values
 
     def score_block(cols):
-        prep = prepare(yv)
+        try:
+            score, outcome = column, prepare(yv)
+        except Exception:  # noqa: BLE001 - per_pair reports it column by column
+            score, outcome = per_pair, yv
         results = []
         for j in cols:
             try:
-                results.append((column(X[:, j], prep).value, None))
+                results.append((score(X[:, j], outcome).value, None))
             except Exception as exc:  # noqa: BLE001 - per-column failures are data issues
                 results.append((-np.inf, str(exc)))
         return results

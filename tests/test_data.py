@@ -166,6 +166,8 @@ def _csv_path(path, has_header=True):
     ("spaces", "a , b\n 1 ,\t2\n3 , 4 \n", True),
     ("no_final_newline", "a,b\n1,2\n3,4", True),
     ("one_column", "a\n1\n2\n", True),
+    ("quoted_names", '"d,e",f\n1,2\n3,4\n', True),
+    ("quoted_name_newline", '"a\r\nb", c \r\n1,2\r\n', True),
     ("quoted", 'a,b\n"1",2\n3,"4.5"\n', False),
     ("blank_middle", "a,b\n1,2\n\n3,4\n", False),
     ("blank_end", "a,b\n1,2\n3,4\n\n", False),
@@ -216,3 +218,7 @@ def test_write_table_bytes_match_csv_writer(tmp_path):
         for row in np.column_stack([v, v[:, 0]]):
             w.writerow([f"{x:.17g}" for x in row])
     assert path.read_bytes() == ref.read_bytes()
+    # the quoted name keeps the fast read, which gives the values back exactly
+    names, values = data._read_fast(path.read_bytes().decode("utf-8"), True)
+    assert names == ("a", "b c", "d,e", "f", "y")
+    assert values.tobytes() == np.column_stack([v, v[:, 0]]).tobytes()

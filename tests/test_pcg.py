@@ -310,3 +310,18 @@ def test_pcg_forms_each_loss_gradient_once():
     assert rep0.estimate.tobytes() == rep.estimate.tobytes()
     assert rep0.objective_trace.tobytes() == rep.objective_trace.tobytes()
     assert cert0.moreau_grad_norm == cert.moreau_grad_norm
+
+
+@pytest.mark.parametrize("mode", ["brent", "wolfe", "backtrack"])
+def test_hand_built_problem_with_two_argument_gradient_along(mode):
+    # a problem without loss_grad keeps the documented g_grad_along(x, d)
+    rng = np.random.default_rng(18)
+    A = _spd(rng, 8)
+    b = rng.normal(size=8)
+    p = _quad_problem(A, b, h_lam=0.05)
+    along = replace(p, g_grad_along=lambda x, d: lambda alpha: A @ (x + alpha * d) - b)
+    cfg = PCGConfig(tol=1e-10, max_iter=200, line_search=mode)
+    rep, cert = pcg_solve(along, cfg)
+    want, _ = pcg_solve(p, cfg)
+    assert rep.converged and cert.moreau_grad_norm <= 1e-10
+    assert rep.estimate.tobytes() == want.estimate.tobytes()

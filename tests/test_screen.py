@@ -4,7 +4,6 @@ import pytest
 from hdsparse.data import FeatureMatrix, ResponseVector
 from hdsparse.screen import (
     Grid2D,
-    KDEWorkspace,
     _kernel_1d,
     bin_count,
     fft_kde_2d,
@@ -381,21 +380,3 @@ def test_column_error_comes_before_the_outcome_error():
             mi_binning(vals[:, j], y)
         assert str(exc.value) == msgs[j]
 
-
-def test_kde_workspace_reuse_is_bitwise_fresh():
-    # buffers and the cached y-kernel matrix carry nothing from one call to
-    # the next, across changing grids, bandwidths and kernels
-    rng = np.random.default_rng(25)
-    ws = KDEWorkspace()
-    for kern, n, nx, ny, scale in (("gaussian", 200, 128, 128, 1.0),
-                                   ("gaussian", 200, 128, 128, 4.0),
-                                   ("epanechnikov", 300, 64, 256, 1.0),
-                                   ("gaussian", 150, 128, 128, 1.0)):
-        x, y = _bvn(rng, n, 0.4)
-        x = x * scale
-        hx, hy = silverman_bandwidth(x), silverman_bandwidth(y)
-        g = make_grid(x, y, hx, hy, nx, ny)
-        want = fft_kde_2d(x, y, kern, hx, hy, g)
-        got = fft_kde_2d(x, y, kern, hx, hy, g, workspace=ws)
-        assert got is ws.density
-        assert got.tobytes() == want.tobytes(), (kern, n, nx, ny, scale)
