@@ -236,8 +236,9 @@ def schedule_original(L: float, N: int) -> AGSchedule:
     return s
 
 
-def verify_schedule(s: AGSchedule, L: float, rtol: float = 1e-9) -> tuple[bool, str | None]:
+def verify_schedule(s: AGSchedule, L: float) -> tuple[bool, str | None]:
     """Check both convergence conditions; returns (ok, first violation or None)."""
+    rtol = 1e-9     # slack for rounding in the schedule's own arithmetic
     a, d, w, g = s.alphas, s.deltas, s.omegas, s.gammas
     if abs(a[0] - 1.0) > rtol:
         return False, "alpha_1 != 1"
@@ -390,24 +391,20 @@ def complexity_bound(s: AGSchedule, L_psi: float, L_h: float, x0, x_star, M: flo
     return num / denom
 
 
-def power_iteration_lmax(X: np.ndarray, tol: float = 1e-8, max_iter: int = 1000) -> float:
-    """Largest eigenvalue of X'X via power iteration on v -> X'(Xv)."""
-    return _power_iteration(lambda v: X.T @ (X @ v), X.shape[1], tol, max_iter)
-
-
-def _power_iteration(apply, dim: int, tol: float = 1e-8, max_iter: int = 1000) -> float:
-    """Largest eigenvalue of the PSD operator v -> apply(v) on R^dim."""
+def power_iteration_lmax(X: np.ndarray) -> float:
+    """Largest eigenvalue of X'X via power iteration on v -> X'(Xv), stopped
+    at a relative change of 1e-8 or after 1000 steps."""
     rng = np.random.default_rng(0)
-    v = rng.normal(size=dim)
+    v = rng.normal(size=X.shape[1])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
-        w = apply(v)
+    for _ in range(1000):
+        w = X.T @ (X @ v)
         nl = np.linalg.norm(w)
         if nl == 0:
             return 0.0
         v_new = w / nl
-        if abs(nl - lam) <= tol * max(nl, 1.0):
+        if abs(nl - lam) <= 1e-8 * max(nl, 1.0):
             return nl
         lam, v = nl, v_new
     return lam

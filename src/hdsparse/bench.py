@@ -358,6 +358,8 @@ def run_benchmark(
     protocol = protocols[kind]
     if replications < 1:
         raise ValueError(f"replications must be at least 1, got {replications}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
     def one(rep: int) -> dict:
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))

@@ -14,6 +14,7 @@ CSV/JSON files under --out-dir.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -68,11 +69,12 @@ def cmd_screen(args) -> int:
     out = _out_dir(args)
     X, y = read_table(args.data, outcome=args.outcome)
     ranked = screen_all(X, y, method=args.method, workers=args.workers)
-    with open(out / "screen.csv", "w", encoding="utf-8") as fh:
-        fh.write("feature,score,rank,method\n")
+    with open(out / "screen.csv", "w", newline="", encoding="utf-8") as fh:
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(("feature", "score", "rank", "method"))
         names = X.column_names or tuple(f"x{j}" for j in range(X.p))
         for rank, (j, score) in enumerate(ranked.ranking, start=1):
-            fh.write(f"{names[j]},{score:.17g},{rank},{args.method}\n")
+            rows.writerow((names[j], f"{score:.17g}", rank, args.method))
     diag = {"method": args.method, "failures": list(ranked.failures), "workers": args.workers}
     (out / "screen_diagnostics.json").write_text(json.dumps(diag, indent=2))
     print(out / "screen.csv")

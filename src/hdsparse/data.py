@@ -183,11 +183,11 @@ def read_table(
     path,
     has_header: bool = True,
     outcome: str | int | None = None,
-    outcome_kind: str | None = None,
 ) -> tuple[FeatureMatrix, ResponseVector | None]:
     """Read a numeric CSV; optionally pull out one column as the outcome.
 
-    `outcome` can be a column name (needs a header) or a 0-based index.
+    `outcome` can be a column name (needs a header) or a 0-based index.  An
+    outcome holding only 0 and 1 is binary, any other continuous.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
@@ -210,18 +210,19 @@ def read_table(
             raise ValueError(f"outcome column index {oj} out of range")
     yv = values[:, oj]
     keep = [j for j in range(width) if j != oj]
-    kind = outcome_kind or ("binary" if np.all(np.isin(yv, (0.0, 1.0))) else "continuous")
+    kind = "binary" if np.all(np.isin(yv, (0.0, 1.0))) else "continuous"
     fm = FeatureMatrix(values[:, keep], tuple(names[j] for j in keep) if names else None)
     return fm, ResponseVector(yv, kind)
 
 
 def _read_fast(text: str, has_header: bool):
     """(names, values) from numpy's C parser, or None wherever the csv path
-    could read the body differently: quotes, a lone CR (a row break to
-    csv.reader), the separators \\x1c-\\x1f (stripped from a cell by numpy but
-    not by float()), a skipped blank line, a cell numpy rejects, a
-    non-finite value, or a header and body of different widths.  The header
-    is read by csv.reader itself, so quoted names keep the fast path."""
+    could read the body differently: the separators \\x1c-\\x1f (stripped
+    from a cell by numpy but not by float()), a skipped blank line, a cell
+    numpy rejects (a quote, or a lone CR, which is a row break to
+    csv.reader), a non-finite value, or a header and body of different
+    widths.  The header is read by csv.reader itself, so quoted names keep
+    the fast path."""
     stream = io.StringIO(text, newline="")
     names = None
     if has_header:
@@ -230,8 +231,7 @@ def _read_fast(text: str, has_header: bool):
             return None
         names = tuple(s.strip() for s in header)
     body = stream.read()
-    if (body.count("\r") != body.count("\r\n")
-            or any(c in body for c in '"\x1c\x1d\x1e\x1f')):
+    if any(c in body for c in "\x1c\x1d\x1e\x1f"):
         return None
     # a CR left before each LF is whitespace to numpy and to float()
     lines = body.split("\n")
@@ -286,9 +286,8 @@ def _scan_body(path, body, width: int, first_row: int) -> np.ndarray:
     return values
 
 
-def write_table(path, m: FeatureMatrix, y: ResponseVector | None = None,
-                outcome_name: str = "y") -> None:
-    """Write a FeatureMatrix (plus optional outcome column) as CSV.
+def write_table(path, m: FeatureMatrix, y: ResponseVector | None = None) -> None:
+    """Write a FeatureMatrix (plus optional outcome column y) as CSV.
 
     Values are printed with 17 significant digits so read_table round-trips
     exactly.
@@ -297,7 +296,7 @@ def write_table(path, m: FeatureMatrix, y: ResponseVector | None = None,
     names = list(m.column_names) if m.column_names else [f"x{j}" for j in range(m.p)]
     if y is not None:
         values = np.column_stack([values, y.values])
-        names = names + [outcome_name]
+        names = names + ["y"]
     # one printf-style format per row writes what csv.writer would: numbers
     # never need quoting, and rows end in the excel dialect's CRLF
     row = ",".join(["%.17g"] * values.shape[1]) + csv.excel.lineterminator

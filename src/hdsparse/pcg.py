@@ -42,16 +42,11 @@ __all__ = [
 @dataclass(frozen=True)
 class PCGConfig:
     rho: float | None = None       # default 0.5/L_g, must stay below 1/L_g
-    eta: float = 0.01
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
     line_search: str = "brent"     # {"wolfe", "brent", "backtrack"}
     tol: float = 1e-6
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not 0 < self.wolfe_c1 < self.wolfe_c2 < 1:
-            raise ValueError("need 0 < c1 < c2 < 1")
         if self.line_search not in ("wolfe", "brent", "backtrack"):
             raise ValueError(f"unknown line search {self.line_search!r}")
 
@@ -132,7 +127,8 @@ def line_search(p: CompositeProblem, x, d, mode: str, config: PCGConfig, rho: fl
     - "wolfe": Armijo + curvature on the surrogate objective;
     - "backtrack": halve alpha until -<s(x + c1 alpha d), d> >= c1 c2 alpha ||d||^2.
 
-    loss_grad is p.loss_grad(x), if the caller has it already.
+    loss_grad is p.loss_grad(x), if the caller has it already.  config is
+    not read; the Wolfe constants c1 and c2 are fixed.
     """
     x = np.asarray(x, float)
     d = np.asarray(d, float)
@@ -149,8 +145,8 @@ def line_search(p: CompositeProblem, x, d, mode: str, config: PCGConfig, rho: fl
             a_hi *= 2.0
         raise RuntimeError(f"brent bracket not found; last derivative {phi(a_hi / 2):.3e}")
 
+    c1, c2 = 1e-4, 0.9     # Wolfe constants, 0 < c1 < c2 < 1
     if mode == "backtrack":
-        c1, c2 = config.wolfe_c1, config.wolfe_c2
         dd = float(np.dot(d, d))
         # start at the step the map's own curvature suggests (-d0/||d||^2 is
         # the exact step for an identity-curvature s), capped at rho
@@ -162,7 +158,6 @@ def line_search(p: CompositeProblem, x, d, mode: str, config: PCGConfig, rho: fl
         raise RuntimeError("backtracking exhausted 60 halvings")
 
     # Wolfe conditions on the surrogate (bracket + bisection zoom)
-    c1, c2 = config.wolfe_c1, config.wolfe_c2
     f = lambda a: surrogate_objective(p, x + a * d, rho)
     f0 = f(0.0)
     lo, hi = 0.0, None
@@ -225,7 +220,7 @@ def pcg_solve(
             raise FloatingPointError(f"non-finite iterate at iteration {k + 1}")
         g, loss_grad = _grad_parts(p, x_new)
         s_new = linearized_moreau_grad(p, x_new, rho, g)
-        d = hz_direction(s_new, s, d, config.eta)
+        d = hz_direction(s_new, s, d)
         x, s = x_new, s_new
         it = k + 1
     cert = StationarityCertificate(

@@ -46,6 +46,9 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in ("l1", "scad", "mcp"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
+        for name, value in (("lambda", self.lam), ("a", self.a), ("gamma", self.gamma)):
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
         if self.kind == "scad":

@@ -9,10 +9,11 @@ Separability turns the 2-D convolution into two 1-D passes (Wand 1994): a
 sparse product of the binned weights with the banded y-kernel matrix, then an
 FFT convolution along x.
 
-screen_all prepares the outcome's share of each estimator once (its bandwidth
-and range, bin count, jittered and sorted copy, or centred copy) and then runs
-only the column's share per column; the public per-pair functions run the same
-arithmetic on one pair, the column's share first.
+Each estimator is split into the outcome's share (its bandwidth and range, bin
+count, jittered and sorted copy, or centred copy), prepared once, and the
+column's share, run per column.  screen_all prepares the outcome once per
+call; each public per-pair function is the same two steps on one pair, so a
+bad outcome is reported before a bad column.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ __all__ = [
 
 # the KDE grid reaches this many bandwidths beyond the data on every side
 PAD_BANDWIDTHS = 3.0
+# mi_fftkde's estimator: a Gaussian product kernel with Silverman bandwidths on
+# make_grid's default 256 x 256 grid, summing only the cells where the joint
+# and the product of the marginals exceed the floor
+KDE_KERNEL = "gaussian"
+KDE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,9 +106,6 @@ class RankedFeatures:
 
     def indices(self) -> list[int]:
         return [i for i, _ in self.ranking]
-
-    def scores(self) -> np.ndarray:
-        return np.asarray([s for _, s in self.ranking])
 
 
 def silverman_bandwidth(x) -> float:
@@ -207,39 +210,32 @@ def fft_kde_2d(x, y, kernel: str, hx: float, hy: float, grid: Grid2D) -> np.ndar
 # Each method's prepared outcome is a plain tuple, built by _prepare_<method>
 # and unpacked by the per-column kernel _<method>_column(x, prepared).
 
-def _prepare_fftkde(y, bandwidth=silverman_bandwidth):
+def _prepare_fftkde(y):
     # y, h_y and [min y, max y]: with h_y, all that make_grid reads of y
     y = np.asarray(y, float).ravel()
-    return y, bandwidth(y), np.array([y.min(), y.max()])
+    return y, silverman_bandwidth(y), np.array([y.min(), y.max()])
 
 
 def _fftkde_column(x, prep) -> MIResult:
     x = np.asarray(x, float).ravel()
-    return _fftkde_mi(x, silverman_bandwidth(x), prep)
-
-
-def _fftkde_mi(x, hx: float, prep, kernel: str = "gaussian",
-               nx: int = 256, ny: int = 256, eps_floor: float = 1e-12) -> MIResult:
     y, hy, y_range = prep
-    grid = make_grid(x, y_range, hx, hy, nx, ny)
-    pxy = fft_kde_2d(x, y, kernel, hx, hy, grid)
+    hx = silverman_bandwidth(x)
+    grid = make_grid(x, y_range, hx, hy)
+    pxy = fft_kde_2d(x, y, KDE_KERNEL, hx, hy, grid)
     px = pxy.sum(axis=1) * grid.dy
     py = pxy.sum(axis=0) * grid.dx
     outer = np.outer(px, py)
-    ok = (pxy > eps_floor) & (outer > eps_floor)
+    ok = (pxy > KDE_FLOOR) & (outer > KDE_FLOOR)
     p = pxy[ok]
     mi = float(np.sum(p * np.log(p / outer[ok])) * grid.dx * grid.dy)
     return MIResult(mi, "fftkde",
-                    {"hx": hx, "hy": hy, "nx": nx, "ny": ny, "kernel": kernel})
+                    {"hx": hx, "hy": hy, "nx": grid.nx, "ny": grid.ny, "kernel": KDE_KERNEL})
 
 
-def mi_fftkde(x, y, kernel: str = "gaussian", bandwidth=silverman_bandwidth,
-              nx: int = 256, ny: int = 256, eps_floor: float = 1e-12) -> MIResult:
+def mi_fftkde(x, y) -> MIResult:
     """Plug-in MI from the FFT-KDE joint; marginals are joint sums, so the
     three densities are consistent by construction."""
-    x = np.asarray(x, float).ravel()
-    hx = bandwidth(x)           # x's share first, so a bad x is reported first
-    return _fftkde_mi(x, hx, _prepare_fftkde(y, bandwidth), kernel, nx, ny, eps_floor)
+    return _fftkde_column(x, _prepare_fftkde(y))
 
 
 def bin_count(x) -> int:
@@ -295,10 +291,8 @@ def _prepare_binning(y):
 
 def _binning_column(x, prep) -> MIResult:
     x = np.asarray(x, float).ravel()
-    return _binning_mi(x, bin_count(x), *prep)
-
-
-def _binning_mi(x, dx_bins: int, y, dy_bins: int) -> MIResult:
+    y, dy_bins = prep
+    dx_bins = bin_count(x)
     joint, _, _ = np.histogram2d(x, y, bins=(dx_bins, dy_bins))
     pij = joint / x.size
     pi = pij.sum(axis=1, keepdims=True)
@@ -310,9 +304,7 @@ def _binning_mi(x, dx_bins: int, y, dy_bins: int) -> MIResult:
 
 def mi_binning(x, y) -> MIResult:
     """Histogram plug-in MI with data-driven equal-width bin counts."""
-    x = np.asarray(x, float).ravel()
-    y = np.asarray(y, float).ravel()
-    return _binning_mi(x, bin_count(x), y, bin_count(y))     # x's bins first
+    return _binning_column(x, _prepare_binning(y))
 
 
 def _dedupe_jitter(v: np.ndarray) -> np.ndarray:
@@ -385,14 +377,13 @@ def pearson_abs(x, y) -> MIResult:
     return _pearson_column(x, _prepare_pearson(y))
 
 
-# per method: the outcome's preparation, and the per-pair function that
-# scores a column when the preparation fails; _METHODS holds the per-column
-# kernels that take (x, prepared outcome)
-_OUTCOME = {
-    "fftkde": (_prepare_fftkde, mi_fftkde),
-    "binning": (_prepare_binning, mi_binning),
-    "knn": (_prepare_knn, mi_knn),
-    "pearson": (_prepare_pearson, pearson_abs),
+# per method: the outcome's preparation, and the per-column kernel that
+# takes (x, prepared outcome)
+_PREPARE = {
+    "fftkde": _prepare_fftkde,
+    "binning": _prepare_binning,
+    "knn": _prepare_knn,
+    "pearson": _prepare_pearson,
 }
 _METHODS = {
     "fftkde": _fftkde_column,
@@ -406,40 +397,41 @@ def screen_all(m: FeatureMatrix, y: ResponseVector, method: str = "fftkde",
                workers: int = 1) -> RankedFeatures:
     """Score every column against the outcome; failed columns get -inf.
 
-    The outcome's share of the estimator is prepared once per block of
-    columns.  With workers > 1 the columns split into one contiguous block
-    per worker, and each block prepares its own outcome record, so the
-    threads share nothing they write.  If the outcome cannot be
-    prepared, every column is scored by the per-pair function, which fails
-    it with the column's own error or the outcome's.  Pure function of the
-    data and method: the worker count only affects speed.
+    The outcome's share of the estimator is prepared once per call.  With
+    workers > 1 the columns split into one contiguous block per worker; the
+    threads only read the prepared outcome.  If the outcome cannot be
+    prepared, every column fails with the outcome's error, as the per-pair
+    function would.  Pure function of the data and method: the worker count
+    only affects speed.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown screening method {method!r}")
     if m.n != y.n:
         raise ValueError("feature matrix and response length mismatch")
-    (prepare, per_pair), column = _OUTCOME[method], _METHODS[method]
-    X, yv = m.values, y.values
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    column, X = _METHODS[method], m.values
 
     def score_block(cols):
-        try:
-            score, outcome = column, prepare(yv)
-        except Exception:  # noqa: BLE001 - per_pair reports it column by column
-            score, outcome = per_pair, yv
         results = []
         for j in cols:
             try:
-                results.append((score(X[:, j], outcome).value, None))
+                results.append((column(X[:, j], outcome).value, None))
             except Exception as exc:  # noqa: BLE001 - per-column failures are data issues
                 results.append((-np.inf, str(exc)))
         return results
 
-    if workers > 1:
-        blocks = np.array_split(np.arange(m.p), min(workers, m.p))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = [r for block in pool.map(score_block, blocks) for r in block]
+    try:
+        outcome = _PREPARE[method](y.values)
+    except Exception as exc:  # noqa: BLE001 - a bad outcome fails every column
+        results = [(-np.inf, str(exc))] * m.p
     else:
-        results = score_block(range(m.p))
+        if workers > 1:
+            blocks = np.array_split(np.arange(m.p), min(workers, m.p))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = [r for block in pool.map(score_block, blocks) for r in block]
+        else:
+            results = score_block(range(m.p))
     scores = np.asarray([r[0] for r in results])
     failures = tuple((j, r[1]) for j, r in enumerate(results) if r[1] is not None)
     # descending score, ascending index on ties

@@ -110,6 +110,32 @@ def test_bench_command(tmp_path):
     assert len(rows) == 2
 
 
+def test_screen_csv_quotes_feature_names(tmp_path):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 3))
+    path = tmp_path / "names.csv"
+    write_table(path, FeatureMatrix(X, ("a,b", 'q"t', "c")), ResponseVector(X[:, 0]))
+    out = tmp_path / "screen_out"
+    main(["screen", "--data", str(path), "--outcome", "y",
+          "--method", "pearson", "--out-dir", str(out)])
+    with open(out / "screen.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["feature", "score", "rank", "method"]
+    assert rows[1][0] == "a,b"                  # y is a copy of this column
+    assert sorted(r[0] for r in rows[2:]) == ["c", 'q"t']
+    assert [r[2:] for r in rows[1:]] == [[str(k), "pearson"] for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("command", ["screen", "bench"])
+def test_commands_reject_workers_below_one(linear_csv, tmp_path, command):
+    out = tmp_path / "out"
+    argv = {"screen": ["screen", "--data", str(linear_csv), "--outcome", "y"],
+            "bench": ["bench", "--kind", "ag_convergence", "--replications", "1"]}[command]
+    with pytest.raises(ValueError, match="^workers must be at least 1, got 0$"):
+        main(argv + ["--workers", "0", "--out-dir", str(out)])
+    assert not (out / "screen.csv").exists() and not (out / "metrics.csv").exists()
+
+
 def test_bench_command_rejects_zero_replications(tmp_path):
     out = tmp_path / "bench_out"
     src = str(Path(hdsparse.__file__).resolve().parents[1])

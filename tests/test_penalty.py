@@ -29,6 +29,19 @@ def test_spec_validation():
         PenaltySpec("ridge", 0.5)
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"kind": "l1", "lam": np.nan}, "lambda"),
+    ({"kind": "scad", "lam": np.inf, "a": 3.7}, "lambda"),
+    ({"kind": "scad", "lam": 0.5, "a": np.nan}, "a"),
+    ({"kind": "scad", "lam": 0.5, "a": np.inf}, "a"),
+    ({"kind": "mcp", "lam": 0.5, "gamma": np.nan}, "gamma"),
+    ({"kind": "mcp", "lam": 0.5, "gamma": np.inf}, "gamma"),
+])
+def test_spec_rejects_non_finite_values(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        PenaltySpec(**kwargs)
+
+
 def test_config_roundtrip():
     for spec in SPECS:
         assert PenaltySpec.from_config(spec.to_config()) == spec

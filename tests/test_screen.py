@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -364,19 +366,30 @@ def test_bad_outcome_fails_every_column(method, y, message):
         _PER_PAIR[method](m.values[:, 0], y)
 
 
-def test_column_error_comes_before_the_outcome_error():
-    # as in the per-pair function, a column's own failure is reported first
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("method, y, message", [
+    ("fftkde", np.full(30, 3.0), r"constant vector has no bandwidth"),
+    ("binning", np.r_[np.inf, np.arange(29.0)], r"autodetected range of \[0\.0, inf\] is not finite"),
+    ("knn", np.arange(3.0), r"need 1 <= k < n"),
+    ("pearson", np.full(30, 3.0), r"constant vector has no correlation"),
+], ids=["fftkde", "binning", "knn", "pearson"])
+def test_outcome_error_comes_before_a_column_error(method, y, message):
+    # the outcome is prepared before any column is scored, in screen_all as in
+    # the per-pair function, so a bad outcome names every column's failure
     rng = np.random.default_rng(24)
-    y = rng.normal(size=30)
-    y[0] = np.inf
-    vals = rng.normal(size=(30, 3))
-    vals[1, 1] = -np.inf
-    ranked = screen_all(FeatureMatrix(vals), ResponseVector(y), method="binning")
-    msgs = dict(ranked.failures)
-    assert msgs[1].startswith("autodetected range of [-inf, ")
-    assert msgs[0].startswith("autodetected range of [") and msgs[0].endswith(", inf] is not finite")
+    vals = rng.normal(size=(y.size, 3))
+    vals[1, 1] = -np.inf                  # a column that fails on its own too
+    ranked = screen_all(FeatureMatrix(vals), ResponseVector(y), method=method)
     for j in range(3):
         with pytest.raises(ValueError) as exc:
-            mi_binning(vals[:, j], y)
-        assert str(exc.value) == msgs[j]
+            _PER_PAIR[method](vals[:, j], y)
+        assert re.fullmatch(message, str(exc.value))
+        assert ranked.failures[j] == (j, str(exc.value))
+    assert len(ranked.failures) == 3
 
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_screen_all_rejects_workers_below_one(workers):
+    m, y = _signal_matrix(np.random.default_rng(25), n=40, p=3)
+    with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
+        screen_all(m, y, method="pearson", workers=workers)
