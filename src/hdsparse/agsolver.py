@@ -72,14 +72,14 @@ class SmoothObjective:
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """f = g + h with g smooth (value/grad/L) and h convex with a prox.
+    """f = g + h with g = loss + smooth penalty part (value/grad/L) and h
+    convex with a prox; make_composite builds it.
 
     h_prox(v, rho) must return argmin_u h(u) + ||u - v||^2 / (2 rho).
-    g_grad_along(x, d) returns alpha -> grad g(x + alpha d); by default it is
-    g_grad at x + alpha d.  loss_grad, when given, is the loss's share of
-    g_grad: then g_grad(x, lg) and g_grad_along(x, d, lg) take a known
-    lg = loss_grad(x) instead of forming it again.  Without loss_grad they
-    are only ever called as g_grad(x) and g_grad_along(x, d).
+    g_grad(x) forms the loss gradient itself; g_grad(x, lg) takes a known
+    lg = loss_grad(x) instead.  curvature is the loss's constant Hessian-vector
+    product (SmoothObjective.curvature, None unless the loss is quadratic): with
+    it the gradient at x + alpha d is g_grad(x + alpha d, lg + alpha * H d).
     """
 
     g_value: Callable[[np.ndarray], float]
@@ -88,14 +88,8 @@ class CompositeProblem:
     h_value: Callable[[np.ndarray], float]
     h_prox: Callable[[np.ndarray, float], np.ndarray]
     dimension: int
-    g_grad_along: Callable[..., Callable[[float], np.ndarray]] | None = None
-    loss_grad: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.g_grad_along is None:
-            g_grad = self.g_grad
-            object.__setattr__(self, "g_grad_along",
-                               lambda x, d, loss_grad=None: lambda alpha: g_grad(x + alpha * d))
+    loss_grad: Callable[[np.ndarray], np.ndarray]
+    curvature: Callable[[np.ndarray], np.ndarray] | None
 
 
 def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> CompositeProblem:
@@ -104,8 +98,6 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
     Coordinates in skip (the intercept, typically) carry no penalty at all.
     h_value and h_grad are looked up on the penalty module at each call, so a
     wrapper installed there (as perfbench's tracer does) sees every call.
-    With obj.curvature, g_grad_along computes the loss gradient once and
-    moves it along d by alpha * H d.
     """
     skip_idx = np.asarray(list(skip), dtype=int)
     mask = None
@@ -132,20 +124,6 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
     def h_value(x):
         return lam * float(np.abs(x if mask is None else x[mask]).sum())
 
-    g_grad_along = None
-    if obj.curvature is not None:
-        def g_grad_along(x, d, loss_grad=None):
-            if loss_grad is None:
-                loss_grad = obj.grad(x)
-            hd = obj.curvature(d)
-
-            def grad(alpha):
-                hg = concave_grad(x + alpha * d)
-                hg += loss_grad + alpha * hd
-                return hg
-
-            return grad
-
     return CompositeProblem(
         g_value=g_value,
         g_grad=g_grad,
@@ -154,8 +132,8 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
         # prox of lam*||.||_1 is the scaled soft threshold at a zero gradient
         h_prox=lambda v, rho: prox_scaled_l1(v, 0.0, rho, lam, skip_idx),
         dimension=obj.dimension,
-        g_grad_along=g_grad_along,
         loss_grad=obj.grad,
+        curvature=obj.curvature,
     )
 
 
@@ -163,13 +141,14 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
 class AGSchedule:
     """The (alpha, delta, omega) sequences plus the Gamma bookkeeping.
 
-    1-indexed in the math; alphas[i] is alpha_{i+1} here.
+    1-indexed in the math; alphas[i] is alpha_{i+1} here.  gammas is derived
+    from the alphas: Gamma_1 = 1, Gamma_k = (1 - alpha_k) Gamma_{k-1}.
     """
 
     alphas: np.ndarray
     deltas: np.ndarray
     omegas: np.ndarray
-    gammas: np.ndarray = field(default=None)
+    gammas: np.ndarray = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.alphas, dtype=float)
@@ -177,14 +156,10 @@ class AGSchedule:
         w = np.asarray(self.omegas, dtype=float)
         if not (len(a) == len(d) == len(w)) or len(a) == 0:
             raise ValueError("alpha/delta/omega must share a positive length")
-        g = self.gammas
-        if g is None:
-            # Gamma_1 = 1, Gamma_k = (1 - alpha_k) Gamma_{k-1}
-            g = np.concatenate(([1.0], np.cumprod(1.0 - a[1:])))
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "deltas", d)
         object.__setattr__(self, "omegas", w)
-        object.__setattr__(self, "gammas", np.asarray(g, dtype=float))
+        object.__setattr__(self, "gammas", np.concatenate(([1.0], np.cumprod(1.0 - a[1:]))))
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -276,7 +251,10 @@ def ag_solve(
     schedule with every alpha_k = 1 and delta_k = omega_k is proximal gradient,
     a descent method for steps up to 1/L: there every step must not raise the
     objective (else FloatingPointError) and the last iterate is returned.
+    The schedule must have at least max_iter steps.
     """
+    if len(s) < max_iter:
+        raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")
     t0 = time.perf_counter()
     p = make_composite(obj, penalty, skip)
     x = np.asarray(x0, dtype=float).copy()

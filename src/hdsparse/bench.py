@@ -89,6 +89,9 @@ class SimSpec:
             raise ValueError(f"unknown outcome {self.outcome!r}")
         if self.signal == "screening_recipe" and not 1 <= self.p_true <= self.p:
             raise ValueError("p_true must lie in [1, p] for the screening_recipe signal")
+        least = {"four_fixed": 4, "five_blocks": 50}.get(self.signal, 1)
+        if self.p < least:
+            raise ValueError(f"p must be at least {least} for the {self.signal} signal")
 
 
 @dataclass
@@ -122,8 +125,6 @@ def gen_signal(spec: SimSpec, rng: np.random.Generator | None = None) -> np.ndar
     if spec.signal == "four_fixed":
         vals = (0.5, -0.5, 0.8, -0.8) if spec.outcome == "logistic" else (2.0, -2.0, 8.0, -8.0)
         gap = (spec.p - 4) // 4
-        if gap < 0:
-            raise ValueError("p too small for the four_fixed layout")
         for j, v in enumerate(vals):
             beta[j * (gap + 1)] = v
     elif spec.signal == "five_blocks":
@@ -132,8 +133,6 @@ def gen_signal(spec: SimSpec, rng: np.random.Generator | None = None) -> np.ndar
         else:
             blocks = [(0.5, 1), (5, 2), (10, 3), (20, 4), (50, 5)]
         gap = (spec.p - 50) // 5
-        if gap < 0:
-            raise ValueError("p too small for the five_blocks layout")
         for j, (mean, var) in enumerate(blocks):
             start = j * (10 + gap)
             beta[start : start + 10] = rng.normal(mean, np.sqrt(var), size=10)

@@ -105,8 +105,7 @@ def cmd_fit(args) -> int:
     if args.solver == "pcg":
         report, cert = pcg_solve(
             make_composite(obj, penalty),
-            PCGConfig(rho=args.rho, line_search=args.line_search, tol=args.tol,
-                      max_iter=args.max_iter), x0)
+            PCGConfig(line_search=args.line_search, tol=args.tol, max_iter=args.max_iter), x0)
         extra = {"moreau_grad_norm": cert.moreau_grad_norm, "rho": cert.rho_used}
     else:
         if args.solver == "pg":
@@ -182,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=("ag", "ag-orig", "pg", "pcg"), default="ag")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=2000)
-    p.add_argument("--rho", type=float, help="pcg step (default: 0.5/L)")
     p.add_argument("--line-search", dest="line_search",
                    choices=("wolfe", "brent", "backtrack"), default="brent")
     _add_penalty(p)

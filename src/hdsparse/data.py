@@ -186,8 +186,8 @@ def read_table(
 ) -> tuple[FeatureMatrix, ResponseVector | None]:
     """Read a numeric CSV; optionally pull out one column as the outcome.
 
-    `outcome` can be a column name (needs a header) or a 0-based index.  An
-    outcome holding only 0 and 1 is binary, any other continuous.
+    `outcome` can be a column name (unique in the header) or a 0-based
+    index.  An outcome holding only 0 and 1 is binary, any other continuous.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
@@ -203,6 +203,8 @@ def read_table(
     if isinstance(outcome, str):
         if names is None or outcome not in names:
             raise ValueError(f"outcome column {outcome!r} not found")
+        if names.count(outcome) > 1:
+            raise ValueError(f"outcome column {outcome!r} appears {names.count(outcome)} times")
         oj = names.index(outcome)
     else:
         oj = int(outcome)
@@ -295,6 +297,8 @@ def write_table(path, m: FeatureMatrix, y: ResponseVector | None = None) -> None
     values = m.values
     names = list(m.column_names) if m.column_names else [f"x{j}" for j in range(m.p)]
     if y is not None:
+        if "y" in names:
+            raise ValueError("a feature is named 'y', the name of the outcome column")
         values = np.column_stack([values, y.values])
         names = names + ["y"]
     # one printf-style format per row writes what csv.writer would: numbers

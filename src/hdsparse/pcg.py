@@ -6,12 +6,15 @@ gradient
 
     s(x) = (x - prox_{rho h}(x - rho*grad g(x))) / rho
 
-which vanishes exactly at Clarke-stationary points for rho < 1/L_g.  The
-nonlinear CG machinery (Hager-Zhang beta with truncation, Wolfe / exact /
-backtracking line searches) then runs on s as if it were a gradient.  The
-composite problem itself is the one the AG solver uses (agsolver.make_composite).
-A plain linear CG for SPD systems lives here too since the q-Gaussian model
-needs it.
+which vanishes exactly at Clarke-stationary points for rho < 1/L_g; pcg_solve
+takes rho = 0.5/L_g.  The nonlinear CG machinery (Hager-Zhang beta with
+truncation, Wolfe / exact / backtracking line searches) then runs on s as if it
+were a gradient.  The composite problem itself is the one the AG solver uses
+(agsolver.make_composite).  pcg forms the loss gradient lg once per iterate and
+calls g_grad(x, lg); the line search moves it along d as lg + alpha * H d when
+the problem carries the loss's curvature H, so a quadratic loss costs no matvec
+per step.  A plain linear CG for SPD systems lives here too since the q-Gaussian
+model needs it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PCGConfig:
-    rho: float | None = None       # default 0.5/L_g, must stay below 1/L_g
     line_search: str = "brent"     # {"wolfe", "brent", "backtrack"}
     tol: float = 1e-6
     max_iter: int = 1000
@@ -95,40 +97,31 @@ def surrogate_objective(p: CompositeProblem, x, rho: float) -> float:
     return float(p.g_value(x) + np.dot(g, diff) + np.dot(diff, diff) / (2 * rho) + p.h_value(u))
 
 
-def _grad_parts(p: CompositeProblem, x):
-    # grad g(x), and the loss's share of it when p splits it off (else None)
-    if p.loss_grad is None:
-        return p.g_grad(x), None
-    loss_grad = p.loss_grad(x)
-    return p.g_grad(x, loss_grad), loss_grad
-
-
 def _phi_grad(p, x, d, rho, loss_grad):
-    # directional derivative surrogate: <s(x + alpha d), d>, with the gradient
-    # along d built once (no matvec per step for a quadratic loss); a known
-    # loss gradient is handed on only to a problem that splits it off
-    if loss_grad is None:
-        grad_along = p.g_grad_along(x, d)
+    # directional derivative surrogate: <s(x + alpha d), d>; with the loss's
+    # curvature the gradient along d is lg + alpha * H d, no matvec per step
+    if p.curvature is None:
+        grad = lambda alpha: p.g_grad(x + alpha * d)
     else:
-        grad_along = p.g_grad_along(x, d, loss_grad)
+        lg = p.loss_grad(x) if loss_grad is None else loss_grad
+        hd = p.curvature(d)
+        grad = lambda alpha: p.g_grad(x + alpha * d, lg + alpha * hd)
 
     def phi(alpha):
-        s = linearized_moreau_grad(p, x + alpha * d, rho, grad_along(alpha))
+        s = linearized_moreau_grad(p, x + alpha * d, rho, grad(alpha))
         return float(s @ d)
 
     return phi
 
 
-def line_search(p: CompositeProblem, x, d, mode: str, config: PCGConfig, rho: float,
-                loss_grad=None) -> float:
+def line_search(p: CompositeProblem, x, d, mode: str, rho: float, loss_grad=None) -> float:
     """Pick a step along the descent direction d.  Three flavors:
 
     - "brent": root of <s(x + alpha d), d> = 0, bracket found by doubling;
     - "wolfe": Armijo + curvature on the surrogate objective;
     - "backtrack": halve alpha until -<s(x + c1 alpha d), d> >= c1 c2 alpha ||d||^2.
 
-    loss_grad is p.loss_grad(x), if the caller has it already.  config is
-    not read; the Wolfe constants c1 and c2 are fixed.
+    loss_grad is p.loss_grad(x), if the caller has it already.
     """
     x = np.asarray(x, float)
     d = np.asarray(d, float)
@@ -192,14 +185,12 @@ def pcg_solve(
     """Run proximal Hager-Zhang CG until ||s||_inf <= tol or max_iter."""
     t0 = time.perf_counter()
     config = config or PCGConfig()
-    rho = config.rho if config.rho is not None else 0.5 / p.lipschitz_g
-    if rho * p.lipschitz_g >= 1:
-        raise ValueError("rho must satisfy rho * L_g < 1")
+    rho = 0.5 / p.lipschitz_g
     x = np.zeros(p.dimension) if x0 is None else np.asarray(x0, float).copy()
     # the loss gradient at each iterate is formed once, for s, and handed on
     # to the line search that starts there
-    g, loss_grad = _grad_parts(p, x)
-    s = linearized_moreau_grad(p, x, rho, g)
+    lg = p.loss_grad(x)
+    s = linearized_moreau_grad(p, x, rho, p.g_grad(x, lg))
     d = -s
     obj_trace, gm_trace = [], []
     converged = False
@@ -214,12 +205,12 @@ def pcg_solve(
         # hard restart periodically and whenever d stops being a descent dir
         if k % p.dimension == 0 or np.dot(d, s) >= 0:
             d = -s
-        alpha = line_search(p, x, d, config.line_search, config, rho, loss_grad=loss_grad)
+        alpha = line_search(p, x, d, config.line_search, rho, loss_grad=lg)
         x_new = x + alpha * d
         if not np.all(np.isfinite(x_new)):
             raise FloatingPointError(f"non-finite iterate at iteration {k + 1}")
-        g, loss_grad = _grad_parts(p, x_new)
-        s_new = linearized_moreau_grad(p, x_new, rho, g)
+        lg = p.loss_grad(x_new)
+        s_new = linearized_moreau_grad(p, x_new, rho, p.g_grad(x_new, lg))
         d = hz_direction(s_new, s, d)
         x, s = x_new, s_new
         it = k + 1

@@ -41,7 +41,6 @@ class PenaltySpec:
     lam: float
     a: float | None = None
     gamma: float | None = None
-    penalize_intercept: bool = False
 
     def __post_init__(self):
         if self.kind not in ("l1", "scad", "mcp"):
@@ -67,8 +66,6 @@ class PenaltySpec:
             d["a"] = self.a
         if self.kind == "mcp":
             d["gamma"] = self.gamma
-        if self.penalize_intercept:
-            d["penalize_intercept"] = True
         return d
 
     @staticmethod
@@ -80,7 +77,6 @@ class PenaltySpec:
             lam=cfg["lambda"],
             a=cfg.get("a"),
             gamma=cfg.get("gamma"),
-            penalize_intercept=cfg.get("penalize_intercept", False),
         )
 
 

@@ -316,7 +316,7 @@ def theta_update(model: QGaussianModel, X, y,
     """Solve the central-trend subproblem; independent of current q, sigma^2."""
     config = config or QGaussianFitConfig()
     obj = _whitened_objective(X, y, _model_cholesky(model), model.penalty)
-    skip = () if model.penalty.penalize_intercept else (0,)
+    skip = (0,)    # the intercept is never penalized
     if config.solver == "pcg":
         comp = make_composite(obj, model.penalty, skip=skip)
         report, cert = pcg_solve(

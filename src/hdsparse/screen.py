@@ -52,7 +52,6 @@ PAD_BANDWIDTHS = 3.0
 # mi_fftkde's estimator: a Gaussian product kernel with Silverman bandwidths on
 # make_grid's default 256 x 256 grid, summing only the cells where the joint
 # and the product of the marginals exceed the floor
-KDE_KERNEL = "gaussian"
 KDE_FLOOR = 1e-12
 
 
@@ -122,20 +121,17 @@ def silverman_bandwidth(x) -> float:
     return 0.9 * spread * n ** (-0.2)
 
 
-def _kernel_1d(kind: str, offsets: np.ndarray, h: float) -> np.ndarray:
+def _kernel_1d(offsets: np.ndarray, h: float) -> np.ndarray:
+    # the Gaussian kernel with bandwidth h
     u = offsets / h
-    if kind == "gaussian":
-        return np.exp(-0.5 * u**2) / (np.sqrt(2 * np.pi) * h)
-    if kind == "epanechnikov":
-        return np.where(np.abs(u) <= 1, 0.75 * (1 - u**2) / h, 0.0)
-    raise ValueError(f"unknown kernel {kind!r}")
+    return np.exp(-0.5 * u**2) / (np.sqrt(2 * np.pi) * h)
 
 
-def _kernel_half(kind: str, h: float, step: float, nodes: int) -> np.ndarray:
-    # kernel at offsets 0, step, ..., reach*step; the support is full for
-    # Epanechnikov and 8 sigma of the Gaussian tail, capped at nodes-1 steps
-    reach = min(nodes - 1, int(np.ceil((h if kind == "epanechnikov" else 8 * h) / step)) + 1)
-    return _kernel_1d(kind, np.arange(reach + 1) * step, h)
+def _kernel_half(h: float, step: float, nodes: int) -> np.ndarray:
+    # kernel at offsets 0, step, ..., reach*step: 8 sigma of the tail, capped
+    # at nodes-1 steps
+    reach = min(nodes - 1, int(np.ceil(8 * h / step)) + 1)
+    return _kernel_1d(np.arange(reach + 1) * step, h)
 
 
 def make_grid(x, y, hx: float, hy: float, nx: int = 256, ny: int = 256) -> Grid2D:
@@ -163,8 +159,8 @@ def _linear_bin_2d(x, y, grid: Grid2D) -> coo_matrix:
     return coo_matrix((mass / x.size, (rows, cols)), shape=(grid.nx, grid.ny))
 
 
-def fft_kde_2d(x, y, kernel: str, hx: float, hy: float, grid: Grid2D) -> np.ndarray:
-    """Bivariate KDE on the grid via linear binning + separable convolution.
+def fft_kde_2d(x, y, hx: float, hy: float, grid: Grid2D) -> np.ndarray:
+    """Bivariate Gaussian KDE on the grid via linear binning + separable convolution.
 
     The product kernel is applied in two 1-D passes: the binned weights (a
     sparse matrix with at most 4n entries) times the banded Toeplitz matrix of
@@ -183,8 +179,8 @@ def fft_kde_2d(x, y, kernel: str, hx: float, hy: float, grid: Grid2D) -> np.ndar
     if (x.min() - px < grid.x_min or x.max() + px > grid.x_max
             or y.min() - py < grid.y_min or y.max() + py > grid.y_max):
         raise ValueError(f"grid does not cover the data plus {PAD_BANDWIDTHS:g} bandwidths")
-    kx = _kernel_half(kernel, hx, grid.dx, grid.nx)
-    ky = _kernel_half(kernel, hy, grid.dy, grid.ny)
+    kx = _kernel_half(hx, grid.dx, grid.nx)
+    ky = _kernel_half(hy, grid.dy, grid.ny)
     # y pass: row i of the product sums ky(y_node - y_j) over row i's weights;
     # it is stored transposed so that the x pass runs along contiguous rows
     # (an FFT along the strided axis does not scale across threads)
@@ -221,7 +217,7 @@ def _fftkde_column(x, prep) -> MIResult:
     y, hy, y_range = prep
     hx = silverman_bandwidth(x)
     grid = make_grid(x, y_range, hx, hy)
-    pxy = fft_kde_2d(x, y, KDE_KERNEL, hx, hy, grid)
+    pxy = fft_kde_2d(x, y, hx, hy, grid)
     px = pxy.sum(axis=1) * grid.dy
     py = pxy.sum(axis=0) * grid.dx
     outer = np.outer(px, py)
@@ -229,7 +225,7 @@ def _fftkde_column(x, prep) -> MIResult:
     p = pxy[ok]
     mi = float(np.sum(p * np.log(p / outer[ok])) * grid.dx * grid.dy)
     return MIResult(mi, "fftkde",
-                    {"hx": hx, "hy": hy, "nx": grid.nx, "ny": grid.ny, "kernel": KDE_KERNEL})
+                    {"hx": hx, "hy": hy, "nx": grid.nx, "ny": grid.ny, "kernel": "gaussian"})
 
 
 def mi_fftkde(x, y) -> MIResult:

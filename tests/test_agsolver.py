@@ -173,6 +173,17 @@ def test_pg_solve_lambda_max_one_step():
     assert rep.iterations == 1
 
 
+def test_ag_solve_rejects_a_schedule_shorter_than_max_iter():
+    # it used to stop silently at the end of the schedule, unconverged
+    obj = _quad_obj()
+    with pytest.raises(ValueError, match=r"^schedule has 5 steps, fewer than max_iter=2000$"):
+        ag_solve(obj, PenaltySpec("l1", 0.0), schedule_optimal(obj.lipschitz, 5),
+                 np.zeros(1), tol=1e-8, max_iter=2000)
+    rep = ag_solve(obj, PenaltySpec("l1", 0.0), schedule_optimal(obj.lipschitz, 5),
+                   np.zeros(1), tol=0.0, max_iter=5)
+    assert rep.iterations == 5
+
+
 def test_pg_step_validation():
     obj = _quad_obj()
     with pytest.raises(ValueError):

@@ -36,11 +36,13 @@ def test_simspec_validation():
     ("snr", dict(snr=float("nan"))),
     ("p_true", dict(p_true=0)),
     ("p_true", dict(p_true=21)),
+    ("p", dict(signal="four_fixed", p=3)),
+    ("p", dict(signal="five_blocks", p=49)),
 ])
 def test_simspec_rejects_bad_sizes_and_snr(field, bad):
     # snr=0 used to give a non-finite screening outcome and a ZeroDivisionError
-    # for a linear one; p_true outside [1, p] failed deep in the generator with
-    # a message about something else
+    # for a linear one; p_true outside [1, p], or p too small for the signal's
+    # layout, failed deep in the generator with a message about something else
     base = dict(n=30, p=20, signal="screening_recipe", outcome="screening_continuous")
     with pytest.raises(ValueError, match=rf"^{field} must"):
         SimSpec(**{**base, **bad})
@@ -50,7 +52,7 @@ def test_simspec_rejects_bad_sizes_and_snr(field, bad):
 
 
 def test_gen_design_correlation_structure():
-    spec = SimSpec(n=4000, p=6, tau=0.5, seed=1)
+    spec = SimSpec(n=4000, p=6, tau=0.5, signal="four_fixed", seed=1)
     X = gen_design(spec)
     emp = np.corrcoef(X.values, rowvar=False)
     target = toeplitz(0.5 ** np.arange(6))
@@ -58,7 +60,7 @@ def test_gen_design_correlation_structure():
     assert np.allclose(X.values.mean(0), 0.0, atol=1e-10)
     assert np.allclose(X.values.std(0, ddof=1), 1.0, atol=1e-8)
     # tau = 0 is plain white noise
-    X0 = gen_design(SimSpec(n=4000, p=6, tau=0.0, seed=1))
+    X0 = gen_design(SimSpec(n=4000, p=6, tau=0.0, signal="four_fixed", seed=1))
     emp0 = np.corrcoef(X0.values, rowvar=False)
     assert np.max(np.abs(emp0 - np.eye(6))) <= 0.05
 

@@ -136,6 +136,26 @@ def test_commands_reject_workers_below_one(linear_csv, tmp_path, command):
     assert not (out / "screen.csv").exists() and not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["screen", "fit", "qfit"])
+def test_commands_reject_a_repeated_outcome_name(tmp_path, command):
+    # the feature named y used to be read as the outcome, without a word
+    path = tmp_path / "dup.csv"
+    path.write_text("a,y,b,y\n1,2,3,10\n4,5,6,20\n7,8,9,30\n10,11,12,41\n")
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="outcome column 'y' appears 2 times"):
+        main([command, "--data", str(path), "--outcome", "y", "--out-dir", str(out)])
+    assert not any(out.iterdir())
+
+
+def test_bench_command_rejects_p_too_small_for_the_signal(tmp_path):
+    # it used to exit 0 with one error row per replication and an empty summary
+    out = tmp_path / "bench_out"
+    with pytest.raises(ValueError, match="^p must be at least 50 for the five_blocks signal$"):
+        main(["bench", "--kind", "signal_recovery", "--p", "20", "--replications", "2",
+              "--out-dir", str(out)])
+    assert not (out / "metrics.csv").exists() and not (out / "report.json").exists()
+
+
 def test_bench_command_rejects_zero_replications(tmp_path):
     out = tmp_path / "bench_out"
     src = str(Path(hdsparse.__file__).resolve().parents[1])

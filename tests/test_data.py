@@ -103,6 +103,22 @@ def test_read_table_outcome_extraction(tmp_path):
     assert np.array_equal(y.values, [0.0, 1.0, 0.0])
 
 
+def test_outcome_name_must_be_one_column(tmp_path):
+    # a header that repeats the outcome's name used to give the first column
+    # of that name as the outcome, and the real outcome as a feature
+    path = tmp_path / "dup.csv"
+    path.write_text("a,y,b,y\n1,2,3,10\n4,5,6,20\n")
+    with pytest.raises(ValueError, match="outcome column 'y' appears 2 times"):
+        read_table(path, outcome="y")
+    assert read_table(path)[0].column_names == ("a", "y", "b", "y")
+    X = np.arange(12.0).reshape(4, 3)
+    with pytest.raises(ValueError, match="a feature is named 'y'"):
+        write_table(tmp_path / "w.csv", FeatureMatrix(X, ("a", "y", "b")),
+                    ResponseVector(np.array([10.0, 20.0, 30.0, 41.0])))
+    assert not (tmp_path / "w.csv").exists()
+    write_table(tmp_path / "w.csv", FeatureMatrix(X, ("a", "y", "b")))   # no outcome column
+
+
 def test_read_table_bad_cells(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n3,NaN\n")

@@ -3,10 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hdsparse.agsolver import make_linear_objective, make_logistic_objective, pg_solve
+from hdsparse.agsolver import (
+    SmoothObjective,
+    make_linear_objective,
+    make_logistic_objective,
+    pg_solve,
+)
 from hdsparse.pcg import (
-    CompositeProblem,
     PCGConfig,
+    _phi_grad,
     hz_direction,
     line_search,
     linear_cg,
@@ -19,15 +24,14 @@ from hdsparse.penalty import PenaltySpec, prox_scaled_l1
 
 
 def _quad_problem(A, b, h_lam=0.0):
-    L = float(np.linalg.eigvalsh(A).max())
-    return CompositeProblem(
-        g_value=lambda x: float(0.5 * x @ A @ x - b @ x),
-        g_grad=lambda x: A @ x - b,
-        lipschitz_g=L,
-        h_value=lambda x: float(h_lam * np.abs(x).sum()),
-        h_prox=lambda v, rho: prox_scaled_l1(v, np.zeros_like(v), rho, h_lam),
+    obj = SmoothObjective(
+        value=lambda x: float(0.5 * x @ A @ x - b @ x),
+        grad=lambda x: A @ x - b,
+        lipschitz=float(np.linalg.eigvalsh(A).max()),
         dimension=b.size,
+        curvature=lambda d: A @ d,
     )
+    return make_composite(obj, PenaltySpec("l1", h_lam))
 
 
 def _spd(rng, n, cond=10.0):
@@ -149,15 +153,14 @@ def test_line_search_modes():
     x = rng.normal(size=2)
     s = linearized_moreau_grad(p, x, rho)
     d = -s
-    cfg = PCGConfig()
     for mode in ("brent", "wolfe", "backtrack"):
-        alpha = line_search(p, x, d, mode, cfg, rho)
+        alpha = line_search(p, x, d, mode, rho)
         assert alpha > 0
     # exact search on a quadratic with steepest descent: <G(x+ad), d> = 0
-    a = line_search(p, x, d, "brent", cfg, rho)
+    a = line_search(p, x, d, "brent", rho)
     assert abs(np.dot(linearized_moreau_grad(p, x + a * d, rho), d)) <= 1e-9
     with pytest.raises(ValueError):
-        line_search(p, x, s, "brent", cfg, rho)  # ascent direction
+        line_search(p, x, s, "brent", rho)  # ascent direction
 
 
 def test_pcg_solve_quadratic():
@@ -262,14 +265,23 @@ def test_gradient_along_d_matches_gradient_at_the_point(loss, skip):
         obj = make_logistic_objective(X, (y > 0).astype(float), pen)
         assert obj.curvature is None
     comp = make_composite(obj, pen, skip)
+    assert comp.curvature is obj.curvature
     x, d = rng.normal(size=(2, 12))
-    along = comp.g_grad_along(x, d)
+    rho = 0.5 / comp.lipschitz_g
+    phi = _phi_grad(comp, x, d, rho, None)
+    if comp.curvature is not None:  # the loss gradient moved along d by alpha * H d
+        lg, hd = comp.loss_grad(x), comp.curvature(d)
     for alpha in (0.0, 1e-3, 0.3, 1.0, 7.5):
         want = comp.g_grad(x + alpha * d)
-        assert np.max(np.abs(along(alpha) - want)) <= 1e-12 * np.max(np.abs(want)), alpha
+        if comp.curvature is not None:
+            along = comp.g_grad(x + alpha * d, lg + alpha * hd)
+            assert np.max(np.abs(along - want)) <= 1e-12 * np.max(np.abs(want)), alpha
+        s = linearized_moreau_grad(comp, x + alpha * d, rho)
+        assert abs(phi(alpha) - s @ d) <= 1e-12 * np.abs(s) @ np.abs(d), alpha
     if skip:  # the skipped coordinates get no concave part along d either
         idx = list(skip)
-        assert np.allclose(along(0.3)[idx], obj.grad(x + 0.3 * d)[idx], rtol=1e-12, atol=0)
+        got = comp.g_grad(x + 0.3 * d, comp.loss_grad(x + 0.3 * d))
+        assert np.allclose(got[idx], obj.grad(x + 0.3 * d)[idx], rtol=1e-12, atol=0)
 
 
 def test_brent_line_search_takes_one_loss_gradient():
@@ -286,14 +298,14 @@ def test_brent_line_search_takes_one_loss_gradient():
     x = rng.normal(size=20)
     d = -linearized_moreau_grad(comp, x, rho)
     calls.clear()
-    alpha = line_search(comp, x, d, "brent", PCGConfig(), rho)
+    alpha = line_search(comp, x, d, "brent", rho)
     assert alpha > 0 and len(calls) == 1
     assert abs(np.dot(linearized_moreau_grad(comp, x + alpha * d, rho), d)) <= 1e-9
 
 
 def test_pcg_forms_each_loss_gradient_once():
     # one loss gradient at x0, one per iterate (shared by s and the next line
-    # search), one for the certificate; the search used to form it again
+    # search), one for the certificate; the search never forms it again
     rng = np.random.default_rng(17)
     X = rng.normal(size=(100, 30))
     y = X[:, :3].sum(axis=1) + 0.3 * rng.normal(size=100)
@@ -301,27 +313,6 @@ def test_pcg_forms_each_loss_gradient_once():
     obj = make_linear_objective(X, y, pen)
     calls = []
     counted = replace(obj, grad=lambda b: calls.append(1) or obj.grad(b))
-    rep, cert = pcg_solve(make_composite(counted, pen), PCGConfig(tol=1e-8), np.zeros(30))
+    rep, _ = pcg_solve(make_composite(counted, pen), PCGConfig(tol=1e-8), np.zeros(30))
     assert rep.converged and rep.iterations > 5
     assert len(calls) == rep.iterations + 2
-    # the iterates are those of a search that forms the gradient itself
-    plain = replace(make_composite(obj, pen), loss_grad=None)
-    rep0, cert0 = pcg_solve(plain, PCGConfig(tol=1e-8), np.zeros(30))
-    assert rep0.estimate.tobytes() == rep.estimate.tobytes()
-    assert rep0.objective_trace.tobytes() == rep.objective_trace.tobytes()
-    assert cert0.moreau_grad_norm == cert.moreau_grad_norm
-
-
-@pytest.mark.parametrize("mode", ["brent", "wolfe", "backtrack"])
-def test_hand_built_problem_with_two_argument_gradient_along(mode):
-    # a problem without loss_grad keeps the documented g_grad_along(x, d)
-    rng = np.random.default_rng(18)
-    A = _spd(rng, 8)
-    b = rng.normal(size=8)
-    p = _quad_problem(A, b, h_lam=0.05)
-    along = replace(p, g_grad_along=lambda x, d: lambda alpha: A @ (x + alpha * d) - b)
-    cfg = PCGConfig(tol=1e-10, max_iter=200, line_search=mode)
-    rep, cert = pcg_solve(along, cfg)
-    want, _ = pcg_solve(p, cfg)
-    assert rep.converged and cert.moreau_grad_norm <= 1e-10
-    assert rep.estimate.tobytes() == want.estimate.tobytes()

@@ -79,7 +79,7 @@ def test_fft_kde_matches_direct_sum():
     x = g.xs[ii]
     y = g.ys[jj]
     h = 0.35
-    dens = fft_kde_2d(x, y, "gaussian", h, h, g)
+    dens = fft_kde_2d(x, y, h, h, g)
     XX, YY = np.meshgrid(g.xs, g.ys, indexing="ij")
     direct = np.zeros_like(XX)
     for xi, yi in zip(x, y):
@@ -108,16 +108,14 @@ def test_fft_kde_matches_2d_fftconvolve():
     np.add.at(w, (ix + 1, iy), wx * (1 - wy))
     np.add.at(w, (ix, iy + 1), (1 - wx) * wy)
     np.add.at(w, (ix + 1, iy + 1), wx * wy)
-    for kern in ("gaussian", "epanechnikov"):
-        support = 1.0 if kern == "epanechnikov" else 8.0
-        rx = int(np.ceil(support * hx / g.dx)) + 1
-        ry = int(np.ceil(support * hy / g.dy)) + 1
-        kx, ky = (_kernel_1d(kern, np.arange(-r, r + 1) * step, h)
-                  for r, step, h in ((rx, g.dx, hx), (ry, g.dy, hy)))
-        ref = np.clip(fftconvolve(w / x.size, np.outer(kx, ky), mode="same"), 0.0, None)
-        ref /= ref.sum() * g.dx * g.dy
-        got = fft_kde_2d(x, y, kern, hx, hy, g)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref), kern
+    rx = int(np.ceil(8.0 * hx / g.dx)) + 1
+    ry = int(np.ceil(8.0 * hy / g.dy)) + 1
+    kx, ky = (_kernel_1d(np.arange(-r, r + 1) * step, h)
+              for r, step, h in ((rx, g.dx, hx), (ry, g.dy, hy)))
+    ref = np.clip(fftconvolve(w / x.size, np.outer(kx, ky), mode="same"), 0.0, None)
+    ref /= ref.sum() * g.dx * g.dy
+    got = fft_kde_2d(x, y, hx, hy, g)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
 
 
 def test_fft_kde_properties():
@@ -125,22 +123,19 @@ def test_fft_kde_properties():
     x, y = _bvn(rng, 400, 0.3)
     h = silverman_bandwidth(x)
     g = make_grid(x, y, h, h)
-    for kern in ("gaussian", "epanechnikov"):
-        dens = fft_kde_2d(x, y, kern, h, h, g)
-        assert np.all(dens >= 0)
-        assert dens.sum() * g.dx * g.dy == pytest.approx(1.0)
+    dens = fft_kde_2d(x, y, h, h, g)
+    assert np.all(dens >= 0)
+    assert dens.sum() * g.dx * g.dy == pytest.approx(1.0)
     # swapping the roles of x and y transposes the density
     gt = Grid2D(g.y_min, g.y_max, g.x_min, g.x_max, g.ny, g.nx)
-    assert np.allclose(fft_kde_2d(y, x, "gaussian", h, h, gt),
-                       fft_kde_2d(x, y, "gaussian", h, h, g).T, atol=1e-12)
+    assert np.allclose(fft_kde_2d(y, x, h, h, gt),
+                       fft_kde_2d(x, y, h, h, g).T, atol=1e-12)
     # a grid that fails to cover data + 3h is rejected
     tight = Grid2D(float(x.min()), float(x.max()), float(y.min()), float(y.max()))
     with pytest.raises(ValueError, match="cover"):
-        fft_kde_2d(x, y, "gaussian", h, h, tight)
+        fft_kde_2d(x, y, h, h, tight)
     with pytest.raises(ValueError):
-        fft_kde_2d(x, y, "gaussian", -0.1, h, g)
-    with pytest.raises(ValueError):
-        fft_kde_2d(x, y, "tricube", h, h, g)
+        fft_kde_2d(x, y, -0.1, h, g)
 
 
 def test_mi_fftkde_calibration():
