@@ -47,6 +47,8 @@ def _penalty_from(args) -> PenaltySpec:
 
 
 def _out_dir(args) -> Path:
+    # made only once the command's inputs have passed, so a rejected run
+    # leaves nothing behind
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -66,9 +68,9 @@ def _add_penalty(p: argparse.ArgumentParser):
 
 
 def cmd_screen(args) -> int:
-    out = _out_dir(args)
     X, y = read_table(args.data, outcome=args.outcome)
     ranked = screen_all(X, y, method=args.method, workers=args.workers)
+    out = _out_dir(args)
     with open(out / "screen.csv", "w", newline="", encoding="utf-8") as fh:
         rows = csv.writer(fh, lineterminator="\n")
         rows.writerow(("feature", "score", "rank", "method"))
@@ -96,7 +98,6 @@ def _report_json(report, extra=None) -> dict:
 
 
 def cmd_fit(args) -> int:
-    out = _out_dir(args)
     penalty = _penalty_from(args)
     X, y = read_table(args.data, outcome=args.outcome)
     make = make_logistic_objective if y.kind == "binary" else make_linear_objective
@@ -105,7 +106,7 @@ def cmd_fit(args) -> int:
     if args.solver == "pcg":
         report, cert = pcg_solve(
             make_composite(obj, penalty),
-            PCGConfig(line_search=args.line_search, tol=args.tol, max_iter=args.max_iter), x0)
+            PCGConfig(tol=args.tol, max_iter=args.max_iter), x0)
         extra = {"moreau_grad_norm": cert.moreau_grad_norm, "rho": cert.rho_used}
     else:
         if args.solver == "pg":
@@ -116,19 +117,20 @@ def cmd_fit(args) -> int:
                               x0, args.tol, args.max_iter)
         extra = {"solver": args.solver}
     extra["penalty"] = penalty.to_config()
+    out = _out_dir(args)
     (out / "fit.json").write_text(json.dumps(_report_json(report, extra), indent=2))
     print(out / "fit.json")
     return 0
 
 
 def cmd_qfit(args) -> int:
-    out = _out_dir(args)
     X, y = read_table(args.data, outcome=args.outcome)
     psi = None if args.psi == "identity" else read_table(args.psi)[0].values
     model = qfit_model(X.values, y.values, psi=psi, penalty=_penalty_from(args),
                        config=QGaussianFitConfig(solver=args.solver))
     payload = model.to_config()
     payload["fit_trace"] = model.fit_trace.tolist()
+    out = _out_dir(args)
     (out / "qfit.json").write_text(json.dumps(payload, indent=2))
     print(out / "qfit.json")
     return 0
@@ -140,9 +142,9 @@ def _spec_from(args) -> SimSpec:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     spec = _spec_from(args)
     X, y, beta = gen_dataset(spec)
+    out = _out_dir(args)
     write_table(out / "simulated.csv", X, y)
     truth = {"beta_true": beta.tolist(), "spec": spec.__dict__}
     (out / "truth.json").write_text(json.dumps(truth, indent=2))
@@ -151,7 +153,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out_dir)      # run_benchmark makes it once its checks pass
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_benchmark(args.kind, _spec_from(args), replications=args.replications,
@@ -181,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=("ag", "ag-orig", "pg", "pcg"), default="ag")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-iter", dest="max_iter", type=int, default=2000)
-    p.add_argument("--line-search", dest="line_search",
-                   choices=("wolfe", "brent", "backtrack"), default="brent")
     _add_penalty(p)
     _add_common(p)
     p.set_defaults(func=cmd_fit)

@@ -8,13 +8,14 @@ gradient
 
 which vanishes exactly at Clarke-stationary points for rho < 1/L_g; pcg_solve
 takes rho = 0.5/L_g.  The nonlinear CG machinery (Hager-Zhang beta with
-truncation, Wolfe / exact / backtracking line searches) then runs on s as if it
-were a gradient.  The composite problem itself is the one the AG solver uses
-(agsolver.make_composite).  pcg forms the loss gradient lg once per iterate and
-calls g_grad(x, lg); the line search moves it along d as lg + alpha * H d when
-the problem carries the loss's curvature H, so a quadratic loss costs no matvec
-per step.  A plain linear CG for SPD systems lives here too since the q-Gaussian
-model needs it.
+truncation, which keeps d a descent direction whatever the step) then runs on
+s as if it were a gradient, and each step is the exact Brent root of
+<s(x + alpha d), d> = 0.  The composite problem itself is the one the AG
+solver uses (agsolver.make_composite).  pcg forms the loss gradient lg once
+per iterate and calls g_grad(x, lg); the line search moves it along d as
+lg + alpha * H d when the problem carries the loss's curvature H, so a
+quadratic loss costs no matvec per step.  A textbook linear CG for SPD
+systems (linear_cg) sits here too; no solver calls it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "make_composite",
     "linearized_moreau_grad",
     "hz_direction",
-    "surrogate_objective",
     "line_search",
     "pcg_solve",
     "linear_cg",
@@ -44,13 +44,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PCGConfig:
-    line_search: str = "brent"     # {"wolfe", "brent", "backtrack"}
     tol: float = 1e-6
     max_iter: int = 1000
-
-    def __post_init__(self):
-        if self.line_search not in ("wolfe", "brent", "backtrack"):
-            raise ValueError(f"unknown line search {self.line_search!r}")
 
 
 @dataclass(frozen=True)
@@ -83,20 +78,6 @@ def hz_direction(s_next, s_prev, d_prev, eta: float = 0.01) -> np.ndarray:
     return -s_next + beta_bar * d
 
 
-def surrogate_objective(p: CompositeProblem, x, rho: float) -> float:
-    """Quadratic-model objective used by the Wolfe search.
-
-    g(x) + <grad g(x), u - x> + ||u - x||^2/(2 rho) + h(u) with u the prox of
-    the forward step; a smooth stand-in for f that shares its stationary
-    points.
-    """
-    x = np.asarray(x, float)
-    g = p.g_grad(x)
-    u = p.h_prox(x - rho * g, rho)
-    diff = u - x
-    return float(p.g_value(x) + np.dot(g, diff) + np.dot(diff, diff) / (2 * rho) + p.h_value(u))
-
-
 def _phi_grad(p, x, d, rho, loss_grad):
     # directional derivative surrogate: <s(x + alpha d), d>; with the loss's
     # curvature the gradient along d is lg + alpha * H d, no matvec per step
@@ -114,67 +95,23 @@ def _phi_grad(p, x, d, rho, loss_grad):
     return phi
 
 
-def line_search(p: CompositeProblem, x, d, mode: str, rho: float, loss_grad=None) -> float:
-    """Pick a step along the descent direction d.  Three flavors:
-
-    - "brent": root of <s(x + alpha d), d> = 0, bracket found by doubling;
-    - "wolfe": Armijo + curvature on the surrogate objective;
-    - "backtrack": halve alpha until -<s(x + c1 alpha d), d> >= c1 c2 alpha ||d||^2.
+def line_search(p: CompositeProblem, x, d, rho: float, loss_grad=None) -> float:
+    """Step along the descent direction d: the root of <s(x + alpha d), d> = 0,
+    bracketed by doubling alpha from rho and found by Brent's method.
 
     loss_grad is p.loss_grad(x), if the caller has it already.
     """
     x = np.asarray(x, float)
     d = np.asarray(d, float)
     phi = _phi_grad(p, x, d, rho, loss_grad)
-    d0 = phi(0.0)
-    if d0 >= 0:
+    if phi(0.0) >= 0:
         raise ValueError("line search needs a descent direction")
-
-    if mode == "brent":
-        a_hi = rho
-        for _ in range(60):
-            if phi(a_hi) > 0:
-                return float(brentq(phi, 0.0, a_hi, xtol=1e-14, maxiter=200))
-            a_hi *= 2.0
-        raise RuntimeError(f"brent bracket not found; last derivative {phi(a_hi / 2):.3e}")
-
-    c1, c2 = 1e-4, 0.9     # Wolfe constants, 0 < c1 < c2 < 1
-    if mode == "backtrack":
-        dd = float(np.dot(d, d))
-        # start at the step the map's own curvature suggests (-d0/||d||^2 is
-        # the exact step for an identity-curvature s), capped at rho
-        alpha = min(rho, -d0 / dd)
-        for _ in range(60):
-            if -phi(c1 * alpha) >= c1 * c2 * alpha * dd:
-                return alpha
-            alpha *= 0.5
-        raise RuntimeError("backtracking exhausted 60 halvings")
-
-    # Wolfe conditions on the surrogate (bracket + bisection zoom)
-    f = lambda a: surrogate_objective(p, x + a * d, rho)
-    f0 = f(0.0)
-    lo, hi = 0.0, None
-    alpha = rho
-    flo, dlo = f0, d0
-    for _ in range(100):
-        fa = f(alpha)
-        if fa > f0 + c1 * alpha * d0 or (hi is None and fa >= flo and lo > 0):
-            hi = alpha
-        else:
-            da = phi(alpha)
-            if abs(da) <= -c2 * d0:
-                return alpha
-            if da >= 0:
-                hi = alpha
-            else:
-                lo, flo, dlo = alpha, fa, da
-                if hi is None:
-                    alpha *= 2.0
-                    continue
-        alpha = 0.5 * (lo + hi)
-        if hi - lo < 1e-16:
-            return max(alpha, 1e-16)
-    raise RuntimeError("Wolfe line search failed to converge")
+    a_hi = rho
+    for _ in range(60):
+        if phi(a_hi) > 0:
+            return float(brentq(phi, 0.0, a_hi, xtol=1e-14, maxiter=200))
+        a_hi *= 2.0
+    raise RuntimeError(f"brent bracket not found; last derivative {phi(a_hi / 2):.3e}")
 
 
 def pcg_solve(
@@ -205,7 +142,7 @@ def pcg_solve(
         # hard restart periodically and whenever d stops being a descent dir
         if k % p.dimension == 0 or np.dot(d, s) >= 0:
             d = -s
-        alpha = line_search(p, x, d, config.line_search, rho, loss_grad=lg)
+        alpha = line_search(p, x, d, rho, loss_grad=lg)
         x_new = x + alpha * d
         if not np.all(np.isfinite(x_new)):
             raise FloatingPointError(f"non-finite iterate at iteration {k + 1}")

@@ -206,14 +206,23 @@ def fft_kde_2d(x, y, hx: float, hy: float, grid: Grid2D) -> np.ndarray:
 # Each method's prepared outcome is a plain tuple, built by _prepare_<method>
 # and unpacked by the per-column kernel _<method>_column(x, prepared).
 
+def _finite(v) -> np.ndarray:
+    # every estimator's input check: a NaN or inf fails the column (or the
+    # outcome) with one message, whichever method scores it
+    v = np.asarray(v, float).ravel()
+    if not np.isfinite(v).all():
+        raise ValueError("non-finite values")
+    return v
+
+
 def _prepare_fftkde(y):
     # y, h_y and [min y, max y]: with h_y, all that make_grid reads of y
-    y = np.asarray(y, float).ravel()
+    y = _finite(y)
     return y, silverman_bandwidth(y), np.array([y.min(), y.max()])
 
 
 def _fftkde_column(x, prep) -> MIResult:
-    x = np.asarray(x, float).ravel()
+    x = _finite(x)
     y, hy, y_range = prep
     hx = silverman_bandwidth(x)
     grid = make_grid(x, y_range, hx, hy)
@@ -246,11 +255,11 @@ def bin_count(x) -> int:
     if n < 10:
         raise ValueError("bin_count needs n >= 10")
     lo, hi = x.min(), x.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"autodetected range of [{lo}, {hi}] is not finite")
     if hi == lo:
         warnings.warn("constant vector: one bin", stacklevel=2)
         return 1
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError(f"autodetected range of [{lo}, {hi}] is not finite")
     xs = np.sort(x)
     ds = np.arange(2, int(np.ceil(n / np.log(n))) + 1)
     # blocks of about 2^20 edges keep the memory flat for large n
@@ -281,12 +290,12 @@ def _histogram_loglik(xs, lo, hi, ds) -> np.ndarray:
 
 
 def _prepare_binning(y):
-    y = np.asarray(y, float).ravel()
+    y = _finite(y)
     return y, bin_count(y)
 
 
 def _binning_column(x, prep) -> MIResult:
-    x = np.asarray(x, float).ravel()
+    x = _finite(x)
     y, dy_bins = prep
     dx_bins = bin_count(x)
     joint, _, _ = np.histogram2d(x, y, bins=(dx_bins, dy_bins))
@@ -320,17 +329,16 @@ def _dedupe_jitter(v: np.ndarray) -> np.ndarray:
 
 def _prepare_knn(y):
     # the jittered y and its sorted copy
-    yj = _dedupe_jitter(np.asarray(y, float).ravel())
+    yj = _dedupe_jitter(_finite(y))
     return yj, np.sort(yj)
 
 
 def _knn_column(x, prep, k: int = 3) -> MIResult:
-    x = np.asarray(x, float).ravel()
-    n = x.size
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
-    xj = _dedupe_jitter(x)
     yj, ys = prep
+    n = yj.size
+    if not 1 <= k < n:      # the outcome's check, so it comes before the column's
+        raise ValueError("need 1 <= k < n")
+    xj = _dedupe_jitter(_finite(x))
     z = np.column_stack([xj, yj])
     tree = cKDTree(z)
     dist, _ = tree.query(z, k=k + 1, p=np.inf)
@@ -352,17 +360,20 @@ def mi_knn(x, y, k: int = 3) -> MIResult:
 
 def _prepare_pearson(y):
     # the centred y and its norm
-    y = np.asarray(y, float).ravel()
+    y = _finite(y)
     yc = y - y.mean()
-    return yc, np.linalg.norm(yc)
+    ny_ = np.linalg.norm(yc)
+    if ny_ == 0:
+        raise ValueError("constant vector has no correlation")
+    return yc, ny_
 
 
 def _pearson_column(x, prep) -> MIResult:
-    x = np.asarray(x, float).ravel()
+    x = _finite(x)
     yc, ny_ = prep
     xc = x - x.mean()
     nx_ = np.linalg.norm(xc)
-    if nx_ == 0 or ny_ == 0:
+    if nx_ == 0:
         raise ValueError("constant vector has no correlation")
     r = abs(float(np.dot(xc, yc) / (nx_ * ny_)))
     return MIResult(min(r, 1.0), "pearson", {})

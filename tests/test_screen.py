@@ -170,6 +170,8 @@ def test_bin_count_matches_bruteforce():
         bin_count(np.arange(5.0))
     with pytest.warns(UserWarning, match="constant"):
         assert bin_count(np.zeros(50)) == 1
+    with pytest.raises(ValueError, match=r"^autodetected range of \[inf, inf\] is not finite$"):
+        bin_count(np.full(10, np.inf))          # not a constant vector
 
 
 def test_mi_binning_discrete_cases():
@@ -361,10 +363,9 @@ def test_bad_outcome_fails_every_column(method, y, message):
         _PER_PAIR[method](m.values[:, 0], y)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("method, y, message", [
     ("fftkde", np.full(30, 3.0), r"constant vector has no bandwidth"),
-    ("binning", np.r_[np.inf, np.arange(29.0)], r"autodetected range of \[0\.0, inf\] is not finite"),
+    ("binning", np.r_[np.inf, np.arange(29.0)], r"non-finite values"),
     ("knn", np.arange(3.0), r"need 1 <= k < n"),
     ("pearson", np.full(30, 3.0), r"constant vector has no correlation"),
 ], ids=["fftkde", "binning", "knn", "pearson"])
@@ -381,6 +382,32 @@ def test_outcome_error_comes_before_a_column_error(method, y, message):
         assert re.fullmatch(message, str(exc.value))
         assert ranked.failures[j] == (j, str(exc.value))
     assert len(ranked.failures) == 3
+
+
+@pytest.mark.parametrize("where", ["column", "outcome"])
+@pytest.mark.parametrize("method", sorted(_PER_PAIR))
+def test_non_finite_input_fails_like_any_bad_column(method, where):
+    # pearson used to score a NaN or inf column nan with no failure, and the
+    # MI methods failed it with their own messages
+    rng = np.random.default_rng(26)
+    m, y = _signal_matrix(rng, n=150, p=6)
+    vals, yv = m.values.copy(), y.values.copy()
+    if where == "column":
+        vals[4, 1], vals[7, 3], vals[0, 4] = np.nan, np.inf, -np.inf
+        bad = (1, 3, 4)
+    else:
+        yv[5], yv[9] = np.nan, -np.inf
+        bad = tuple(range(m.p))
+    ranked = screen_all(FeatureMatrix(vals), ResponseVector(yv), method=method)
+    assert ranked.failures == tuple((j, "non-finite values") for j in bad)
+    got = _scores(ranked)
+    assert np.all(got[list(bad)] == -np.inf)
+    for j in range(m.p):
+        if j in bad:
+            with pytest.raises(ValueError, match="^non-finite values$"):
+                _PER_PAIR[method](vals[:, j], yv)
+        else:
+            assert got[j] == _PER_PAIR[method](vals[:, j], yv).value
 
 
 @pytest.mark.parametrize("workers", [0, -3])
