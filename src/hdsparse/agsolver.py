@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from . import penalty as _penalty
 from .penalty import PenaltySpec, lipschitz_h, prox_scaled_l1
@@ -428,6 +427,8 @@ def make_logistic_objective(X: np.ndarray, y: np.ndarray,
     n = X.shape[0]
     lip_h = 0.0 if penalty is None else lipschitz_h(penalty)
     L = power_iteration_lmax(X) / (4.0 * n) + lip_h
+    # scipy's expit, whose last bits no numpy form matches, loads on first use
+    from scipy.special import expit
 
     def grad(b):
         return X.T @ (expit(X @ b) - y) / n

@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cholesky, toeplitz
-from scipy.special import expit
 
 from .agsolver import (
     ag_solve,
@@ -37,7 +35,7 @@ from .agsolver import (
 )
 from .data import FeatureMatrix, ResponseVector, standardize_columns
 from .penalty import PenaltySpec
-from .screen import screen_all, selection_auroc
+from .screen import screen_all, selection_auroc, toeplitz
 
 __all__ = [
     "SimSpec",
@@ -106,6 +104,9 @@ class BenchReport:
 def _toeplitz_chol(tau: float, p: int) -> np.ndarray | None:
     if tau == 0:
         return None
+    # scipy's LAPACK call: numpy's cholesky differs in the last bit
+    from scipy.linalg import cholesky
+
     return cholesky(toeplitz(tau ** np.arange(p)), lower=True)
 
 
@@ -163,7 +164,7 @@ def gen_outcome(spec: SimSpec, X: FeatureMatrix, beta_true: np.ndarray,
         eta = xv @ beta_true + rng.normal(0.0, sigma, size=spec.n)
         if spec.outcome == "linear":
             return ResponseVector(eta, "continuous")
-        return _two_class(rng, expit(eta), "logistic")
+        return _two_class(rng, eta, "logistic")
 
     # screening recipe: build X_true,2 from the support
     support = np.nonzero(beta_true)[0]
@@ -177,11 +178,14 @@ def gen_outcome(spec: SimSpec, X: FeatureMatrix, beta_true: np.ndarray,
     tau_p = (eta - eta.mean()) / eta.std(ddof=1)
     if spec.outcome == "screening_binary_translated":
         tau_p = tau_p + np.arctanh(np.sqrt(1.0 / 3.0))
-    return _two_class(rng, expit(tau_p), "binary")
+    return _two_class(rng, tau_p, "binary")
 
 
-def _two_class(rng: np.random.Generator, prob: np.ndarray, what: str) -> ResponseVector:
-    """Bernoulli(prob) draws, redrawn up to 10 times until both classes occur."""
+def _two_class(rng: np.random.Generator, logit: np.ndarray, what: str) -> ResponseVector:
+    """Bernoulli(expit(logit)) draws, redrawn up to 10 times until both classes occur."""
+    from scipy.special import expit
+
+    prob = expit(logit)
     for _ in range(10):
         y = rng.binomial(1, prob).astype(float)
         if 0 < y.sum() < y.size:

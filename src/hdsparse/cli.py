@@ -103,19 +103,18 @@ def cmd_fit(args) -> int:
     make = make_logistic_objective if y.kind == "binary" else make_linear_objective
     obj = make(X.values, y.values, penalty)
     x0 = np.zeros(X.p)
+    extra = {"solver": args.solver}
     if args.solver == "pcg":
         report, cert = pcg_solve(
             make_composite(obj, penalty),
             PCGConfig(tol=args.tol, max_iter=args.max_iter), x0)
-        extra = {"moreau_grad_norm": cert.moreau_grad_norm, "rho": cert.rho_used}
+        extra.update(moreau_grad_norm=cert.moreau_grad_norm, rho=cert.rho_used)
+    elif args.solver == "pg":
+        report = pg_solve(obj, penalty, 1.0 / obj.lipschitz, x0, args.tol, args.max_iter)
     else:
-        if args.solver == "pg":
-            report = pg_solve(obj, penalty, 1.0 / obj.lipschitz, x0, args.tol, args.max_iter)
-        else:
-            sched_fn = schedule_original if args.solver == "ag-orig" else schedule_optimal
-            report = ag_solve(obj, penalty, sched_fn(obj.lipschitz, args.max_iter),
-                              x0, args.tol, args.max_iter)
-        extra = {"solver": args.solver}
+        sched_fn = schedule_original if args.solver == "ag-orig" else schedule_optimal
+        report = ag_solve(obj, penalty, sched_fn(obj.lipschitz, args.max_iter),
+                          x0, args.tol, args.max_iter)
     extra["penalty"] = penalty.to_config()
     out = _out_dir(args)
     (out / "fit.json").write_text(json.dumps(_report_json(report, extra), indent=2))

@@ -10,21 +10,23 @@ which vanishes exactly at Clarke-stationary points for rho < 1/L_g; pcg_solve
 takes rho = 0.5/L_g.  The nonlinear CG machinery (Hager-Zhang beta with
 truncation, which keeps d a descent direction whatever the step) then runs on
 s as if it were a gradient, and each step is the exact Brent root of
-<s(x + alpha d), d> = 0.  The composite problem itself is the one the AG
-solver uses (agsolver.make_composite).  pcg forms the loss gradient lg once
-per iterate and calls g_grad(x, lg); the line search moves it along d as
-lg + alpha * H d when the problem carries the loss's curvature H, so a
+<s(x + alpha d), d> = 0.  The line search finds it with _brentq, a port of
+scipy's brentq that takes the same steps, so its roots are bitwise scipy's
+and importing pcg loads no scipy.  The composite problem itself is the one
+the AG solver uses (agsolver.make_composite).  pcg forms the loss gradient
+lg once per iterate and calls g_grad(x, lg); the line search moves it along
+d as lg + alpha * H d when the problem carries the loss's curvature H, so a
 quadratic loss costs no matvec per step.  A textbook linear CG for SPD
 systems (linear_cg) sits here too; no solver calls it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .agsolver import CompositeProblem, SolveReport, make_composite
 from .penalty import prox_scaled_l1  # noqa: F401 - re-exported, looked up on this module
@@ -95,6 +97,66 @@ def _phi_grad(p, x, d, rho, loss_grad):
     return phi
 
 
+# the line search's absolute tolerance on the step, and scipy.optimize.brentq's
+# relative one (its default and its floor)
+_BRENT_XTOL = 1e-14
+_BRENT_RTOL = 4 * math.ulp(1.0)
+
+
+def _brentq(f, xa: float, xb: float, maxiter: int = 200) -> float:
+    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    This follows scipy.optimize.brentq (its Zeros/brentq.c) step for step, so
+    it returns brentq(f, xa, xb, xtol=1e-14, maxiter=maxiter)'s root bitwise,
+    after the same evaluations of f.  As scipy does, it raises ValueError when
+    f returns NaN or f(xa) and f(xb) share a sign, and RuntimeError after
+    maxiter steps.
+    """
+    def fval(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = fval(xpre), fval(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fval(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def line_search(p: CompositeProblem, x, d, rho: float, loss_grad=None) -> float:
     """Step along the descent direction d: the root of <s(x + alpha d), d> = 0,
     bracketed by doubling alpha from rho and found by Brent's method.
@@ -109,7 +171,7 @@ def line_search(p: CompositeProblem, x, d, rho: float, loss_grad=None) -> float:
     a_hi = rho
     for _ in range(60):
         if phi(a_hi) > 0:
-            return float(brentq(phi, 0.0, a_hi, xtol=1e-14, maxiter=200))
+            return _brentq(phi, 0.0, a_hi)
         a_hi *= 2.0
     raise RuntimeError(f"brent bracket not found; last derivative {phi(a_hi / 2):.3e}")
 

@@ -23,8 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln
 
 from .agsolver import (
     SmoothObjective,
@@ -143,7 +141,11 @@ def _psi_cholesky(psi: np.ndarray | None) -> np.ndarray | None:
 
 def _whiten(C: np.ndarray | None, v: np.ndarray) -> np.ndarray:
     """C^{-1} v, so that <v, Psi^{-1} v> = ||C^{-1} v||^2."""
-    return v if C is None else solve_triangular(C, v, lower=True)
+    if C is None:
+        return v
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(C, v, lower=True)
 
 
 def _logdet(C: np.ndarray | None) -> float:
@@ -154,6 +156,8 @@ def _logdet(C: np.ndarray | None) -> float:
 def logpdf(x, params: QGaussianParams, form: str = "sigma") -> float:
     """Log density; the 'sigma' and 'lambda' parameterizations agree
     (Lambda = m*Sigma) and both equal the multivariate t log density."""
+    from scipy.special import gammaln
+
     sh = params.shape
     n, m, u = sh.n, sh.m, sh.u
     C = _psi_cholesky(params.psi)
@@ -180,6 +184,8 @@ def logpdf(x, params: QGaussianParams, form: str = "sigma") -> float:
 
 def q_covariance(params: QGaussianParams) -> np.ndarray:
     """Closed-form q-covariance integral int x x' p(x)^q dx (about mu)."""
+    from scipy.special import gammaln
+
     sh = params.shape
     n, m, u, q = sh.n, sh.m, sh.u, sh.q
     sigma = params.sigma2 * (params.psi if params.psi is not None else np.eye(n))
@@ -261,6 +267,8 @@ def _quad_Q(model: QGaussianModel, X: np.ndarray, y: np.ndarray) -> float:
 def neg_penalized_loglik(model: QGaussianModel, X, y) -> float:
     """The blockwise objective: up to constants, the negative penalized
     q-Gaussian log-likelihood of the training vector."""
+    from scipy.special import gammaln
+
     n = model.n_train
     u = 1.0 / (model.q_train - 1.0)
     m = 2.0 * u - n

@@ -14,6 +14,11 @@ count, jittered and sorted copy, or centred copy), prepared once, and the
 column's share, run per column.  screen_all prepares the outcome once per
 call; each public per-pair function is the same two steps on one pair, so a
 bad outcome is reported before a bad column.
+
+Importing this module loads numpy only: the FFTs are numpy's, and the
+Toeplitz matrix and FFT length are built here, bitwise as scipy builds them.
+scipy.sparse (fftkde's binning) and scipy.spatial and scipy.special (knn) are
+imported on first use.
 """
 
 from __future__ import annotations
@@ -23,11 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import toeplitz
-from scipy.sparse import coo_matrix
-from scipy.spatial import cKDTree
-from scipy.special import digamma
+from numpy.fft import irfft, rfft
 
 from .data import FeatureMatrix, ResponseVector
 
@@ -134,6 +135,30 @@ def _kernel_half(h: float, step: float, nodes: int) -> np.ndarray:
     return _kernel_1d(np.arange(reach + 1) * step, h)
 
 
+def toeplitz(c) -> np.ndarray:
+    """The symmetric Toeplitz matrix with first column c, equal to
+    scipy.linalg.toeplitz(c): a copy of a strided view of (c reversed, c)."""
+    c = np.asarray(c, float).ravel()
+    vals = np.concatenate((c[:0:-1], c))
+    step = vals.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        vals[c.size - 1:], shape=(c.size, c.size), strides=(-step, step)).copy()
+
+
+def next_fast_len(target: int) -> int:
+    """The least 2^a 3^b 5^c >= target: scipy.fft.next_fast_len(target, real=True)."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def make_grid(x, y, hx: float, hy: float, nx: int = 256, ny: int = 256) -> Grid2D:
     """Grid covering the data plus PAD_BANDWIDTHS*max(h) on every side."""
     pad = PAD_BANDWIDTHS * max(hx, hy)
@@ -144,9 +169,12 @@ def make_grid(x, y, hx: float, hy: float, nx: int = 256, ny: int = 256) -> Grid2
     )
 
 
-def _linear_bin_2d(x, y, grid: Grid2D) -> coo_matrix:
-    # cloud-in-cell assignment: each sample spreads over its 4 surrounding
-    # nodes; entries that land on the same node are summed by any product
+def _linear_bin_2d(x, y, grid: Grid2D):
+    # cloud-in-cell assignment, as a scipy.sparse COO matrix: each sample
+    # spreads over its 4 surrounding nodes; entries that land on the same
+    # node are summed by any product
+    from scipy.sparse import coo_matrix
+
     fx = (x - grid.x_min) / grid.dx
     fy = (y - grid.y_min) / grid.dy
     ix = np.clip(fx.astype(int), 0, grid.nx - 2)
@@ -189,13 +217,13 @@ def fft_kde_2d(x, y, hx: float, hy: float, grid: Grid2D) -> np.ndarray:
     smooth_t = (_linear_bin_2d(x, y, grid) @ toeplitz(col)).T.copy()
     # x pass: a circular convolution of length >= nx + reach, with the kernel
     # centred on index 0, equals the linear one on the first nx nodes
-    size = next_fast_len(grid.nx + kx.size - 1, real=True)
+    size = next_fast_len(grid.nx + kx.size - 1)
     kc = np.zeros(size)
     kc[:kx.size] = kx
     kc[size - kx.size + 1:] = kx[:0:-1]
     spec = rfft(smooth_t, size)
     spec *= rfft(kc).real                   # an even kernel has a real spectrum
-    dens = irfft(spec, size, overwrite_x=True)[:, :grid.nx].T
+    dens = irfft(spec, size)[:, :grid.nx].T
     np.clip(dens, 0.0, None, out=dens)
     total = dens.sum() * grid.dx * grid.dy
     if total <= 0:
@@ -334,6 +362,9 @@ def _prepare_knn(y):
 
 
 def _knn_column(x, prep, k: int = 3) -> MIResult:
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
     yj, ys = prep
     n = yj.size
     if not 1 <= k < n:      # the outcome's check, so it comes before the column's

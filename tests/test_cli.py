@@ -54,6 +54,7 @@ def test_fit_command_solvers(linear_csv, tmp_path):
         assert rc == 0
         payload = json.loads((out / "fit.json").read_text())
         assert payload["converged"]
+        assert payload["solver"] == solver
         assert payload["penalty"] == {"kind": "l1", "lambda": 0.05}
         estimates[solver] = np.asarray(payload["estimate"])
     # all three solvers find the same LASSO solution
@@ -210,10 +211,26 @@ def test_cli_import_skips_scipy_signal_and_stats():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_and_numpy_only_commands_load_no_scipy(linear_csv, tmp_path):
+    # the import alone, least-squares fits by ag, pg and pcg, and the two screening
+    # methods that are numpy only: scipy's import cost dwarfs such a run
+    src = str(Path(hdsparse.__file__).resolve().parents[1])
+    common = ["--data", str(linear_csv), "--outcome", "y", "--out-dir", str(tmp_path)]
+    runs = [[]] + [["fit", "--solver", s] + common for s in ("ag", "pg", "pcg")] \
+        + [["screen", "--method", m] + common for m in ("pearson", "binning")]
+    for argv in runs:
+        code = ("import sys\nfrom hdsparse.cli import main\n"
+                f"if {argv!r}: main({argv!r})\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.splitlines()[-1] == "[]", argv
+
+
 def _fit_value(out, key):
     payload = json.loads((out / "fit.json").read_text())
     return {"lambda": payload["penalty"]["lambda"], "max_iter": payload["iterations"],
-            "solver": payload.get("solver", "pcg")}[key]
+            "solver": payload["solver"]}[key]
 
 
 @pytest.mark.parametrize("command, key, values", [

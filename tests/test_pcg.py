@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from hdsparse.agsolver import (
 )
 from hdsparse.pcg import (
     PCGConfig,
+    _brentq,
     _phi_grad,
     hz_direction,
     line_search,
@@ -153,6 +156,46 @@ def test_line_search_reports_a_missing_bracket():
     p = make_composite(obj, PenaltySpec("l1", 0.0))
     with pytest.raises(RuntimeError, match="^brent bracket not found; last derivative"):
         line_search(p, np.zeros(3), -c, 0.5 / p.lipschitz_g)
+
+
+def _bracketed_functions():
+    # smooth, flat, steep and kinked roots at scales from 1e-8 to 1e8
+    rng = np.random.default_rng(7)
+    for i in range(600):
+        a, r, s = rng.uniform(0.1, 5.0), rng.uniform(-3, 3), 10 ** rng.uniform(-8, 8)
+        lo, hi = r - rng.uniform(0.01, 10), r + rng.uniform(0.01, 10)
+        f = [lambda x: s * (x - r),
+             lambda x: s * (x - r) ** 3,
+             lambda x: s * math.tanh(a * (x - r)),
+             lambda x: math.expm1(a * (x - r)),
+             lambda x: s * (x - r) * (1 + a * (x - r) ** 2),
+             lambda x: s * math.atan(a * (x - r)) if x < r else s * (x - r) ** 5][i % 6]
+        yield f, lo, hi
+
+
+def test_brentq_equals_scipy_bitwise():
+    from scipy.optimize import brentq
+
+    for f, lo, hi in _bracketed_functions():
+        seen, ref_seen = [], []
+        root = _brentq(lambda x: seen.append(x) or f(x), lo, hi)
+        ref = brentq(lambda x: ref_seen.append(x) or f(x), lo, hi, xtol=1e-14, maxiter=200)
+        assert root == ref and type(root) is float
+        assert seen == ref_seen         # the same evaluations, in the same order
+
+
+def test_brentq_raises_like_scipy():
+    from scipy.optimize import brentq
+
+    cases = [(lambda x: math.nan if x > 0.5 else x - 1.0, {}, ValueError),  # NaN at b
+             (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, {}, ValueError),
+             (lambda x: x + 1.0, {}, ValueError),                 # no sign change
+             (lambda x: x**3 - 0.3, {"maxiter": 3}, RuntimeError)]  # out of steps
+    for f, kw, error in cases:
+        with pytest.raises(error) as ref:
+            brentq(f, 0.0, 2.0, xtol=1e-14, **{"maxiter": 200, **kw})
+        with pytest.raises(error, match=re.escape(str(ref.value))):
+            _brentq(f, 0.0, 2.0, **kw)
 
 
 def test_pcg_solve_quadratic():

@@ -13,10 +13,12 @@ from hdsparse.screen import (
     mi_binning,
     mi_fftkde,
     mi_knn,
+    next_fast_len,
     pearson_abs,
     screen_all,
     selection_auroc,
     silverman_bandwidth,
+    toeplitz,
 )
 
 
@@ -88,6 +90,24 @@ def test_fft_kde_matches_direct_sum():
     direct /= x.size
     direct /= direct.sum() * g.dx * g.dy    # same Euler-sum normalization
     assert np.max(np.abs(dens - direct)) <= 1e-6
+
+
+@pytest.mark.parametrize("size", [1, 2, 256])
+def test_toeplitz_equals_scipy(size):
+    from scipy.linalg import toeplitz as scipy_toeplitz
+
+    c = np.random.default_rng(size).normal(size=size)
+    ours, ref = toeplitz(c), scipy_toeplitz(c)
+    assert ours.shape == ref.shape and ours.flags.c_contiguous
+    assert ours.tobytes() == ref.tobytes()
+
+
+def test_next_fast_len_equals_scipy():
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    targets = range(1, 30001)
+    assert [next_fast_len(t) for t in targets] == \
+        [scipy_next_fast_len(t, real=True) for t in targets]
 
 
 def test_fft_kde_matches_2d_fftconvolve():
