@@ -294,7 +294,9 @@ def _fit_path(obj, penalty, lams, x0, tol, max_iter):
 
 def _rep_signal(spec: SimSpec, rng, penalty: PenaltySpec, path_len: int, max_iter: int) -> dict:
     X, y, beta = gen_dataset(spec, rng)
-    Xv, yv = gen_dataset(spec, rng)[:2]  # fresh validation draw, same spec
+    # a fresh validation draw from the same model: a new design, the same beta
+    Xv = gen_design(spec, rng)
+    yv = gen_outcome(spec, Xv, beta, rng)
     make = make_logistic_objective if spec.outcome == "logistic" else make_linear_objective
     obj = make(X.values, y.values, penalty)
     lams = lambda_path(X.values, y.values, path_len)
@@ -313,16 +315,13 @@ def _rep_signal(spec: SimSpec, rng, penalty: PenaltySpec, path_len: int, max_ite
     }
 
 
-def _rep_qgaussian(spec: SimSpec, rng, df: float | None) -> dict:
+def _rep_qgaussian(spec: SimSpec, rng) -> dict:
     from .qgaussian import QGaussianFitConfig, fit
 
     X, _, beta = gen_dataset(spec, rng)
     eta = X.values @ beta
     scale = max(float(np.std(eta)), 1.0) / spec.snr
-    if df is None:  # Gaussian noise
-        y = eta + rng.normal(0.0, scale, size=spec.n)
-    else:
-        y = eta + scale * rng.standard_t(df, size=spec.n)
+    y = eta + rng.normal(0.0, scale, size=spec.n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = fit(X.values, y, penalty=PenaltySpec("l1", 0.0),
@@ -341,7 +340,6 @@ def run_benchmark(
     threshold: float = E3,
     max_iter: int = 2000,
     path_len: int = 50,
-    noise_df: float | None = None,
 ) -> BenchReport:
     """Run one benchmark protocol; optionally write metrics.csv + report.json.
 
@@ -354,7 +352,7 @@ def run_benchmark(
         "screening_auroc": lambda rng: _rep_screening(spec, rng),
         "ag_convergence": lambda rng: _rep_ag(spec, rng, penalty, threshold, max_iter),
         "signal_recovery": lambda rng: _rep_signal(spec, rng, penalty, path_len, max_iter),
-        "qgaussian_recovery": lambda rng: _rep_qgaussian(spec, rng, noise_df),
+        "qgaussian_recovery": lambda rng: _rep_qgaussian(spec, rng),
     }
     if kind not in protocols:
         raise ValueError(f"unknown benchmark kind {kind!r}")
@@ -393,7 +391,8 @@ def run_benchmark(
         rows=rows,
         summary=summary,
         config={"spec": asdict(spec), "replications": replications,
-                "penalty": penalty.to_config(), "threshold": threshold},
+                "penalty": penalty.to_config(), "threshold": threshold,
+                "max_iter": max_iter, "path_len": path_len},
         wall_time=time.perf_counter() - t0,
     )
     if out_dir is not None:

@@ -12,10 +12,13 @@ truncation, which keeps d a descent direction whatever the step) then runs on
 s as if it were a gradient, and each step is the exact Brent root of
 <s(x + alpha d), d> = 0.  The line search finds it with _brentq, a port of
 scipy's brentq that takes the same steps, so its roots are bitwise scipy's
-and importing pcg loads no scipy.  The composite problem itself is the one
-the AG solver uses (agsolver.make_composite).  pcg forms the loss gradient
-lg once per iterate and calls g_grad(x, lg); the line search moves it along
-d as lg + alpha * H d when the problem carries the loss's curvature H, so a
+and importing pcg loads no scipy.  Each line search evaluates that
+derivative only at new points: its value at 0 is <s, d>, which the solver
+holds, and _brentq starts from the bracket's two known values.  The
+composite problem itself is the one the AG solver uses
+(agsolver.make_composite).  pcg forms the loss gradient lg once per iterate
+and calls g_grad(x, lg); the line search moves it along d as
+lg + alpha * H d when the problem carries the loss's curvature H, so a
 quadratic loss costs no matvec per step.  A textbook linear CG for SPD
 systems (linear_cg) sits here too; no solver calls it.
 """
@@ -52,7 +55,6 @@ class PCGConfig:
 
 @dataclass(frozen=True)
 class StationarityCertificate:
-    x_hat: np.ndarray
     moreau_grad_norm: float
     rho_used: float
 
@@ -65,12 +67,16 @@ def linearized_moreau_grad(p: CompositeProblem, x, rho: float, g=None) -> np.nda
     return (x - p.h_prox(x - rho * g, rho)) / rho
 
 
-def hz_direction(s_next, s_prev, d_prev, eta: float = 0.01) -> np.ndarray:
+# Hager and Zhang's truncation constant eta
+_HZ_ETA = 0.01
+
+
+def hz_direction(s_next, s_prev, d_prev) -> np.ndarray:
     """Hager-Zhang update d = -s_next + max(beta, eta_k) * d_prev."""
     s_next = np.asarray(s_next, float)
     y = s_next - np.asarray(s_prev, float)
     d = np.asarray(d_prev, float)
-    eta_k = -1.0 / (np.linalg.norm(d) * min(eta, np.linalg.norm(s_prev)))
+    eta_k = -1.0 / (np.linalg.norm(d) * min(_HZ_ETA, np.linalg.norm(s_prev)))
     dy = np.dot(d, y)
     if dy == 0.0:
         beta_bar = eta_k
@@ -86,9 +92,8 @@ def _phi_grad(p, x, d, rho, loss_grad):
     if p.curvature is None:
         grad = lambda alpha: p.g_grad(x + alpha * d)
     else:
-        lg = p.loss_grad(x) if loss_grad is None else loss_grad
         hd = p.curvature(d)
-        grad = lambda alpha: p.g_grad(x + alpha * d, lg + alpha * hd)
+        grad = lambda alpha: p.g_grad(x + alpha * d, loss_grad + alpha * hd)
 
     def phi(alpha):
         s = linearized_moreau_grad(p, x + alpha * d, rho, grad(alpha))
@@ -103,14 +108,14 @@ _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 4 * math.ulp(1.0)
 
 
-def _brentq(f, xa: float, xb: float, maxiter: int = 200) -> float:
-    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, maxiter: int = 200) -> float:
+    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), given
+    fa = f(xa) < 0 < fb = f(xb).
 
     This follows scipy.optimize.brentq (its Zeros/brentq.c) step for step, so
     it returns brentq(f, xa, xb, xtol=1e-14, maxiter=maxiter)'s root bitwise,
-    after the same evaluations of f.  As scipy does, it raises ValueError when
-    f returns NaN or f(xa) and f(xb) share a sign, and RuntimeError after
-    maxiter steps.
+    after the same evaluations of f past the two endpoints.  As scipy does, it
+    raises ValueError when f returns NaN and RuntimeError after maxiter steps.
     """
     def fval(x):
         fx = float(f(x))
@@ -118,14 +123,7 @@ def _brentq(f, xa: float, xb: float, maxiter: int = 200) -> float:
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = fval(xpre), fval(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
+    xpre, xcur, fpre, fcur = float(xa), float(xb), float(fa), float(fb)
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
@@ -157,23 +155,24 @@ def _brentq(f, xa: float, xb: float, maxiter: int = 200) -> float:
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def line_search(p: CompositeProblem, x, d, rho: float, loss_grad=None) -> float:
+def line_search(p: CompositeProblem, x, d, rho: float, loss_grad, slope: float) -> float:
     """Step along the descent direction d: the root of <s(x + alpha d), d> = 0,
     bracketed by doubling alpha from rho and found by Brent's method.
 
-    loss_grad is p.loss_grad(x), if the caller has it already.
+    loss_grad is p.loss_grad(x) and slope is <s(x), d>, which the caller holds.
     """
+    if not slope < 0:
+        raise ValueError("line search needs a descent direction")
     x = np.asarray(x, float)
     d = np.asarray(d, float)
     phi = _phi_grad(p, x, d, rho, loss_grad)
-    if phi(0.0) >= 0:
-        raise ValueError("line search needs a descent direction")
     a_hi = rho
     for _ in range(60):
-        if phi(a_hi) > 0:
-            return _brentq(phi, 0.0, a_hi)
+        f_hi = phi(a_hi)
+        if f_hi > 0:
+            return _brentq(phi, 0.0, a_hi, slope, f_hi)
         a_hi *= 2.0
-    raise RuntimeError(f"brent bracket not found; last derivative {phi(a_hi / 2):.3e}")
+    raise RuntimeError(f"brent bracket not found; last derivative {f_hi:.3e}")
 
 
 def pcg_solve(
@@ -202,9 +201,11 @@ def pcg_solve(
             converged = True
             break
         # hard restart periodically and whenever d stops being a descent dir
-        if k % p.dimension == 0 or np.dot(d, s) >= 0:
+        slope = float(s @ d)
+        if k % p.dimension == 0 or slope >= 0:
             d = -s
-        alpha = line_search(p, x, d, rho, loss_grad=lg)
+            slope = float(s @ d)
+        alpha = line_search(p, x, d, rho, lg, slope)
         x_new = x + alpha * d
         if not np.all(np.isfinite(x_new)):
             raise FloatingPointError(f"non-finite iterate at iteration {k + 1}")
@@ -213,11 +214,8 @@ def pcg_solve(
         d = hz_direction(s_new, s, d)
         x, s = x_new, s_new
         it = k + 1
-    cert = StationarityCertificate(
-        x_hat=x.copy(),
-        moreau_grad_norm=float(np.max(np.abs(linearized_moreau_grad(p, x, rho)))),
-        rho_used=rho,
-    )
+    # s is the map at the estimate x, so the certificate forms no new one
+    cert = StationarityCertificate(moreau_grad_norm=float(np.max(np.abs(s))), rho_used=rho)
     report = SolveReport(
         estimate=x,
         iterations=it,

@@ -332,18 +332,18 @@ def theta_update(model: QGaussianModel, X, y,
             PCGConfig(tol=config.solver_tol, max_iter=config.solver_max_iter),
             x0=model.theta,
         )
-        if not report.converged:
-            raise RuntimeError(
-                f"theta subproblem did not converge; stationarity "
-                f"{cert.moreau_grad_norm:.3e}")
-        return report.estimate
-    if config.solver == "ag":
+        detail = f"stationarity {cert.moreau_grad_norm:.3e}"
+    elif config.solver == "ag":
         sched = schedule_optimal(obj.lipschitz, config.solver_max_iter)
         report = ag_solve(obj, model.penalty, sched, model.theta,
                           tol=config.solver_tol, max_iter=config.solver_max_iter,
                           skip=skip)
-        return report.estimate
-    raise ValueError(f"unknown solver {config.solver!r}")
+        detail = f"{report.iterations} iterations"
+    else:
+        raise ValueError(f"unknown solver {config.solver!r}")
+    if not report.converged:
+        raise RuntimeError(f"theta subproblem did not converge; {detail}")
+    return report.estimate
 
 
 def fit(X, y, psi=None, penalty: PenaltySpec | None = None,

@@ -375,7 +375,8 @@ def _knn_column(x, prep, k: int = 3) -> MIResult:
     dist, _ = tree.query(z, k=k + 1, p=np.inf)
     eps = dist[:, -1]
     xs = np.sort(xj)
-    # strict counts within the open max-norm ball, self excluded
+    # strict counts within the open max-norm ball; they include the point
+    # itself, so digamma(nx) is Kraskov's psi(n_x + 1)
     nx = (np.searchsorted(xs, xj + eps, side="left")
           - np.searchsorted(xs, xj - eps, side="right"))
     ny = (np.searchsorted(ys, yj + eps, side="left")

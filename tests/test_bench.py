@@ -192,6 +192,7 @@ def test_run_benchmark_screening_and_determinism(tmp_path):
     payload = json.loads((tmp_path / "a" / "report.json").read_text())
     assert payload["kind"] == "screening_auroc"
     assert payload["config"]["replications"] == 3
+    assert payload["config"]["max_iter"] == 2000 and payload["config"]["path_len"] == 50
 
 
 def test_run_benchmark_ag_convergence():
@@ -269,6 +270,19 @@ def test_run_benchmark_records_replication_value_error(monkeypatch):
     rep = run_benchmark("ag_convergence", _small_spec(), replications=2)
     assert rep.rows[0] == {"rep": 0, "error": "could not simulate"}
     assert rep.rows[1]["iters_ag_opt"] == 3
+
+
+def test_signal_recovery_validates_on_the_training_beta(monkeypatch):
+    # the validation outcome comes from the model the training data came
+    # from: five_blocks draws beta at random, so a second draw would differ
+    betas = []
+    orig = bench.gen_outcome
+    monkeypatch.setattr(bench, "gen_outcome",
+                        lambda spec, X, beta, rng: betas.append(beta) or orig(spec, X, beta, rng))
+    spec = SimSpec(n=40, p=50, signal="five_blocks", seed=6)
+    rep = run_benchmark("signal_recovery", spec, replications=1, path_len=3, max_iter=20)
+    assert "error" not in rep.rows[0]
+    assert len(betas) == 2 and np.array_equal(betas[0], betas[1])
 
 
 def test_signal_recovery_validation_loss_needs_no_power_iteration(monkeypatch):

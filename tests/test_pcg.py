@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hdsparse import pcg
 from hdsparse.agsolver import (
     SmoothObjective,
     make_linear_objective,
@@ -89,7 +90,7 @@ def test_hz_direction_hand_case():
     d = np.array([1.0, 0.0])
     s_prev = np.array([-1.0, 0.0])    # y = s_next - s_prev = (1, 1)
     s_next = np.array([0.0, 1.0])
-    out = hz_direction(s_next, s_prev, d, eta=0.01)
+    out = hz_direction(s_next, s_prev, d)
     assert np.allclose(out, [1.0, -1.0])
 
 
@@ -97,13 +98,13 @@ def test_hz_direction_degenerate_and_descent():
     rng = np.random.default_rng(4)
     s = rng.normal(size=3)
     d = rng.normal(size=3)
-    out = hz_direction(s, s, d, eta=0.01)   # y = 0 -> fallback branch
+    out = hz_direction(s, s, d)   # y = 0 -> fallback branch
     eta_k = -1 / (np.linalg.norm(d) * min(0.01, np.linalg.norm(s)))
     assert np.allclose(out, -s + eta_k * d)
     # the truncation guarantees descent on random instances
     for _ in range(10_000):
         s0, s1, dd = rng.normal(size=(3, 4))
-        out = hz_direction(s1, s0, dd, eta=0.01)
+        out = hz_direction(s1, s0, dd)
         assert np.dot(out, s1) < 0
 
 
@@ -139,12 +140,13 @@ def test_line_search_exact_step():
     x = rng.normal(size=2)
     s = linearized_moreau_grad(p, x, rho)
     d = -s
+    lg = p.loss_grad(x)
     # exact search on a quadratic with steepest descent: <G(x+ad), d> = 0
-    a = line_search(p, x, d, rho)
+    a = line_search(p, x, d, rho, lg, float(s @ d))
     assert a > 0
     assert abs(np.dot(linearized_moreau_grad(p, x + a * d, rho), d)) <= 1e-9
     with pytest.raises(ValueError):
-        line_search(p, x, s, rho)  # ascent direction
+        line_search(p, x, s, rho, lg, float(s @ s))  # ascent direction
 
 
 def test_line_search_reports_a_missing_bracket():
@@ -155,7 +157,7 @@ def test_line_search_reports_a_missing_bracket():
                           lipschitz=1.0, dimension=3, curvature=lambda d: np.zeros_like(d))
     p = make_composite(obj, PenaltySpec("l1", 0.0))
     with pytest.raises(RuntimeError, match="^brent bracket not found; last derivative"):
-        line_search(p, np.zeros(3), -c, 0.5 / p.lipschitz_g)
+        line_search(p, np.zeros(3), -c, 0.5 / p.lipschitz_g, c, float(-c @ c))
 
 
 def _bracketed_functions():
@@ -178,24 +180,23 @@ def test_brentq_equals_scipy_bitwise():
 
     for f, lo, hi in _bracketed_functions():
         seen, ref_seen = [], []
-        root = _brentq(lambda x: seen.append(x) or f(x), lo, hi)
+        root = _brentq(lambda x: seen.append(x) or f(x), lo, hi, f(lo), f(hi))
         ref = brentq(lambda x: ref_seen.append(x) or f(x), lo, hi, xtol=1e-14, maxiter=200)
         assert root == ref and type(root) is float
-        assert seen == ref_seen         # the same evaluations, in the same order
+        # the same evaluations past scipy's two at the endpoints, in the same order
+        assert seen == ref_seen[2:]
 
 
 def test_brentq_raises_like_scipy():
     from scipy.optimize import brentq
 
-    cases = [(lambda x: math.nan if x > 0.5 else x - 1.0, {}, ValueError),  # NaN at b
-             (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, {}, ValueError),
-             (lambda x: x + 1.0, {}, ValueError),                 # no sign change
+    cases = [(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, {}, ValueError),
              (lambda x: x**3 - 0.3, {"maxiter": 3}, RuntimeError)]  # out of steps
     for f, kw, error in cases:
         with pytest.raises(error) as ref:
             brentq(f, 0.0, 2.0, xtol=1e-14, **{"maxiter": 200, **kw})
         with pytest.raises(error, match=re.escape(str(ref.value))):
-            _brentq(f, 0.0, 2.0, **kw)
+            _brentq(f, 0.0, 2.0, f(0.0), f(2.0), **kw)
 
 
 def test_pcg_solve_quadratic():
@@ -301,9 +302,10 @@ def test_gradient_along_d_matches_gradient_at_the_point(loss, skip):
     assert comp.curvature is obj.curvature
     x, d = rng.normal(size=(2, 12))
     rho = 0.5 / comp.lipschitz_g
-    phi = _phi_grad(comp, x, d, rho, None)
+    lg = comp.loss_grad(x)
+    phi = _phi_grad(comp, x, d, rho, lg)
     if comp.curvature is not None:  # the loss gradient moved along d by alpha * H d
-        lg, hd = comp.loss_grad(x), comp.curvature(d)
+        hd = comp.curvature(d)
     for alpha in (0.0, 1e-3, 0.3, 1.0, 7.5):
         want = comp.g_grad(x + alpha * d)
         if comp.curvature is not None:
@@ -318,7 +320,8 @@ def test_gradient_along_d_matches_gradient_at_the_point(loss, skip):
 
 
 def test_brent_line_search_takes_one_loss_gradient():
-    # the least-squares gradient is affine along d, so the search forms it once
+    # the least-squares gradient is affine along d, so the one at x, which the
+    # caller forms, is the only one the search needs
     rng = np.random.default_rng(16)
     X = rng.normal(size=(80, 20))
     y = X[:, :3].sum(axis=1) + 0.3 * rng.normal(size=80)
@@ -331,14 +334,14 @@ def test_brent_line_search_takes_one_loss_gradient():
     x = rng.normal(size=20)
     d = -linearized_moreau_grad(comp, x, rho)
     calls.clear()
-    alpha = line_search(comp, x, d, rho)
+    alpha = line_search(comp, x, d, rho, comp.loss_grad(x), float(-d @ d))
     assert alpha > 0 and len(calls) == 1
     assert abs(np.dot(linearized_moreau_grad(comp, x + alpha * d, rho), d)) <= 1e-9
 
 
 def test_pcg_forms_each_loss_gradient_once():
-    # one loss gradient at x0, one per iterate (shared by s and the next line
-    # search), one for the certificate; the search never forms it again
+    # one loss gradient at x0 and one per iterate, shared by s, the next line
+    # search and, at the last iterate, the certificate
     rng = np.random.default_rng(17)
     X = rng.normal(size=(100, 30))
     y = X[:, :3].sum(axis=1) + 0.3 * rng.normal(size=100)
@@ -348,4 +351,44 @@ def test_pcg_forms_each_loss_gradient_once():
     counted = replace(obj, grad=lambda b: calls.append(1) or obj.grad(b))
     rep, _ = pcg_solve(make_composite(counted, pen), PCGConfig(tol=1e-8), np.zeros(30))
     assert rep.converged and rep.iterations > 5
-    assert len(calls) == rep.iterations + 2
+    assert len(calls) == rep.iterations + 1
+
+
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+def test_line_search_evaluates_each_step_once(loss, monkeypatch):
+    # phi(0) is <s, d>, which the solver holds, and Brent starts from the
+    # bracket's two known values, so no search evaluates phi at 0 or twice at a step
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(80, 25))
+    y = X[:, :3].sum(axis=1) + 0.3 * rng.normal(size=80)
+    pen = PenaltySpec("scad", 0.1, a=3.7)
+    obj = (make_linear_objective(X, y, pen) if loss == "linear"
+           else make_logistic_objective(X, (y > 0).astype(float), pen))
+    searches = []
+    phi_grad = pcg._phi_grad
+
+    def recorded_phi_grad(*args):
+        phi, steps = phi_grad(*args), []
+        searches.append(steps)
+        return lambda alpha: steps.append(alpha) or phi(alpha)
+
+    monkeypatch.setattr(pcg, "_phi_grad", recorded_phi_grad)
+    rep, _ = pcg_solve(make_composite(obj, pen), PCGConfig(tol=1e-8, max_iter=200))
+    assert rep.iterations > 5 and len(searches) == rep.iterations
+    for steps in searches:
+        assert 0.0 not in steps and len(set(steps)) == len(steps)
+
+
+@pytest.mark.parametrize("slope", [math.nan, 0.0, 1.0])
+def test_line_search_rejects_a_non_descent_slope_unevaluated(slope, monkeypatch):
+    rng = np.random.default_rng(19)
+    A = _spd(rng, 3)
+    p = _quad_problem(A, rng.normal(size=3))
+    x = rng.normal(size=3)
+    calls = []
+    moreau = pcg.linearized_moreau_grad
+    monkeypatch.setattr(pcg, "linearized_moreau_grad",
+                        lambda *a: calls.append(1) or moreau(*a))
+    with pytest.raises(ValueError, match="descent direction"):
+        line_search(p, x, -x, 0.5 / p.lipschitz_g, p.loss_grad(x), slope)
+    assert calls == []

@@ -149,6 +149,17 @@ def test_theta_update_ols_recovery():
     assert np.max(np.abs(theta_ag - ols)) <= 1e-4
 
 
+@pytest.mark.parametrize("solver", ["pcg", "ag"])
+def test_theta_update_raises_when_unconverged(solver):
+    rng = np.random.default_rng(2)
+    X, y, _ = _toy_fit_data(rng, n=300)
+    model = QGaussianModel(np.zeros(5), 1.0, 1 + 1 / 300, 300, None,
+                           PenaltySpec("l1", 0.0))
+    with pytest.raises(RuntimeError, match="^theta subproblem did not converge; "):
+        theta_update(model, X, y, QGaussianFitConfig(
+            solver=solver, solver_tol=1e-9, solver_max_iter=3))
+
+
 def test_theta_independent_of_q_sigma():
     rng = np.random.default_rng(3)
     X, y, _ = _toy_fit_data(rng)
