@@ -12,6 +12,7 @@ from .agsolver import (
     SmoothObjective,
     SolveReport,
     ag_solve,
+    ag_solve_many,
     complexity_bound,
     make_composite,
     make_linear_objective,

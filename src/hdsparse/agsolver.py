@@ -40,6 +40,7 @@ __all__ = [
     "verify_schedule",
     "grad_mapping",
     "ag_solve",
+    "ag_solve_many",
     "pg_solve",
     "damping_lower_bound",
     "admissible_ab",
@@ -97,6 +98,7 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
     Coordinates in skip (the intercept, typically) carry no penalty at all.
     h_value and h_grad are looked up on the penalty module at each call, so a
     wrapper installed there (as perfbench's tracer does) sees every call.
+    Each also takes a (k, p) block, a point per row (h_prox a (k, 1) column of scales).
     """
     skip_idx = np.asarray(list(skip), dtype=int)
     mask = None
@@ -105,23 +107,20 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
         mask[skip_idx] = False
     lam = penalty.lam
 
-    def concave_grad(x):
-        hg = _penalty.h_grad(penalty, x)
-        if mask is not None:
-            hg[skip_idx] = 0.0
-        return hg
 
     def g_value(x):
         h = _penalty.h_value(penalty, x if mask is None else np.where(mask, x, 0.0))
-        return obj.value(x) + float(h.sum())
+        return obj.value(x) + h.sum(axis=-1)
 
     def g_grad(x, loss_grad=None):
-        hg = concave_grad(x)
+        hg = _penalty.h_grad(penalty, x)
+        if mask is not None:
+            hg.T[skip_idx] = 0.0  # .T: a block's columns
         hg += obj.grad(x) if loss_grad is None else loss_grad
         return hg
 
     def h_value(x):
-        return lam * float(np.abs(x if mask is None else x[mask]).sum())
+        return lam * np.abs(x.T if mask is None else x.T[mask]).sum(axis=0)
 
     return CompositeProblem(
         g_value=g_value,
@@ -235,15 +234,8 @@ def grad_mapping(x, y, c: float, penalty: PenaltySpec, skip=()) -> np.ndarray:
     return (np.asarray(x, float) - prox_scaled_l1(x, y, c, penalty.lam, skip)) / c
 
 
-def ag_solve(
-    obj: SmoothObjective,
-    penalty: PenaltySpec,
-    s: AGSchedule,
-    x0,
-    tol: float = 1e-4,
-    max_iter: int = 2000,
-    skip=(),
-) -> SolveReport:
+def ag_solve(obj: SmoothObjective, penalty: PenaltySpec, s: AGSchedule, x0, tol: float = 1e-4,
+             max_iter: int = 2000, skip=()) -> SolveReport:
     """Run the accelerated scheme; stops when the sup-norm step falls below tol.
 
     The method is not monotone, so it returns the best iterate seen.  A
@@ -252,72 +244,102 @@ def ag_solve(
     objective (else FloatingPointError) and the last iterate is returned.
     The schedule must have at least max_iter steps.
     """
-    if len(s) < max_iter:
-        raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")
+    return ag_solve_many(obj, penalty, [s], x0, tol, max_iter, skip)[0]
+
+
+def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol: float = 1e-4,
+                  max_iter: int = 2000, skip=()) -> list[SolveReport]:
+    """ag_solve on k schedules in lockstep: row i of a (k, p) block follows schedules[i].
+
+    A step forms one block product for the gradient and one for the value,
+    not k of each.  Each row keeps ag_solve's descent check, best iterate and
+    stopping test; a stopped row is frozen, its wall_time the block's until
+    then.  x0 is one start or a (k, p) block.  Block products round
+    differently, so rows match ag_solve to rounding; one schedule and a vector
+    x0 is ag_solve.
+    """
+    for s in schedules:
+        if len(s) < max_iter:
+            raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")
     t0 = time.perf_counter()
     p = make_composite(obj, penalty, skip)
-    x = np.asarray(x0, dtype=float).copy()
-    x_ag = x.copy()
-    obj_trace, gm_trace = [], []
-    best_val, best_x = np.inf, x.copy()
-    descent = bool((s.alphas == 1.0).all()) and np.array_equal(s.deltas, s.omegas)
-    prev = p.g_value(x) + p.h_value(x) if descent else None
-    converged = False
-    it = 0
-    schedule = zip(range(max_iter), s.alphas.tolist(), s.deltas.tolist(), s.omegas.tolist())
-    for k, a, d, w in schedule:
+    x = np.asarray(x0, dtype=float)
+    # per-row values are floats on a vector, (k,) arrays on a block
+    block = len(schedules) > 1 or x.ndim == 2
+    x = x_ag = np.broadcast_to(x, (len(schedules), obj.dimension)).copy() if block else x.copy()
+    sched = np.stack([[s.alphas[:max_iter], s.deltas[:max_iter], s.omegas[:max_iter]]
+                      for s in schedules], axis=1)  # (alpha, delta, omega) x row x step
+    pg = (sched[0] == 1.0) & (sched[1] == sched[2])  # x_md = x and one prox step
+    mixed, two_prox = (sched[0] != 1.0).any(axis=0).tolist(), (~pg).any(axis=0).tolist()
+    # proximal gradient rows descend: no step may raise their objective
+    descent = pg.all(axis=1)
+    alphas, deltas, omegas = sched.transpose(0, 2, 1)[..., None] if block else sched[:, 0].tolist()
+    finite = (lambda v: bool(np.isfinite(v).all())) if block else math.isfinite
+    rows = np.arange(len(schedules)) if block else 0  # the rows still running
+    best_val, best_x = np.full(len(schedules), np.inf) if block else np.inf, x
+    # the descent rows' last value (inf on the other rows of a block)
+    prev = p.g_value(x) + p.h_value(x) if descent.any() else None
+    prev = np.where(descent, np.inf if prev is None else prev, np.inf) if block else prev
+    obj_tr, gap2_tr = np.empty((2, max_iter, len(schedules)))
+    reports, it = [None] * len(schedules), 0
+
+    def finish(done, converged):
+        for j in np.flatnonzero(done):
+            r = rows[j] if block else 0
+            est = x_ag if descent[r] else best_x
+            reports[r] = SolveReport(
+                est[j].copy() if block else est, it, obj_tr[:it, r].copy(),
+                np.sqrt(gap2_tr[:it, r]) / sched[2, r, :it], converged, time.perf_counter() - t0)
+
+    for i in range(max_iter):
+        a, d, w = alphas[i], deltas[i], omegas[i]
         # alpha weights the plain sequence; the aggregated sequence carries
         # the rest (this is what makes the momentum identity hold)
-        x_md = x if a == 1.0 else (1.0 - a) * x_ag + a * x
+        x_md = (1.0 - a) * x_ag + a * x if mixed[i] else x
         g = p.g_grad(x_md)
         x_new = p.h_prox(x - d * g, d)
         # with x_md = x and delta = omega both prox steps take the same point
-        one_prox = a == 1.0 and d == w
-        x_ag = x_new if one_prox else p.h_prox(x_md - w * g, w)
+        x_ag = p.h_prox(x_md - w * g, w) if two_prox[i] else x_new
         gap = x_md - x_ag
-        gap2 = gap @ gap
+        gap2 = _sumsq(gap)
         # a non-finite entry of g makes that entry of x_ag, and so gap2,
         # non-finite; only then does g itself need a scan
-        if not math.isfinite(gap2) and not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient at iteration {k + 1}")
+        if not finite(gap2) and not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient at iteration {i + 1}")
         val = p.g_value(x_ag) + p.h_value(x_ag)
-        if not math.isfinite(val):
-            raise FloatingPointError(f"non-finite objective at iteration {k + 1}")
-        if descent:
-            if val > prev + 1e-10:
+        if not finite(val):
+            raise FloatingPointError(f"non-finite objective at iteration {i + 1}")
+        if prev is not None:
+            rise = val > prev + 1e-10
+            if rise.any() if block else rise:
                 raise FloatingPointError(
-                    f"objective increased at iteration {k + 1}; Lipschitz constant too small?"
+                    f"objective increased at iteration {i + 1}; Lipschitz constant too small?"
                 )
-            prev = val
-        obj_trace.append(val)
-        gm_trace.append(math.sqrt(gap2) / w)
-        if val < best_val:  # x_ag is a fresh array that no later step writes to
+            prev = np.where(prev < np.inf, val, prev) if block else val
+        obj_tr[i, rows], gap2_tr[i, rows] = val, gap2
+        if block:
+            better = val < best_val
+            best_val = np.where(better, val, best_val)
+            best_x = np.where(better[:, None], x_ag, best_x)
+        elif val < best_val:  # x_ag is a fresh array that no later step writes to
             best_val, best_x = val, x_ag
-        step = np.abs(gap if one_prox else x_new - x).max()  # gap = x - x_new there
-        x = x_new
-        it = k + 1
-        if step < tol:
-            converged = True
-            break
-    return SolveReport(
-        estimate=x_ag if descent else best_x,
-        iterations=it,
-        objective_trace=np.asarray(obj_trace),
-        grad_map_trace=np.asarray(gm_trace),
-        converged=converged,
-        wall_time=time.perf_counter() - t0,
-    )
+        step = np.abs(x_new - x if two_prox[i] else gap).max(axis=-1)  # gap = x - x_new there
+        x, it = x_new, i + 1
+        stop = step < tol
+        if stop.any() if block else stop:
+            finish(stop, True)
+            if not block or stop.all():
+                break
+            rows, x, x_ag, best_x, best_val, prev = (  # the stopped rows leave the block
+                v[~stop] for v in (rows, x, x_ag, best_x, best_val, prev))
+            alphas, deltas, omegas = (v[:, ~stop] for v in (alphas, deltas, omegas))
+    else:
+        finish(np.ones(np.size(rows), dtype=bool), False)
+    return reports
 
 
-def pg_solve(
-    obj: SmoothObjective,
-    penalty: PenaltySpec,
-    step: float,
-    x0,
-    tol: float = 1e-4,
-    max_iter: int = 2000,
-    skip=(),
-) -> SolveReport:
+def pg_solve(obj: SmoothObjective, penalty: PenaltySpec, step: float, x0, tol: float = 1e-4,
+             max_iter: int = 2000, skip=()) -> SolveReport:
     """Plain proximal gradient with fixed step <= 1/L; monotone descent baseline.
 
     This is ag_solve on the constant schedule alpha_k = 1, delta_k = omega_k =
@@ -326,9 +348,8 @@ def pg_solve(
     """
     if step > 1.0 / obj.lipschitz + 1e-15:
         raise ValueError("step must be <= 1/L")
-    n = max(max_iter, 1)
-    steps = np.full(n, step, dtype=float)
-    return ag_solve(obj, penalty, AGSchedule(np.ones(n), steps, steps),
+    ones = np.ones(max(max_iter, 1))
+    return ag_solve(obj, penalty, AGSchedule(ones, ones * step, ones * step),
                     x0, tol, max_iter, skip)
 
 
@@ -387,22 +408,32 @@ def power_iteration_lmax(X: np.ndarray) -> float:
     return lam
 
 
-def least_squares_loss(X: np.ndarray, y: np.ndarray, b) -> float:
-    """1/(2n)||Xb - y||^2, the value of make_linear_objective."""
-    r = X @ b - y
-    return float(r @ r) * (0.5 / X.shape[0])
+def _sumsq(v):
+    # v @ v, one per row of a (k, m) block v
+    return v @ v if v.ndim == 1 else np.einsum("ij,ij->i", v, v)
 
 
-def logistic_loss(X: np.ndarray, y: np.ndarray, b) -> float:
-    """Mean negative Bernoulli log-likelihood, the value of make_logistic_objective."""
-    z = X @ b
+def least_squares_loss(X: np.ndarray, y: np.ndarray, b) -> float | np.ndarray:
+    """1/(2n)||Xb - y||^2, the value of make_linear_objective; one per row of
+    a (k, p) block b."""
+    return _sumsq(np.asarray(b) @ X.T - y) * (0.5 / X.shape[0])
+
+
+def logistic_loss(X: np.ndarray, y: np.ndarray, b) -> float | np.ndarray:
+    """Mean negative Bernoulli log-likelihood, the value of
+    make_logistic_objective; one per row of a (k, p) block b."""
+    z = np.asarray(b) @ X.T
     # log(1 + e^z) via logaddexp keeps large z finite
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+    return np.mean(np.logaddexp(0.0, z) - y * z, axis=-1)
 
 
 def make_linear_objective(X: np.ndarray, y: np.ndarray,
                           penalty: PenaltySpec | None = None) -> SmoothObjective:
-    """Least squares 1/(2n)||Xb - y||^2; L folds in the penalty's concave part."""
+    """Least squares 1/(2n)||Xb - y||^2; L folds in the penalty's concave part.
+
+    value and grad also take a (k, p) block, one point per row; for a vector
+    b, numpy sends b @ X.T and r @ X to the gemv calls of X @ b and X.T @ r.
+    """
     X = np.asarray(X, float)
     y = np.asarray(y, float).ravel()
     n = X.shape[0]
@@ -410,7 +441,7 @@ def make_linear_objective(X: np.ndarray, y: np.ndarray,
     L = power_iteration_lmax(X) / n + lip_h
     return SmoothObjective(
         value=lambda b: least_squares_loss(X, y, b),
-        grad=lambda b: X.T @ (X @ b - y) / n,
+        grad=lambda b: (b @ X.T - y) @ X / n,
         lipschitz=L,
         dimension=X.shape[1],
         curvature=lambda d: X.T @ (X @ d) / n,
@@ -419,7 +450,7 @@ def make_linear_objective(X: np.ndarray, y: np.ndarray,
 
 def make_logistic_objective(X: np.ndarray, y: np.ndarray,
                             penalty: PenaltySpec | None = None) -> SmoothObjective:
-    """Mean negative Bernoulli log-likelihood with logit link."""
+    """Mean negative Bernoulli log-likelihood with logit link; blocks as for least squares."""
     X = np.asarray(X, float)
     y = np.asarray(y, float).ravel()
     if not np.all(np.isin(y, (0.0, 1.0))):
@@ -430,8 +461,6 @@ def make_logistic_objective(X: np.ndarray, y: np.ndarray,
     # scipy's expit, whose last bits no numpy form matches, loads on first use
     from scipy.special import expit
 
-    def grad(b):
-        return X.T @ (expit(X @ b) - y) / n
-
-    return SmoothObjective(value=lambda b: logistic_loss(X, y, b), grad=grad,
+    return SmoothObjective(value=lambda b: logistic_loss(X, y, b),
+                           grad=lambda b: (expit(b @ X.T) - y) @ X / n,
                            lipschitz=L, dimension=X.shape[1])

@@ -23,8 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .agsolver import (
+from .agsolver import (  # noqa: F401 - pg_solve stays for perfbench's tracer to patch
+    AGSchedule,
     ag_solve,
+    ag_solve_many,
     least_squares_loss,
     logistic_loss,
     make_linear_objective,
@@ -265,17 +267,14 @@ def _rep_ag(spec: SimSpec, rng, penalty: PenaltySpec, threshold: float, max_iter
     X, y, beta = gen_dataset(spec, rng)
     make = make_logistic_objective if spec.outcome == "logistic" else make_linear_objective
     obj = make(X.values, y.values, penalty)
-    x0 = np.zeros(spec.p)
-    runs = {
-        "ag_opt": ag_solve(obj, penalty, schedule_optimal(obj.lipschitz, max_iter),
-                           x0, tol=0.0, max_iter=max_iter),
-        "ag_orig": ag_solve(obj, penalty, schedule_original(obj.lipschitz, max_iter),
-                            x0, tol=0.0, max_iter=max_iter),
-        "pg": pg_solve(obj, penalty, 1.0 / obj.lipschitz, x0, tol=0.0, max_iter=max_iter),
-    }
-    gstar = min(r.objective_trace.min() for r in runs.values())
+    L, ones = obj.lipschitz, np.ones(max_iter)  # pg is the constant schedule 1, 1/L, 1/L
+    runs = ag_solve_many(obj, penalty, [schedule_optimal(L, max_iter),
+                                        schedule_original(L, max_iter),
+                                        AGSchedule(ones, ones / L, ones / L)],
+                         np.zeros(spec.p), tol=0.0, max_iter=max_iter)
+    gstar = min(r.objective_trace.min() for r in runs)
     return {f"iters_{k}": _iters_to_threshold(r.objective_trace, gstar + threshold)
-            for k, r in runs.items()}
+            for k, r in zip(("ag_opt", "ag_orig", "pg"), runs)}
 
 
 def _fit_path(obj, penalty, lams, x0, tol, max_iter):
@@ -343,7 +342,8 @@ def run_benchmark(
 ) -> BenchReport:
     """Run one benchmark protocol; optionally write metrics.csv + report.json.
 
-    A replication that raises becomes an error row; the summary is built from
+    Bad arguments raise ValueError before any replication runs.  A
+    replication that raises becomes an error row; the summary is built from
     the rows that succeeded.
     """
     t0 = time.perf_counter()
@@ -357,10 +357,12 @@ def run_benchmark(
     if kind not in protocols:
         raise ValueError(f"unknown benchmark kind {kind!r}")
     protocol = protocols[kind]
-    if replications < 1:
-        raise ValueError(f"replications must be at least 1, got {replications}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    sizes = dict(replications=replications, workers=workers, max_iter=max_iter, path_len=path_len)
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
+    if not 0 <= threshold < np.inf:  # NaN included
+        raise ValueError(f"threshold must be finite and at least 0, got {threshold}")
 
     def one(rep: int) -> dict:
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))

@@ -138,9 +138,10 @@ def prox_scaled_l1(x, y, c: float, lam: float, skip=()) -> np.ndarray:
     """argmin_u <y,u> + ||u-x||^2/(2c) + lam*sum_{j not in skip} |u_j|.
 
     Soft thresholding of the gradient step x - c*y; skipped components (the
-    intercept, typically) just take the plain step.
+    intercept, typically) just take the plain step.  Over a (k, p) block x,
+    c may be a (k, 1) column of scales, one per row.
     """
-    if c <= 0:
+    if (c <= 0).any() if isinstance(c, np.ndarray) else c <= 0:
         raise ValueError("c must be positive")
     z = np.asarray(x, dtype=float)
     if not (isinstance(y, float) and y == 0.0):  # h_prox's zero gradient: z is x
@@ -149,5 +150,5 @@ def prox_scaled_l1(x, y, c: float, lam: float, skip=()) -> np.ndarray:
     if not isinstance(skip, np.ndarray):  # make_composite passes a built index
         skip = np.asarray(list(skip), dtype=int)
     if skip.size:
-        out[skip] = z[skip]
+        out.T[skip] = z.T[skip]  # .T: a block's columns
     return out

@@ -317,17 +317,24 @@ def _histogram_loglik(xs, lo, hi, ds) -> np.ndarray:
     return np.bincount(d - ds[0], weights=counts * np.log(d * counts / n), minlength=ds.size)
 
 
+def _bin_index(v, bins) -> np.ndarray:
+    # np.histogram2d's bin of each value: np.histogram's edges, the last bin
+    # closed, so a value's bin is the number of inner edges at or below it
+    return np.searchsorted(np.histogram_bin_edges(v, bins)[1:-1], v, side="right")
+
+
 def _prepare_binning(y):
+    # the bin of each y value, and y's bin count
     y = _finite(y)
-    return y, bin_count(y)
+    return _bin_index(y, dy_bins := bin_count(y)), dy_bins
 
 
 def _binning_column(x, prep) -> MIResult:
     x = _finite(x)
-    y, dy_bins = prep
+    iy, dy_bins = prep
     dx_bins = bin_count(x)
-    joint, _, _ = np.histogram2d(x, y, bins=(dx_bins, dy_bins))
-    pij = joint / x.size
+    joint = np.bincount(_bin_index(x, dx_bins) * dy_bins + iy, minlength=dx_bins * dy_bins)
+    pij = joint.reshape(dx_bins, dy_bins) / x.size
     pi = pij.sum(axis=1, keepdims=True)
     pj = pij.sum(axis=0, keepdims=True)
     nz = pij > 0

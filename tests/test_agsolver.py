@@ -9,6 +9,7 @@ from hdsparse.agsolver import (
     SmoothObjective,
     admissible_ab,
     ag_solve,
+    ag_solve_many,
     complexity_bound,
     damping_lower_bound,
     grad_mapping,
@@ -190,6 +191,21 @@ def test_pg_step_validation():
         pg_solve(obj, PenaltySpec("l1", 0.0), 1.0, np.zeros(1))
 
 
+def _regression(loss, kind):
+    rng = np.random.default_rng(11)
+    n, p = 60, 90
+    X = rng.normal(size=(n, p))
+    eta = X[:, :4] @ np.array([1.5, -1.0, 1.0, -0.8])
+    if loss == "linear":
+        y, make, lam = eta + rng.normal(size=n), make_linear_objective, 0.1
+    else:
+        y = (rng.uniform(size=n) < 1 / (1 + np.exp(-eta))).astype(float)
+        make, lam = make_logistic_objective, 0.03
+    pen = PenaltySpec(kind, lam, a=3.7 if kind == "scad" else None,
+                      gamma=3.0 if kind == "mcp" else None)
+    return make(X, y, pen), pen
+
+
 def _pg_reference(obj, penalty, step, x0, tol, max_iter, skip):
     """Proximal gradient written out as its own loop, for pg_solve to match."""
     p = make_composite(obj, penalty, skip)
@@ -219,18 +235,8 @@ def _pg_reference(obj, penalty, step, x0, tol, max_iter, skip):
 @pytest.mark.parametrize("kind", ["l1", "scad", "mcp"])
 @pytest.mark.parametrize("loss", ["linear", "logistic"])
 def test_pg_solve_is_the_plain_loop_bitwise(loss, kind, skip, tol):
-    rng = np.random.default_rng(11)
-    n, p = 60, 90
-    X = rng.normal(size=(n, p))
-    eta = X[:, :4] @ np.array([1.5, -1.0, 1.0, -0.8])
-    if loss == "linear":
-        y, make, lam = eta + rng.normal(size=n), make_linear_objective, 0.1
-    else:
-        y = (rng.uniform(size=n) < 1 / (1 + np.exp(-eta))).astype(float)
-        make, lam = make_logistic_objective, 0.03
-    pen = PenaltySpec(kind, lam, a=3.7 if kind == "scad" else None,
-                      gamma=3.0 if kind == "mcp" else None)
-    obj = make(X, y, pen)
+    obj, pen = _regression(loss, kind)
+    p = obj.dimension
     max_iter = 300 if tol == 0.0 else 2000
     rep = pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(p), tol, max_iter, skip)
     est, it, objs, gms, conv = _pg_reference(obj, pen, 1 / obj.lipschitz, np.zeros(p),
@@ -239,6 +245,112 @@ def test_pg_solve_is_the_plain_loop_bitwise(loss, kind, skip, tol):
     assert rep.objective_trace.tobytes() == objs.tobytes()
     assert rep.grad_map_trace.tobytes() == gms.tobytes()
     assert (rep.iterations, rep.converged) == (it, conv)
+
+
+def _ag_reference(obj, penalty, s, x0, tol, max_iter, skip):
+    """The accelerated scheme written out as its own loop, for ag_solve to match."""
+    p = make_composite(obj, penalty, skip)
+    x = np.asarray(x0, dtype=float).copy()
+    x_ag = x.copy()
+    obj_trace, gm_trace = [], []
+    best_val, best_x = np.inf, x.copy()
+    converged = False
+    it = 0
+    for k in range(max_iter):
+        a, d, w = s.alphas[k], s.deltas[k], s.omegas[k]
+        x_md = (1.0 - a) * x_ag + a * x
+        g = p.g_grad(x_md)
+        x_new = p.h_prox(x - d * g, d)
+        x_ag = p.h_prox(x_md - w * g, w)
+        gap = x_md - x_ag
+        val = p.g_value(x_ag) + p.h_value(x_ag)
+        obj_trace.append(val)
+        gm_trace.append(math.sqrt(gap @ gap) / w)
+        if val < best_val:
+            best_val, best_x = val, x_ag
+        diff = np.abs(x_new - x).max()
+        x = x_new
+        it = k + 1
+        if diff < tol:
+            converged = True
+            break
+    return best_x, it, np.asarray(obj_trace), np.asarray(gm_trace), converged
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+@pytest.mark.parametrize("skip", [(), (0,)])
+@pytest.mark.parametrize("kind", ["l1", "scad", "mcp"])
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+def test_ag_solve_is_the_plain_loop_bitwise(loss, kind, skip, tol):
+    obj, pen = _regression(loss, kind)
+    max_iter = 300 if tol == 0.0 else 2000
+    s = schedule_optimal(obj.lipschitz, max_iter)
+    x0 = np.zeros(obj.dimension)
+    rep = ag_solve(obj, pen, s, x0, tol, max_iter, skip)
+    est, it, objs, gms, conv = _ag_reference(obj, pen, s, x0, tol, max_iter, skip)
+    assert rep.estimate.tobytes() == est.tobytes()
+    assert rep.objective_trace.tobytes() == objs.tobytes()
+    assert rep.grad_map_trace.tobytes() == gms.tobytes()
+    assert (rep.iterations, rep.converged) == (it, conv)
+
+
+def _sequential(obj, pen, max_iter, tol, skip, step=None):
+    # ag_opt, ag_orig and pg one at a time, and their schedules
+    L = obj.lipschitz
+    step = 1 / L if step is None else step
+    steps = np.full(max_iter, step)
+    scheds = [schedule_optimal(L, max_iter), schedule_original(L, max_iter),
+              AGSchedule(np.ones(max_iter), steps, steps)]
+    x0 = np.zeros(obj.dimension)
+    reps = [ag_solve(obj, pen, s, x0, tol, max_iter, skip) for s in scheds[:2]]
+    reps.append(pg_solve(obj, pen, step, x0, tol, max_iter, skip))
+    return scheds, reps
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-5])
+@pytest.mark.parametrize("skip", [(), (0,)])
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+def test_ag_solve_many_equals_sequential_solves(loss, skip, tol):
+    obj, pen = _regression(loss, "scad")
+    if loss == "logistic":
+        pen = pen.with_lambda(0.2)   # so that every row converges at tol > 0
+    max_iter = 400 if tol == 0.0 else 5000
+    scheds, seq = _sequential(obj, pen, max_iter, tol, skip)
+    many = ag_solve_many(obj, pen, scheds, np.zeros(obj.dimension), tol, max_iter, skip)
+    assert len(many) == 3
+    for m, r in zip(many, seq):
+        assert (m.iterations, m.converged) == (r.iterations, r.converged)
+        np.testing.assert_allclose(m.objective_trace, r.objective_trace, rtol=1e-12)
+        # the gap is a difference of near-equal iterates: rounding shows late
+        gm = r.grad_map_trace
+        np.testing.assert_allclose(m.grad_map_trace, gm, rtol=1e-9, atol=1e-9 * gm[0])
+        np.testing.assert_allclose(m.estimate, r.estimate, rtol=1e-9, atol=1e-12)
+    if tol > 0:
+        # the rows stop at different steps, and each stays where it stopped
+        assert all(r.converged for r in seq)
+        assert len({r.iterations for r in seq}) == 3
+        assert max(r.iterations for r in seq) < max_iter
+
+
+def test_ag_solve_many_pg_row_raises_like_pg_solve():
+    # with L understated 4x the PG row's first step overshoots 3 to 12
+    obj = replace(_quad_obj(L=2.0), lipschitz=0.5)
+    pen = PenaltySpec("l1", 0.0)
+    with pytest.raises(FloatingPointError) as seq:
+        pg_solve(obj, pen, 2.0, np.zeros(1), max_iter=50)
+    steps = np.full(50, 2.0)
+    scheds = [schedule_optimal(2.0, 50), AGSchedule(np.ones(50), steps, steps)]
+    with pytest.raises(FloatingPointError) as many:
+        ag_solve_many(obj, pen, scheds, np.zeros(1), max_iter=50)
+    assert str(many.value) == str(seq.value)
+    assert str(seq.value).startswith("objective increased at iteration 1;")
+
+
+def test_ag_solve_many_checks_every_schedule_length():
+    obj = _quad_obj()
+    scheds = [schedule_optimal(obj.lipschitz, 50), schedule_optimal(obj.lipschitz, 5)]
+    with pytest.raises(ValueError, match=r"^schedule has 5 steps, fewer than max_iter=50$"):
+        ag_solve_many(obj, PenaltySpec("l1", 0.0), scheds, np.zeros(1), max_iter=50)
 
 
 def test_pg_solve_rejects_nan_response():

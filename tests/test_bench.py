@@ -244,6 +244,50 @@ def test_run_benchmark_rejects_zero_replications(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["ag_convergence", "signal_recovery"])
+@pytest.mark.parametrize("bad, message", [
+    ({"threshold": -1.0}, "threshold must be finite and at least 0, got -1.0"),
+    ({"threshold": float("nan")}, "threshold must be finite and at least 0, got nan"),
+    ({"threshold": float("inf")}, "threshold must be finite and at least 0, got inf"),
+    ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+    ({"path_len": 0}, "path_len must be at least 1, got 0"),
+])
+def test_run_benchmark_rejects_a_meaningless_threshold_or_size(tmp_path, monkeypatch,
+                                                               kind, bad, message):
+    # a negative or NaN threshold used to report max_iter for every solver,
+    # inf 1, and max_iter=0 one error row per replication, all without a word
+    def rep(*args):
+        raise AssertionError("no replication may run")
+
+    monkeypatch.setattr(bench, "_rep_ag", rep)
+    monkeypatch.setattr(bench, "_rep_signal", rep)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_benchmark(kind, _small_spec(), replications=2, out_dir=tmp_path / "out", **bad)
+    assert not (tmp_path / "out").exists()
+
+
+def test_rep_ag_rows_are_the_sequential_solves():
+    # the lockstep solve counts what ag_opt, ag_orig and pg counted one by one
+    from hdsparse.agsolver import (ag_solve, make_linear_objective, pg_solve,
+                                   schedule_optimal, schedule_original)
+
+    spec = SimSpec(n=60, p=80, tau=0.5, signal="five_blocks", outcome="linear", seed=3)
+    penalty = PenaltySpec("scad", 0.5, a=3.7)
+    for rep in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))
+        row = bench._rep_ag(spec, rng, penalty, bench.E3, 400)
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))
+        X, y, _ = gen_dataset(spec, rng)
+        obj = make_linear_objective(X.values, y.values, penalty)
+        L, x0 = obj.lipschitz, np.zeros(spec.p)
+        runs = {"ag_opt": ag_solve(obj, penalty, schedule_optimal(L, 400), x0, 0.0, 400),
+                "ag_orig": ag_solve(obj, penalty, schedule_original(L, 400), x0, 0.0, 400),
+                "pg": pg_solve(obj, penalty, 1 / L, x0, 0.0, 400)}
+        gstar = min(r.objective_trace.min() for r in runs.values())
+        assert row == {f"iters_{k}": bench._iters_to_threshold(r.objective_trace, gstar + bench.E3)
+                       for k, r in runs.items()}
+
+
 def _fail_first_call(monkeypatch, exc):
     calls = []
 

@@ -157,6 +157,15 @@ def test_bench_command_rejects_p_too_small_for_the_signal(tmp_path):
     assert not out.exists()
 
 
+def test_bench_command_rejects_a_nan_threshold(tmp_path):
+    # it used to report iters_* = max_iter for every solver, without a word
+    out = tmp_path / "bench_out"
+    with pytest.raises(ValueError, match="^threshold must be finite and at least 0, got nan$"):
+        main(["bench", "--kind", "ag_convergence", "--replications", "1",
+              "--threshold", "nan", "--out-dir", str(out)])
+    assert not out.exists()
+
+
 def test_bench_command_rejects_zero_replications(tmp_path):
     out = tmp_path / "bench_out"
     src = str(Path(hdsparse.__file__).resolve().parents[1])

@@ -81,3 +81,24 @@ def test_pg_solve_counts_only_as_pg_under_the_tracer(monkeypatch):
     assert metrics["agsolver.pg_iterations"] == rep.iterations
     assert metrics["agsolver.ag_iterations"] == 0
     assert metrics["agsolver.solves"] == 1
+
+
+def test_traced_ag_convergence_runs_the_lockstep_solve(monkeypatch):
+    # the tracer's solve counts read .iterations from what bench.ag_solve and
+    # bench.pg_solve return; the lockstep solve must leave those names alone
+    # and still reach the traced loss
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    import hdsparse.bench
+    from hdsparse.bench import SimSpec
+
+    spec = SimSpec(n=40, p=60, signal="five_blocks", seed=2)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        rep = hdsparse.bench.run_benchmark("ag_convergence", spec, replications=1, max_iter=50)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert "error" not in rep.rows[0]
+    assert metrics["agsolver.loss_grad_calls"] > 0

@@ -208,6 +208,28 @@ def test_mi_binning_discrete_cases():
     assert r.method == "binning" and r.diagnostics["bins_x"] >= 2
 
 
+def _binning_reference(x, y):
+    """Histogram plug-in MI from np.histogram2d's joint counts, for mi_binning
+    (which counts the joint from prepared bin indices) to match bitwise."""
+    joint, _, _ = np.histogram2d(x, y, bins=(bin_count(x), bin_count(y)))
+    pij = joint / x.size
+    pi = pij.sum(axis=1, keepdims=True)
+    pj = pij.sum(axis=0, keepdims=True)
+    nz = pij > 0
+    return max(float(np.sum(pij[nz] * np.log(pij[nz] / (pi @ pj)[nz]))), 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:constant vector")
+def test_mi_binning_counts_are_histogram2d_counts():
+    rng = np.random.default_rng(8)
+    x, y = _bvn(rng, 500, 0.5)
+    cases = [(x, y), (x, y**3), (np.round(x, 1), y),          # ties on bin edges
+             (rng.integers(0, 4, 300).astype(float), rng.normal(size=300)),
+             (np.full(50, 2.5), rng.normal(size=50)), (x[:40], np.full(40, -1.0))]
+    for xs, ys in cases:
+        assert mi_binning(xs, ys).value == _binning_reference(xs, ys)
+
+
 def test_mi_binning_exchangeable():
     rng = np.random.default_rng(6)
     x, y = _bvn(rng, 800, 0.6)
