@@ -7,8 +7,9 @@ penalized-regression experiments, and the screening recipe (random true
 support, correlated coefficients, optional element-wise squaring for
 nonlinearity, continuous / original-binary / translated-binary outcomes).
 
-Replication seeds are spawned from the master seed by replication index, so
-worker count never changes results.
+Replications run in index order, each on a seed spawned from the master seed
+by its index; worker count sets screen_all's column threads only, so it never
+changes results.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import csv
 import json
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -250,12 +250,12 @@ def _iters_to_threshold(trace: np.ndarray, target: float) -> int:
     return int(hits[0]) + 1 if hits.size else len(trace)
 
 
-def _rep_screening(spec: SimSpec, rng) -> dict:
+def _rep_screening(spec: SimSpec, rng, workers: int) -> dict:
     X, y, beta = gen_dataset(spec, rng)
     truth = beta != 0
     out = {}
     for method in ("fftkde", "binning", "knn", "pearson"):
-        ranked = screen_all(X, y, method=method, workers=1)
+        ranked = screen_all(X, y, method=method, workers=workers)
         scores = np.empty(spec.p)
         for j, s in ranked.ranking:
             scores[j] = s
@@ -342,14 +342,16 @@ def run_benchmark(
 ) -> BenchReport:
     """Run one benchmark protocol; optionally write metrics.csv + report.json.
 
-    Bad arguments raise ValueError before any replication runs.  A
-    replication that raises becomes an error row; the summary is built from
-    the rows that succeeded.
+    Replications run in index order in the calling thread.  workers is the
+    number of column threads screen_all uses in screening_auroc; the solver
+    kinds run in one thread whatever it is.  Bad arguments raise ValueError
+    before any replication runs.  A replication that raises becomes an error
+    row; the summary is built from the rows that succeeded.
     """
     t0 = time.perf_counter()
     penalty = penalty or PenaltySpec("scad", 0.5, a=3.7)
     protocols = {
-        "screening_auroc": lambda rng: _rep_screening(spec, rng),
+        "screening_auroc": lambda rng: _rep_screening(spec, rng, workers),
         "ag_convergence": lambda rng: _rep_ag(spec, rng, penalty, threshold, max_iter),
         "signal_recovery": lambda rng: _rep_signal(spec, rng, penalty, path_len, max_iter),
         "qgaussian_recovery": lambda rng: _rep_qgaussian(spec, rng),
@@ -364,19 +366,13 @@ def run_benchmark(
     if not 0 <= threshold < np.inf:  # NaN included
         raise ValueError(f"threshold must be finite and at least 0, got {threshold}")
 
-    def one(rep: int) -> dict:
+    rows = []
+    for rep in range(replications):
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))
         try:
-            return {"rep": rep, **protocol(rng)}
+            rows.append({"rep": rep, **protocol(rng)})
         except Exception as exc:  # noqa: BLE001 - keep the run going
-            return {"rep": rep, "error": str(exc)}
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(replications)))
-    else:
-        rows = [one(r) for r in range(replications)]
-    rows.sort(key=lambda r: r["rep"])
+            rows.append({"rep": rep, "error": str(exc)})
 
     ok = [r for r in rows if "error" not in r]
     keys = list(dict.fromkeys(k for r in ok for k in r if k != "rep"))

@@ -83,21 +83,11 @@ def cmd_screen(args) -> int:
     return 0
 
 
-def _report_json(report, extra=None) -> dict:
-    d = {
-        "estimate": report.estimate.tolist(),
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "wall_time": report.wall_time,
-        "objective_trace": report.objective_trace.tolist(),
-        "grad_map_trace": report.grad_map_trace.tolist(),
-    }
-    if extra:
-        d.update(extra)
-    return d
-
-
 def cmd_fit(args) -> int:
+    if args.max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {args.max_iter}")
+    if not 0 <= args.tol < np.inf:  # NaN included
+        raise ValueError(f"tol must be finite and at least 0, got {args.tol}")
     penalty = _penalty_from(args)
     X, y = read_table(args.data, outcome=args.outcome)
     make = make_logistic_objective if y.kind == "binary" else make_linear_objective
@@ -115,9 +105,17 @@ def cmd_fit(args) -> int:
         sched_fn = schedule_original if args.solver == "ag-orig" else schedule_optimal
         report = ag_solve(obj, penalty, sched_fn(obj.lipschitz, args.max_iter),
                           x0, args.tol, args.max_iter)
-    extra["penalty"] = penalty.to_config()
+    payload = {
+        "estimate": report.estimate.tolist(),
+        "iterations": report.iterations,
+        "converged": report.converged,
+        "wall_time": report.wall_time,
+        "objective_trace": report.objective_trace.tolist(),
+        "grad_map_trace": report.grad_map_trace.tolist(),
+        **extra, "penalty": penalty.to_config(),
+    }
     out = _out_dir(args)
-    (out / "fit.json").write_text(json.dumps(_report_json(report, extra), indent=2))
+    (out / "fit.json").write_text(json.dumps(payload, indent=2))
     print(out / "fit.json")
     return 0
 
@@ -213,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p-true", dest="p_true", type=int, default=10)
         p.add_argument("--seed", type=int, default=0)
         if name == "bench":
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=int, default=1, help="screening_auroc's column "
+                           "threads; the solver kinds run in one (default: %(default)s)")
             _add_penalty(p)
         _add_common(p)
         p.set_defaults(func=fn)

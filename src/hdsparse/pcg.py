@@ -142,7 +142,8 @@ def _brentq(f, xa: float, xb: float, fa: float, fb: float, maxiter: int = 200) -
             else:               # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)  # may underflow; C then bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry     # good short step
             else:

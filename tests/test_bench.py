@@ -195,6 +195,27 @@ def test_run_benchmark_screening_and_determinism(tmp_path):
     assert payload["config"]["max_iter"] == 2000 and payload["config"]["path_len"] == 50
 
 
+def test_run_benchmark_hands_workers_to_screen_all(monkeypatch):
+    # screen_all's column blocks are the only threads; replications run in order
+    seen = []
+    orig = bench.screen_all
+    monkeypatch.setattr(bench, "screen_all",
+                        lambda X, y, method, workers: seen.append(workers) or
+                        orig(X, y, method=method, workers=workers))
+    rep = run_benchmark("screening_auroc", _small_spec(), replications=2, workers=2)
+    assert [r["rep"] for r in rep.rows] == [0, 1]
+    assert seen == [2] * 8             # four methods per replication
+
+
+def test_ag_convergence_is_the_same_for_any_worker_count(tmp_path):
+    spec = SimSpec(n=50, p=20, tau=0.5, signal="four_fixed", outcome="linear", seed=12)
+    r1, r4 = (run_benchmark("ag_convergence", spec, replications=3, workers=w,
+                            max_iter=200, out_dir=tmp_path / str(w)) for w in (1, 4))
+    assert r1.rows == r4.rows and "error" not in r1.rows[0]
+    assert (tmp_path / "1" / "metrics.csv").read_text() == \
+        (tmp_path / "4" / "metrics.csv").read_text()
+
+
 def test_run_benchmark_ag_convergence():
     spec = SimSpec(n=50, p=20, tau=0.5, signal="four_fixed", outcome="linear", seed=12)
     rep = run_benchmark("ag_convergence", spec, replications=2,

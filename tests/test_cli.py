@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +63,35 @@ def test_fit_command_solvers(linear_csv, tmp_path):
     assert np.max(np.abs(estimates["ag"] - estimates["pg"])) <= 1e-3
     assert np.max(np.abs(estimates["pcg"] - estimates["pg"])) <= 1e-3
     assert abs(estimates["pg"][0] - 2.0) <= 0.2
+
+
+@pytest.mark.parametrize("solver", ["ag", "ag-orig", "pg", "pcg"])
+@pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--max-iter", "-3"),
+                                         ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")])
+def test_fit_rejects_a_meaningless_tol_or_max_iter(tmp_path, solver, flag, value):
+    # ag and ag-orig used to raise about the schedule at --max-iter 0, pg and
+    # pcg to write an unconverged 0-iteration fit; a negative or NaN --tol ran
+    # every step of ag, ag-orig and pg, and crashed pcg.  The check comes
+    # before the data is read, so a missing file is not reached.
+    message = {"--max-iter": f"max_iter must be at least 1, got {value}",
+               "--tol": f"tol must be finite and at least 0, got {float(value)}"}[flag]
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        main(["fit", "--data", str(tmp_path / "missing.csv"), "--outcome", "y",
+              "--solver", solver, flag, value, "--out-dir", str(out)])
+    assert not out.exists()
+
+
+def test_fit_pcg_tol_zero_survives_an_underflowing_brent_step(tmp_path):
+    # Brent's extrapolation denominator underflows to 0 late in this solve;
+    # it used to raise ZeroDivisionError where scipy bisects
+    main(["simulate", "--n", "40", "--p", "60", "--seed", "2", "--out-dir", str(tmp_path)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        main(["fit", "--data", str(tmp_path / "simulated.csv"), "--outcome", "y",
+              "--solver", "pcg", "--tol", "0", "--out-dir", str(tmp_path)])
+    payload = json.loads((tmp_path / "fit.json").read_text())
+    assert payload["converged"] and payload["moreau_grad_norm"] == 0.0
 
 
 @pytest.mark.parametrize("psi", ["identity", "toeplitz"])

@@ -173,6 +173,10 @@ def _bracketed_functions():
              lambda x: s * (x - r) * (1 + a * (x - r) ** 2),
              lambda x: s * math.atan(a * (x - r)) if x < r else s * (x - r) ** 5][i % 6]
         yield f, lo, hi
+    # tiny values: the extrapolation's denominator underflows to 0, and scipy
+    # bisects on the inf or NaN step this gives in C
+    for s in (1e-110, 1e-150, 1e-200, 1e-300, 1e-305):
+        yield (lambda x, s=s: s * (x**3 - 0.1)), 0.0, 1.0
 
 
 def test_brentq_equals_scipy_bitwise():
