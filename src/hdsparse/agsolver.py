@@ -19,6 +19,7 @@ delta_k = omega_k = step: then x_md = x and the two prox steps are one.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -173,14 +174,16 @@ class SolveReport:
     wall_time: float
 
 
+@functools.lru_cache(maxsize=4)
 def optimal_alphas(N: int) -> np.ndarray:
-    """alpha_1 = 1, alpha_{k+1} = 2/(1 + sqrt(1 + 4/alpha_k^2))."""
+    """alpha_1 = 1, alpha_{k+1} = 2/(1 + sqrt(1 + 4/alpha_k^2)); free of L, so cached."""
     a = np.empty(N)
     prev = a[0] = 1.0
     for k in range(1, N):
         # plain-float math keeps the million-step recurrence cheap
         prev = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (prev * prev)))
         a[k] = prev
+    a.flags.writeable = False
     return a
 
 
@@ -270,10 +273,11 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
     sched = np.stack([[s.alphas[:max_iter], s.deltas[:max_iter], s.omegas[:max_iter]]
                       for s in schedules], axis=1)  # (alpha, delta, omega) x row x step
     pg = (sched[0] == 1.0) & (sched[1] == sched[2])  # x_md = x and one prox step
-    mixed, two_prox = (sched[0] != 1.0).any(axis=0).tolist(), (~pg).any(axis=0).tolist()
+    # read step by step, so a solve that stops early pays nothing for the rest
+    mixed, two_prox = (sched[0] != 1.0).any(axis=0), (~pg).any(axis=0)
     # proximal gradient rows descend: no step may raise their objective
     descent = pg.all(axis=1)
-    alphas, deltas, omegas = sched.transpose(0, 2, 1)[..., None] if block else sched[:, 0].tolist()
+    alphas, deltas, omegas = sched.transpose(0, 2, 1)[..., None] if block else sched[:, 0]
     finite = (lambda v: bool(np.isfinite(v).all())) if block else math.isfinite
     rows = np.arange(len(schedules)) if block else 0  # the rows still running
     best_val, best_x = np.full(len(schedules), np.inf) if block else np.inf, x

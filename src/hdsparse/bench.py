@@ -7,6 +7,9 @@ penalized-regression experiments, and the screening recipe (random true
 support, correlated coefficients, optional element-wise squaring for
 nonlinearity, continuous / original-binary / translated-binary outcomes).
 
+Signal recovery fits a warm-started lambda path on strong sets of columns,
+each fit checked against the KKT conditions on all columns (_fit_path).
+
 Replications run in index order, each on a seed spawned from the master seed
 by its index; worker count sets screen_all's column threads only, so it never
 changes results.
@@ -277,17 +280,30 @@ def _rep_ag(spec: SimSpec, rng, penalty: PenaltySpec, threshold: float, max_iter
             for k, r in zip(("ag_opt", "ag_orig", "pg"), runs)}
 
 
-def _fit_path(obj, penalty, lams, x0, tol, max_iter):
-    # warm-started path, strongest penalty first; L does not depend on lambda,
-    # so one schedule serves the whole path
-    sched = schedule_optimal(obj.lipschitz, max_iter)
-    fits = []
-    x = x0
-    for lam in lams:
-        rep = ag_solve(obj, penalty.with_lambda(float(lam)), sched, x,
-                       tol=tol, max_iter=max_iter)
-        x = rep.estimate
-        fits.append(rep.estimate)
+def _fit_path(make, X, y, penalty, lams, tol, max_iter):
+    # warm-started path, strongest penalty first, each lambda solved on a
+    # strong set S (Tibshirani et al. 2012): the support so far and every
+    # column whose loss gradient reaches 2 lambda_k - lambda_{k-1}.  ag_solve
+    # runs on X[:, S] with that objective's own L.  A column off S with
+    # |grad_j loss| > lambda (SCAD's and MCP's slope at 0) breaks the KKT
+    # conditions: it joins S and the lambda is solved again.  An empty S needs
+    # no solve, as every |grad_j| < 2 lambda_k - lambda_{k-1} <= lambda_k.
+    full = make(X, y, penalty)
+    x = np.zeros(X.shape[1])
+    grad, fits = full.grad(x), []
+    for lam, lam_prev in zip(lams, [lams[0], *lams[:-1]]):
+        pen = penalty.with_lambda(float(lam))
+        S = new = (x != 0) | (np.abs(grad) >= 2 * lam - lam_prev)
+        while new.any():
+            obj = full if S.all() else make(X[:, S], y, penalty)  # S = all: the full path
+            rep = ag_solve(obj, pen, schedule_optimal(obj.lipschitz, max_iter), x[S],
+                           tol=tol, max_iter=max_iter)
+            x = np.zeros(X.shape[1])
+            x[S] = rep.estimate
+            grad = full.grad(x)
+            new = ~S & (np.abs(grad) > lam)
+            S = S | new
+        fits.append(x)
     return fits
 
 
@@ -297,9 +313,8 @@ def _rep_signal(spec: SimSpec, rng, penalty: PenaltySpec, path_len: int, max_ite
     Xv = gen_design(spec, rng)
     yv = gen_outcome(spec, Xv, beta, rng)
     make = make_logistic_objective if spec.outcome == "logistic" else make_linear_objective
-    obj = make(X.values, y.values, penalty)
     lams = lambda_path(X.values, y.values, path_len)
-    fits = _fit_path(obj, penalty, lams, np.zeros(spec.p), 1e-4, max_iter)
+    fits = _fit_path(make, X.values, y.values, penalty, lams, 1e-4, max_iter)
     # the validation loss alone: an objective would also run a power iteration
     loss = logistic_loss if spec.outcome == "logistic" else least_squares_loss
     losses = [loss(Xv.values, yv.values, b) for b in fits]

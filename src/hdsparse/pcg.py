@@ -67,8 +67,9 @@ def linearized_moreau_grad(p: CompositeProblem, x, rho: float, g=None) -> np.nda
     return (x - p.h_prox(x - rho * g, rho)) / rho
 
 
-# Hager and Zhang's truncation constant eta
+# Hager and Zhang's truncation constant eta, and the least den whose -1/den is finite
 _HZ_ETA = 0.01
+_TINY = 1.0 / np.finfo(float).max
 
 
 def hz_direction(s_next, s_prev, d_prev) -> np.ndarray:
@@ -76,7 +77,9 @@ def hz_direction(s_next, s_prev, d_prev) -> np.ndarray:
     s_next = np.asarray(s_next, float)
     y = s_next - np.asarray(s_prev, float)
     d = np.asarray(d_prev, float)
-    eta_k = -1.0 / (np.linalg.norm(d) * min(_HZ_ETA, np.linalg.norm(s_prev)))
+    den = np.linalg.norm(d) * min(_HZ_ETA, np.linalg.norm(s_prev))
+    # -1/den overflows, with a RuntimeWarning, for den below 1/DBL_MAX; -inf is its limit
+    eta_k = -1.0 / den if den > _TINY else -math.inf
     dy = np.dot(d, y)
     if dy == 0.0:
         beta_bar = eta_k
@@ -181,7 +184,12 @@ def pcg_solve(
     config: PCGConfig | None = None,
     x0=None,
 ) -> tuple[SolveReport, StationarityCertificate]:
-    """Run proximal Hager-Zhang CG until ||s||_inf <= tol or max_iter."""
+    """Run proximal Hager-Zhang CG until ||s||_inf <= tol or max_iter.
+
+    A map s whose s @ s underflows to 0 is zero to working precision: no line
+    search can descend along -s, so the solve stops there as converged, and
+    the certificate reports that map's sup-norm.
+    """
     t0 = time.perf_counter()
     config = config or PCGConfig()
     rho = 0.5 / p.lipschitz_g
@@ -206,6 +214,9 @@ def pcg_solve(
         if k % p.dimension == 0 or slope >= 0:
             d = -s
             slope = float(s @ d)
+            if slope == 0.0:  # s @ s underflows: s is zero to working precision
+                converged = True
+                break
         alpha = line_search(p, x, d, rho, lg, slope)
         x_new = x + alpha * d
         if not np.all(np.isfinite(x_new)):

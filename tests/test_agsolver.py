@@ -35,6 +35,14 @@ def test_schedule_optimal_exact_heads():
     assert np.allclose(s.deltas, s.omegas / s.alphas)
 
 
+def test_schedule_optimal_shares_its_alphas_across_l():
+    # the alphas do not depend on L: a lambda path with one L per strong set
+    # runs their recurrence once, and no caller can write to the shared copy
+    a, b = schedule_optimal(1.5, 300), schedule_optimal(7.0, 300)
+    assert a.alphas is b.alphas and not a.alphas.flags.writeable
+    assert np.array_equal(b.deltas, b.omegas / b.alphas) and b.omegas[0] == 2 / 21
+
+
 def test_schedule_optimal_verifies_and_alpha_bound():
     L = 2.3
     s = schedule_optimal(L, 10_000)

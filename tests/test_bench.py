@@ -351,15 +351,75 @@ def test_signal_recovery_validates_on_the_training_beta(monkeypatch):
 
 
 def test_signal_recovery_validation_loss_needs_no_power_iteration(monkeypatch):
-    # only the training objective needs a Lipschitz constant; the validation
-    # draw is scored by the loss alone
+    # only the training objectives need a Lipschitz constant (the full one
+    # and one per strong set); the validation draw is scored by the loss alone
     import hdsparse.agsolver as agsolver
 
-    calls = []
-    orig = agsolver.power_iteration_lmax
+    designs, calls = [], []
+    orig_design, orig_power = bench.gen_design, agsolver.power_iteration_lmax
+    monkeypatch.setattr(bench, "gen_design",
+                        lambda *a: designs.append(orig_design(*a)) or designs[-1])
     monkeypatch.setattr(agsolver, "power_iteration_lmax",
-                        lambda X, *a, **k: calls.append(X.shape) or orig(X, *a, **k))
+                        lambda X, *a, **k: calls.append(X) or orig_power(X, *a, **k))
     spec = SimSpec(n=40, p=30, signal="four_fixed", seed=5)
     rep = run_benchmark("signal_recovery", spec, replications=1, path_len=4, max_iter=50)
     assert "error" not in rep.rows[0]
-    assert len(calls) == 1
+    X, Xv = designs
+    assert any(c is X.values for c in calls)
+    assert not any(c is Xv.values for c in calls)
+
+
+def _path_problem(outcome, penalty, seed=0, path_len=20):
+    spec = SimSpec(n=60, p=80, signal="five_blocks", outcome=outcome, seed=seed)
+    X, y, _ = gen_dataset(spec)
+    make = bench.make_logistic_objective if outcome == "logistic" else bench.make_linear_objective
+    return make, X.values, y.values, penalty, lambda_path(X.values, y.values, path_len)
+
+
+@pytest.mark.parametrize("penalty", [PenaltySpec("scad", 0.5, a=3.7),
+                                     PenaltySpec("mcp", 0.5, gamma=3.0)], ids=["scad", "mcp"])
+@pytest.mark.parametrize("outcome", ["linear", "logistic"])
+def test_fit_path_points_pass_the_full_kkt_check(outcome, penalty):
+    # off its support every coordinate of a path point has |grad_j loss| <=
+    # lambda, SCAD's and MCP's slope at 0, whether or not it was in the strong set
+    make, X, y, pen, lams = _path_problem(outcome, penalty)
+    fits = bench._fit_path(make, X, y, pen, lams, 1e-4, 2000)
+    assert len(fits) == len(lams)
+    full = make(X, y)
+    for b, lam in zip(fits, lams):
+        # 1e-12: lambda_max and the gradient at 0 round differently
+        assert np.all(np.abs(full.grad(b))[b == 0] <= lam + 1e-12)
+
+
+def test_fit_path_matches_the_full_warm_started_path():
+    # the old path: every lambda solved on all p columns from the last fit
+    from hdsparse.agsolver import ag_solve, schedule_optimal
+
+    tol = 1e-4
+    make, X, y, pen, lams = _path_problem("linear", PenaltySpec("scad", 0.5, a=3.7))
+    fits = bench._fit_path(make, X, y, pen, lams, tol, 2000)
+    obj = make(X, y, pen)
+    sched, x = schedule_optimal(obj.lipschitz, 2000), np.zeros(X.shape[1])
+    for lam, b in zip(lams[:-1], fits):
+        x = ag_solve(obj, pen.with_lambda(float(lam)), sched, x, tol, 2000).estimate
+        assert np.max(np.abs(x - b)) <= 10 * tol
+
+
+def test_fit_path_adds_a_kkt_violator_and_solves_again(monkeypatch):
+    # x1 and x2 have correlation 0.5 and y = 2 x1 - x2, so only x1's gradient
+    # reaches lambda = 0.5 at 0.  SCAD alone on x1 gives b1 = 1.29, which
+    # raises |grad_2| to 0.65 > lambda: x2 joins S and the lambda is re-solved.
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((100, 2)))[0] * 10.0
+    X = q @ np.array([[1.0, 0.5], [0.0, np.sqrt(0.75)]])
+    y = 2 * X[:, 0] - X[:, 1]
+    dims = []
+    orig = bench.ag_solve
+    monkeypatch.setattr(bench, "ag_solve",
+                        lambda obj, *a, **k: dims.append(obj.dimension) or orig(obj, *a, **k))
+    pen = PenaltySpec("scad", 0.5, a=3.7)
+    (b,) = bench._fit_path(bench.make_linear_objective, X, y, pen, np.array([0.5]), 1e-8, 5000)
+    assert dims == [1, 2]
+    assert b[1] != 0
+    full = bench.make_linear_objective(X, y, pen)
+    ref = orig(full, pen, bench.schedule_optimal(full.lipschitz, 5000), np.zeros(2), 1e-8, 5000)
+    np.testing.assert_allclose(b, ref.estimate, atol=1e-6)

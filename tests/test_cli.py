@@ -84,14 +84,38 @@ def test_fit_rejects_a_meaningless_tol_or_max_iter(tmp_path, solver, flag, value
 
 def test_fit_pcg_tol_zero_survives_an_underflowing_brent_step(tmp_path):
     # Brent's extrapolation denominator underflows to 0 late in this solve;
-    # it used to raise ZeroDivisionError where scipy bisects
+    # it used to raise ZeroDivisionError where scipy bisects.  Later still,
+    # hz_direction's -1/(||d|| min(eta, ||s||)) overflowed with a RuntimeWarning.
     main(["simulate", "--n", "40", "--p", "60", "--seed", "2", "--out-dir", str(tmp_path)])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         main(["fit", "--data", str(tmp_path / "simulated.csv"), "--outcome", "y",
               "--solver", "pcg", "--tol", "0", "--out-dir", str(tmp_path)])
     payload = json.loads((tmp_path / "fit.json").read_text())
     assert payload["converged"] and payload["moreau_grad_norm"] == 0.0
+
+
+def test_fit_pcg_tol_zero_stops_where_the_map_underflows(tmp_path):
+    # max|s| reaches about 2e-166 here, so s @ s underflows and the restart
+    # slope -s @ s is 0: it used to raise "line search needs a descent
+    # direction".  The fit stops as stationary to working precision, and its
+    # certificate is the map at the estimate, not 0.
+    from hdsparse.agsolver import make_linear_objective
+    from hdsparse.data import read_table
+    from hdsparse.pcg import linearized_moreau_grad, make_composite
+    from hdsparse.penalty import PenaltySpec
+
+    main(["simulate", "--n", "40", "--p", "60", "--seed", "0", "--out-dir", str(tmp_path)])
+    main(["fit", "--data", str(tmp_path / "simulated.csv"), "--outcome", "y",
+          "--solver", "pcg", "--tol", "0", "--out-dir", str(tmp_path)])
+    payload = json.loads((tmp_path / "fit.json").read_text())
+    X, y = read_table(tmp_path / "simulated.csv", outcome="y")
+    pen = PenaltySpec.from_config(payload["penalty"])
+    obj = make_linear_objective(X.values, y.values, pen)
+    s = linearized_moreau_grad(make_composite(obj, pen), payload["estimate"], payload["rho"])
+    assert payload["converged"]
+    assert payload["moreau_grad_norm"] == np.max(np.abs(s))
+    assert 0.0 < payload["moreau_grad_norm"] and float(s @ s) == 0.0
 
 
 @pytest.mark.parametrize("psi", ["identity", "toeplitz"])
