@@ -47,7 +47,6 @@ __all__ = [
     "admissible_ab",
     "optimal_ab",
     "complexity_bound",
-    "power_iteration_lmax",
     "least_squares_loss",
     "logistic_loss",
     "make_linear_objective",
@@ -393,23 +392,15 @@ def complexity_bound(s: AGSchedule, L_psi: float, L_h: float, x0, x_star, M: flo
     return num / denom
 
 
-def power_iteration_lmax(X: np.ndarray) -> float:
-    """Largest eigenvalue of X'X via power iteration on v -> X'(Xv), stopped
-    at a relative change of 1e-8 or after 1000 steps."""
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=X.shape[1])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(1000):
-        w = X.T @ (X @ v)
-        nl = np.linalg.norm(w)
-        if nl == 0:
-            return 0.0
-        v_new = w / nl
-        if abs(nl - lam) <= 1e-8 * max(nl, 1.0):
-            return nl
-        lam, v = nl, v_new
-    return lam
+def _lipschitz(X: np.ndarray, c: float, penalty: PenaltySpec | None) -> float:
+    """lambda_max(X'X)/(c n) plus the penalty's concave part: the loss's
+    Hessian is at most X'X/(c n), with c = 1 for least squares and 4 for
+    logistic.  lambda_max is exact, from the smaller Gram matrix."""
+    if not np.isfinite(X).all():
+        raise ValueError("the design holds NaN or inf")
+    n, p = X.shape
+    lmax = np.linalg.eigvalsh(X.T @ X if p <= n else X @ X.T)[-1]
+    return float(lmax) / (c * n) + (0.0 if penalty is None else lipschitz_h(penalty))
 
 
 def _sumsq(v):
@@ -433,7 +424,8 @@ def logistic_loss(X: np.ndarray, y: np.ndarray, b) -> float | np.ndarray:
 
 def make_linear_objective(X: np.ndarray, y: np.ndarray,
                           penalty: PenaltySpec | None = None) -> SmoothObjective:
-    """Least squares 1/(2n)||Xb - y||^2; L folds in the penalty's concave part.
+    """Least squares 1/(2n)||Xb - y||^2; L = lambda_max(X'X)/n, exact (see
+    _lipschitz), plus the penalty's concave part.
 
     value and grad also take a (k, p) block, one point per row; for a vector
     b, numpy sends b @ X.T and r @ X to the gemv calls of X @ b and X.T @ r.
@@ -441,12 +433,10 @@ def make_linear_objective(X: np.ndarray, y: np.ndarray,
     X = np.asarray(X, float)
     y = np.asarray(y, float).ravel()
     n = X.shape[0]
-    lip_h = 0.0 if penalty is None else lipschitz_h(penalty)
-    L = power_iteration_lmax(X) / n + lip_h
     return SmoothObjective(
         value=lambda b: least_squares_loss(X, y, b),
         grad=lambda b: (b @ X.T - y) @ X / n,
-        lipschitz=L,
+        lipschitz=_lipschitz(X, 1.0, penalty),
         dimension=X.shape[1],
         curvature=lambda d: X.T @ (X @ d) / n,
     )
@@ -454,17 +444,17 @@ def make_linear_objective(X: np.ndarray, y: np.ndarray,
 
 def make_logistic_objective(X: np.ndarray, y: np.ndarray,
                             penalty: PenaltySpec | None = None) -> SmoothObjective:
-    """Mean negative Bernoulli log-likelihood with logit link; blocks as for least squares."""
+    """Mean negative Bernoulli log-likelihood with logit link; L =
+    lambda_max(X'X)/(4n), exact, plus the penalty's concave part; blocks as
+    for least squares."""
     X = np.asarray(X, float)
     y = np.asarray(y, float).ravel()
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("logistic objective requires a 0/1 response")
     n = X.shape[0]
-    lip_h = 0.0 if penalty is None else lipschitz_h(penalty)
-    L = power_iteration_lmax(X) / (4.0 * n) + lip_h
     # scipy's expit, whose last bits no numpy form matches, loads on first use
     from scipy.special import expit
 
     return SmoothObjective(value=lambda b: logistic_loss(X, y, b),
                            grad=lambda b: (expit(b @ X.T) - y) @ X / n,
-                           lipschitz=L, dimension=X.shape[1])
+                           lipschitz=_lipschitz(X, 4.0, penalty), dimension=X.shape[1])

@@ -315,7 +315,7 @@ def _rep_signal(spec: SimSpec, rng, penalty: PenaltySpec, path_len: int, max_ite
     make = make_logistic_objective if spec.outcome == "logistic" else make_linear_objective
     lams = lambda_path(X.values, y.values, path_len)
     fits = _fit_path(make, X.values, y.values, penalty, lams, 1e-4, max_iter)
-    # the validation loss alone: an objective would also run a power iteration
+    # the validation loss alone: an objective would also compute a Lipschitz constant
     loss = logistic_loss if spec.outcome == "logistic" else least_squares_loss
     losses = [loss(Xv.values, yv.values, b) for b in fits]
     best = int(np.argmin(losses))

@@ -181,27 +181,22 @@ def split_stratified(
 
 def read_table(
     path,
-    has_header: bool = True,
     outcome: str | int | None = None,
 ) -> tuple[FeatureMatrix, ResponseVector | None]:
-    """Read a numeric CSV; optionally pull out one column as the outcome.
+    """Read a numeric CSV with a header row; optionally pull out one column as the outcome.
 
     `outcome` can be a column name (unique in the header) or a 0-based
     index.  An outcome holding only 0 and 1 is binary, any other continuous.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
-    fast = _read_fast(text, has_header)
-    if fast is not None:
-        names, values = fast
-    else:
-        names, values = _read_csv(path, text, has_header)
+    names, values = _read_fast(text) or _read_csv(path, text)
     width = values.shape[1]
 
     if outcome is None:
         return FeatureMatrix(values, names), None
     if isinstance(outcome, str):
-        if names is None or outcome not in names:
+        if outcome not in names:
             raise ValueError(f"outcome column {outcome!r} not found")
         if names.count(outcome) > 1:
             raise ValueError(f"outcome column {outcome!r} appears {names.count(outcome)} times")
@@ -213,11 +208,11 @@ def read_table(
     yv = values[:, oj]
     keep = [j for j in range(width) if j != oj]
     kind = "binary" if np.all(np.isin(yv, (0.0, 1.0))) else "continuous"
-    fm = FeatureMatrix(values[:, keep], tuple(names[j] for j in keep) if names else None)
+    fm = FeatureMatrix(values[:, keep], tuple(names[j] for j in keep))
     return fm, ResponseVector(yv, kind)
 
 
-def _read_fast(text: str, has_header: bool):
+def _read_fast(text: str):
     """(names, values) from numpy's C parser, or None wherever the csv path
     could read the body differently: the separators \\x1c-\\x1f (stripped
     from a cell by numpy but not by float()), a skipped blank line, a cell
@@ -226,12 +221,10 @@ def _read_fast(text: str, has_header: bool):
     widths.  The header is read by csv.reader itself, so quoted names keep
     the fast path."""
     stream = io.StringIO(text, newline="")
-    names = None
-    if has_header:
-        header = next(csv.reader(stream), None)
-        if header is None:
-            return None
-        names = tuple(s.strip() for s in header)
+    header = next(csv.reader(stream), None)
+    if header is None:
+        return None
+    names = tuple(s.strip() for s in header)
     body = stream.read()
     if any(c in body for c in "\x1c\x1d\x1e\x1f"):
         return None
@@ -245,36 +238,32 @@ def _read_fast(text: str, has_header: bool):
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if (values.shape[0] != len(lines) or (names is not None and values.shape[1] != len(names))
+    if (values.shape[0] != len(lines) or values.shape[1] != len(names)
             or not np.isfinite(values).all()):
         return None
     return names, values
 
 
-def _read_csv(path, text: str, has_header: bool):
+def _read_csv(path, text: str):
     # the reference path, and the one that raises: every message names the
     # file and the bad row or cell
     rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise ValueError(f"{path}: empty file")
-    names: tuple[str, ...] | None = None
-    body = rows
-    if has_header:
-        names = tuple(s.strip() for s in rows[0])
-        body = rows[1:]
+    names, body = tuple(s.strip() for s in rows[0]), rows[1:]
     if not body:
         raise ValueError(f"{path}: no data rows")
     width = len(body[0])
-    if names is not None and len(names) != width:
+    if len(names) != width:
         raise ValueError(f"{path}: header has {len(names)} fields, rows have {width}")
-    return names, _scan_body(path, body, width, 2 if has_header else 1)
+    return names, _scan_body(path, body, width)
 
 
-def _scan_body(path, body, width: int, first_row: int) -> np.ndarray:
-    # row-major scan that raises at the first bad row or cell
+def _scan_body(path, body, width: int) -> np.ndarray:
+    # row-major scan that raises at the first bad row or cell; the header is row 1
     values = np.empty((len(body), width), dtype=float)
     for i, row in enumerate(body):
-        rownum = i + first_row
+        rownum = i + 2
         if len(row) != width:
             raise ValueError(f"{path}: row {rownum} has {len(row)} fields, expected {width}")
         for j, cell in enumerate(row):

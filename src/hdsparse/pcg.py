@@ -205,7 +205,10 @@ def pcg_solve(
     for k in range(config.max_iter):
         sn = np.max(np.abs(s))
         obj_trace.append(p.g_value(x) + p.h_value(x))
-        gm_trace.append(float(np.linalg.norm(s)))
+        gn = float(np.linalg.norm(s))
+        if gn == 0.0 and sn > 0.0:  # s @ s underflows: scale s by its sup-norm first
+            gn = float(sn * np.linalg.norm(s / sn))
+        gm_trace.append(gn)
         if sn <= config.tol:
             converged = True
             break

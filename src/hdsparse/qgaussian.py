@@ -307,10 +307,9 @@ def q_update(model: QGaussianModel, X, y, u_cap: float = 1e8) -> float:
     return q_from_dof(2.0 * u_cap - n, n)
 
 
-def _theta_objective(X, y, psi, penalty: PenaltySpec, _unused=None) -> SmoothObjective:
+def _theta_objective(X, y, psi, penalty: PenaltySpec) -> SmoothObjective:
     """(1/2n) <r, Psi^{-1} r> with r = y - [1 X] theta: least squares on the
-    design and y whitened once by Psi's Cholesky factor.  The fifth argument
-    is ignored; it is kept so that callers passing a solve tolerance still work."""
+    design and y whitened once by Psi's Cholesky factor."""
     return _whitened_objective(X, y, _psi_cholesky(psi), penalty)
 
 

@@ -151,7 +151,7 @@ def test_c04_gradient_finite_differences():
     _check_gradients(logi.value, logi.grad, 8, rng)
     a = rng.normal(size=(60, 60))
     psi = a @ a.T / 60 + np.eye(60)
-    qobj = _theta_objective(X, y, psi, PenaltySpec("l1", 0.0), 1e-12)
+    qobj = _theta_objective(X, y, psi, PenaltySpec("l1", 0.0))
     _check_gradients(qobj.value, qobj.grad, 9, rng)
 
 

@@ -18,7 +18,6 @@ from hdsparse.agsolver import (
     make_logistic_objective,
     optimal_ab,
     pg_solve,
-    power_iteration_lmax,
     schedule_optimal,
     schedule_original,
     verify_schedule,
@@ -442,11 +441,19 @@ def test_objectives_and_gradients():
     assert logi.value(np.zeros(7)) == pytest.approx(np.log(2))
     with pytest.raises(ValueError):
         make_logistic_objective(X, y)
-    # Lipschitz constants from the power iteration
-    lmax = np.linalg.eigvalsh(X.T @ X).max()
-    assert power_iteration_lmax(X) == pytest.approx(lmax, rel=1e-6)
-    assert lin.lipschitz == pytest.approx(lmax / 60, rel=1e-6)
-    assert logi.lipschitz == pytest.approx(lmax / 240, rel=1e-6)
+    # exact Lipschitz constants; the 5-row design takes the XX' route
+    lmax = np.linalg.svd(X, compute_uv=False)[0] ** 2
+    assert lin.lipschitz == pytest.approx(lmax / 60, rel=1e-12)
+    assert logi.lipschitz == pytest.approx(lmax / 240, rel=1e-12)
+    wide = np.linalg.svd(X[:5], compute_uv=False)[0] ** 2
+    assert make_linear_objective(X[:5], y[:5]).lipschitz == pytest.approx(wide / 5, rel=1e-12)
+    # a non-finite design fails in the builder, not later in a solver
+    for bad in (np.nan, np.inf):
+        Z = X.copy()
+        Z[4, 2] = bad
+        for make, resp in ((make_linear_objective, y), (make_logistic_objective, yb)):
+            with pytest.raises(ValueError, match="NaN or inf"):
+                make(Z, resp)
 
 
 def test_converged_point_has_small_mapping():

@@ -350,23 +350,22 @@ def test_signal_recovery_validates_on_the_training_beta(monkeypatch):
     assert len(betas) == 2 and np.array_equal(betas[0], betas[1])
 
 
-def test_signal_recovery_validation_loss_needs_no_power_iteration(monkeypatch):
+def test_signal_recovery_builds_no_objective_on_the_validation_design(monkeypatch):
     # only the training objectives need a Lipschitz constant (the full one
     # and one per strong set); the validation draw is scored by the loss alone
-    import hdsparse.agsolver as agsolver
-
-    designs, calls = [], []
-    orig_design, orig_power = bench.gen_design, agsolver.power_iteration_lmax
+    designs, built = [], []
+    orig_design, orig_make = bench.gen_design, bench.make_linear_objective
     monkeypatch.setattr(bench, "gen_design",
                         lambda *a: designs.append(orig_design(*a)) or designs[-1])
-    monkeypatch.setattr(agsolver, "power_iteration_lmax",
-                        lambda X, *a, **k: calls.append(X) or orig_power(X, *a, **k))
+    monkeypatch.setattr(bench, "make_linear_objective",
+                        lambda X, *a, **k: built.append(X) or orig_make(X, *a, **k))
     spec = SimSpec(n=40, p=30, signal="four_fixed", seed=5)
     rep = run_benchmark("signal_recovery", spec, replications=1, path_len=4, max_iter=50)
     assert "error" not in rep.rows[0]
     X, Xv = designs
-    assert any(c is X.values for c in calls)
-    assert not any(c is Xv.values for c in calls)
+    assert any(b is X.values for b in built)
+    # the strong-set designs are copies of X's columns; none holds Xv's values
+    assert not any(np.isin(b, Xv.values).any() for b in built)
 
 
 def _path_problem(outcome, penalty, seed=0, path_len=20):

@@ -96,10 +96,12 @@ def test_fit_pcg_tol_zero_survives_an_underflowing_brent_step(tmp_path):
 
 
 def test_fit_pcg_tol_zero_stops_where_the_map_underflows(tmp_path):
-    # max|s| reaches about 2e-166 here, so s @ s underflows and the restart
-    # slope -s @ s is 0: it used to raise "line search needs a descent
-    # direction".  The fit stops as stationary to working precision, and its
-    # certificate is the map at the estimate, not 0.
+    # a tol = 0 fit runs until the map vanishes to working precision: s is 0,
+    # or s @ s underflows and the restart slope -s @ s is 0, where it used to
+    # raise "line search needs a descent direction".  The fit stops as
+    # converged, and its certificate is the map at the estimate.  This data
+    # reaches s = 0; test_pcg_trace_keeps_a_map_whose_square_underflows
+    # builds an s that is not 0 while s @ s is.
     from hdsparse.agsolver import make_linear_objective
     from hdsparse.data import read_table
     from hdsparse.pcg import linearized_moreau_grad, make_composite
@@ -115,7 +117,6 @@ def test_fit_pcg_tol_zero_stops_where_the_map_underflows(tmp_path):
     s = linearized_moreau_grad(make_composite(obj, pen), payload["estimate"], payload["rho"])
     assert payload["converged"]
     assert payload["moreau_grad_norm"] == np.max(np.abs(s))
-    assert 0.0 < payload["moreau_grad_norm"] and float(s @ s) == 0.0
 
 
 @pytest.mark.parametrize("psi", ["identity", "toeplitz"])

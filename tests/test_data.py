@@ -144,13 +144,14 @@ def test_read_table_header_width_must_match_rows(tmp_path, outcome):
     ("a,b\n1,inf\n3,4\n", "row 2, column 1"),
     # the non-finite cell comes first in row-major order, the word later
     ("a,b,c\n1,2,3\n4,1e400,x\nabc,5,6\n", "row 3, column 1"),
+    # a first row of numbers is still the header
     ("1,2\n-inf,4\n", "row 2, column 0"),
 ])
 def test_read_table_names_first_bad_cell(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"non-numeric cell at {message}$"):
-        read_table(path, has_header=text.startswith("a"))
+        read_table(path)
 
 
 def test_read_table_parses_like_float(tmp_path):
@@ -158,21 +159,21 @@ def test_read_table_parses_like_float(tmp_path):
     cells = ["1_0", " 2 ", "-.5", "+1e-3", "\t7", "1e-400", "-0",
              "0.1000000000000000055511151231257827"]
     path = tmp_path / "odd.csv"
-    path.write_text(",".join(cells) + "\n")
-    fm, _ = read_table(path, has_header=False)
+    path.write_text("a,b,c,d,e,f,g,h\n" + ",".join(cells) + "\n")
+    fm, _ = read_table(path)
     assert fm.values.tobytes() == np.array([float(c) for c in cells]).tobytes()
     rng = np.random.default_rng(9)
     v = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-30, 30, size=(50, 4))
-    path.write_text("\n".join(",".join(repr(float(c)) for c in row) for row in v) + "\n")
-    assert np.array_equal(read_table(path, has_header=False)[0].values, v)
+    path.write_text("a,b,c,d\n" + "\n".join(",".join(repr(float(c)) for c in row) for row in v) + "\n")
+    assert np.array_equal(read_table(path)[0].values, v)
 
 
-def _csv_path(path, has_header=True):
+def _csv_path(path):
     # the csv.reader path alone: values, or the message it raises
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return data._read_csv(path, text, has_header)[1]
+        return data._read_csv(path, text)[1]
     except ValueError as exc:
         return str(exc)
 
@@ -207,7 +208,7 @@ def _csv_path(path, has_header=True):
 def test_read_table_fast_path_matches_csv_path(tmp_path, name, text, fast):
     path = tmp_path / f"{name}.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert (data._read_fast(text, True) is not None) == fast
+    assert (data._read_fast(text) is not None) == fast
     want = _csv_path(path)
     try:
         got = read_table(path)[0].values
@@ -235,6 +236,6 @@ def test_write_table_bytes_match_csv_writer(tmp_path):
             w.writerow([f"{x:.17g}" for x in row])
     assert path.read_bytes() == ref.read_bytes()
     # the quoted name keeps the fast read, which gives the values back exactly
-    names, values = data._read_fast(path.read_bytes().decode("utf-8"), True)
+    names, values = data._read_fast(path.read_bytes().decode("utf-8"))
     assert names == ("a", "b c", "d,e", "f", "y")
     assert values.tobytes() == np.column_stack([v, v[:, 0]]).tobytes()

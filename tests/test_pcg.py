@@ -262,6 +262,21 @@ def test_pcg_scad_clarke_certificate():
         assert np.max(np.abs(g[~zero] + pen.lam * np.sign(xhat[~zero]))) <= 1e-5
 
 
+def test_pcg_trace_keeps_a_map_whose_square_underflows():
+    # a quadratic scaled by c = 1e-170: the map s = c x has s @ s = 0 in
+    # floating point, so the solve stops at once as stationary to working
+    # precision; its certificate max|s| and its trace's norm are both not 0
+    c = 1e-170
+    obj = SmoothObjective(value=lambda x: c * 0.5 * float(x @ x), grad=lambda x: c * x,
+                          lipschitz=c, dimension=3)
+    p = make_composite(obj, PenaltySpec("l1", 0.0))
+    rep, cert = pcg_solve(p, PCGConfig(tol=0.0), x0=np.array([1.0, -2.0, 3.0]))
+    s = linearized_moreau_grad(p, rep.estimate, cert.rho_used)
+    assert rep.converged and rep.iterations == 0
+    assert cert.moreau_grad_norm == np.max(np.abs(s)) and float(s @ s) == 0.0
+    assert rep.grad_map_trace[-1] >= cert.moreau_grad_norm > 0.0
+
+
 def test_linear_cg_identity_and_dense():
     rng = np.random.default_rng(11)
     b = rng.normal(size=6)

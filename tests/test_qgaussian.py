@@ -191,7 +191,7 @@ def test_theta_lipschitz_adds_concave_part():
     n = 80
     X = rng.normal(size=(n, 5))
     y = rng.normal(size=n)
-    obj = _theta_objective(X, y, None, PenaltySpec("mcp", 0.1, gamma=1.5), 1e-12)
+    obj = _theta_objective(X, y, None, PenaltySpec("mcp", 0.1, gamma=1.5))
     Xd = np.column_stack([np.ones(n), X])
     l_loss = np.linalg.eigvalsh(Xd.T @ Xd / n).max()
     assert obj.lipschitz == pytest.approx(l_loss + 1 / 1.5, rel=1e-6)
