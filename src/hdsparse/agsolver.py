@@ -231,9 +231,9 @@ def verify_schedule(s: AGSchedule, L: float) -> tuple[bool, str | None]:
     return True, None
 
 
-def grad_mapping(x, y, c: float, penalty: PenaltySpec, skip=()) -> np.ndarray:
-    """Composite gradient analogue G(x,y,c) = (x - P(x,y,c))/c."""
-    return (np.asarray(x, float) - prox_scaled_l1(x, y, c, penalty.lam, skip)) / c
+def grad_mapping(x, y, c: float, penalty: PenaltySpec) -> np.ndarray:
+    """Composite gradient analogue G(x,y,c) = (x - P(x,y,c))/c, all coordinates penalized."""
+    return (np.asarray(x, float) - prox_scaled_l1(x, y, c, penalty.lam)) / c
 
 
 def ag_solve(obj: SmoothObjective, penalty: PenaltySpec, s: AGSchedule, x0, tol: float = 1e-4,
@@ -395,12 +395,15 @@ def complexity_bound(s: AGSchedule, L_psi: float, L_h: float, x0, x_star, M: flo
 def _lipschitz(X: np.ndarray, c: float, penalty: PenaltySpec | None) -> float:
     """lambda_max(X'X)/(c n) plus the penalty's concave part: the loss's
     Hessian is at most X'X/(c n), with c = 1 for least squares and 4 for
-    logistic.  lambda_max is exact, from the smaller Gram matrix."""
+    logistic.  lambda_max is exact, from the smaller Gram matrix.  L = 0 raises."""
     if not np.isfinite(X).all():
         raise ValueError("the design holds NaN or inf")
     n, p = X.shape
     lmax = np.linalg.eigvalsh(X.T @ X if p <= n else X @ X.T)[-1]
-    return float(lmax) / (c * n) + (0.0 if penalty is None else lipschitz_h(penalty))
+    L = float(lmax) / (c * n) + (0.0 if penalty is None else lipschitz_h(penalty))
+    if not L > 0:
+        raise ValueError("L = 0: the design has no nonzero entry and the penalty no concave part")
+    return L
 
 
 def _sumsq(v):

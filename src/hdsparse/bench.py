@@ -116,12 +116,12 @@ def _toeplitz_chol(tau: float, p: int) -> np.ndarray | None:
 
 
 def gen_design(spec: SimSpec, rng: np.random.Generator | None = None) -> FeatureMatrix:
-    """Rows i.i.d. N(0, Sigma) with Sigma_{jk} = tau^|j-k|, then standardized."""
+    """Rows i.i.d. N(0, Sigma) with Sigma_{jk} = tau^|j-k|, columns to mean 0, sd 1."""
     rng = rng or np.random.default_rng(spec.seed)
     z = rng.standard_normal((spec.n, spec.p))
     L = _toeplitz_chol(spec.tau, spec.p)
     x = z if L is None else z @ L.T
-    return FeatureMatrix(_standardize_matrix(x), standardized=True)
+    return FeatureMatrix(_standardize_matrix(x))
 
 
 def gen_signal(spec: SimSpec, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -74,9 +74,8 @@ def cmd_screen(args) -> int:
     with open(out / "screen.csv", "w", newline="", encoding="utf-8") as fh:
         rows = csv.writer(fh, lineterminator="\n")
         rows.writerow(("feature", "score", "rank", "method"))
-        names = X.column_names or tuple(f"x{j}" for j in range(X.p))
         for rank, (j, score) in enumerate(ranked.ranking, start=1):
-            rows.writerow((names[j], f"{score:.17g}", rank, args.method))
+            rows.writerow((X.column_names[j], f"{score:.17g}", rank, args.method))
     diag = {"method": args.method, "failures": list(ranked.failures), "workers": args.workers}
     (out / "screen_diagnostics.json").write_text(json.dumps(diag, indent=2))
     print(out / "screen.csv")

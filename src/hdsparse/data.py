@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +29,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """n x p design matrix, optionally with column names."""
+    """n x p design matrix, optionally with column names (read_table always names them)."""
 
     values: np.ndarray
     column_names: tuple[str, ...] | None = None
-    standardized: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -83,10 +82,11 @@ class StandardizationRecord:
 
 @dataclass(frozen=True)
 class DataSplit:
+    """Sorted row indices of split_stratified's train, validation and test parts."""
+
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
-    strata_bins: int = 0
 
 
 def standardize_columns(m: FeatureMatrix) -> tuple[FeatureMatrix, StandardizationRecord]:
@@ -114,13 +114,13 @@ def standardize_columns(m: FeatureMatrix) -> tuple[FeatureMatrix, Standardizatio
     out = (x - means) / safe
     out[:, const] = 0.0
     rec = StandardizationRecord(means=means, sds=safe, constant=const)
-    return FeatureMatrix(out, m.column_names, standardized=True), rec
+    return FeatureMatrix(out, m.column_names), rec
 
 
 def inverse_standardize(m: FeatureMatrix, rec: StandardizationRecord) -> FeatureMatrix:
     """Undo standardize_columns (constant columns return to their mean)."""
     x = m.values * rec.sds + rec.means
-    return FeatureMatrix(x, m.column_names, standardized=False)
+    return FeatureMatrix(x, m.column_names)
 
 
 def _stratum_labels(y: ResponseVector, bins: int) -> np.ndarray:
@@ -176,7 +176,7 @@ def split_stratified(
             parts[j].extend(idx[start : start + take[j]].tolist())
             start += take[j]
     train, val, test = (np.sort(np.asarray(p, dtype=int)) for p in parts)
-    return DataSplit(train, val, test, strata_bins=bins if y.kind == "continuous" else 0)
+    return DataSplit(train, val, test)
 
 
 def read_table(

@@ -290,30 +290,26 @@ def sigma2_update(model: QGaussianModel, X, y) -> float:
     return float(Q / model.n_train)
 
 
-def q_update(model: QGaussianModel, X, y, u_cap: float = 1e8) -> float:
-    """Minimizer of the objective over u = 1/(q-1) in (n/2, u_cap], with
+def q_update(model: QGaussianModel, X, y) -> float:
+    """Minimizer of the objective over u = 1/(q-1) in (n/2, 1e8], with
     sigma^2 profiled out at Q/n.
 
     That profile is (n/2) log(Q/n) plus a function of u alone whose
     derivative, [log u - digamma(u)] - [log(u - n/2) - digamma(u - n/2)], is
     negative because log x - digamma(x) decreases in x.  So the minimizer is
-    the near-Gaussian boundary u_cap whatever the data (X and y are not
+    the near-Gaussian boundary u = 1e8 whatever the data (X and y are not
     read); it is returned with a warning.
     """
     n = model.n_train
     warnings.warn(
         "the profiled q objective decreases in u = 1/(q-1) for every n and Q; "
         "returning the near-Gaussian boundary", stacklevel=2)
-    return q_from_dof(2.0 * u_cap - n, n)
-
-
-def _theta_objective(X, y, psi, penalty: PenaltySpec) -> SmoothObjective:
-    """(1/2n) <r, Psi^{-1} r> with r = y - [1 X] theta: least squares on the
-    design and y whitened once by Psi's Cholesky factor."""
-    return _whitened_objective(X, y, _psi_cholesky(psi), penalty)
+    return q_from_dof(2.0 * 1e8 - n, n)
 
 
 def _whitened_objective(X, y, C: np.ndarray | None, penalty: PenaltySpec) -> SmoothObjective:
+    """(1/2n) <r, Psi^{-1} r> with r = y - [1 X] theta: least squares on the
+    design and y whitened once by Psi's Cholesky factor C (None: identity)."""
     return make_linear_objective(
         _whiten(C, _design(X)), _whiten(C, np.asarray(y, float).ravel()), penalty)
 
@@ -385,18 +381,20 @@ def recover_q_subset(q_train: float, n_train: int, n_subset: int) -> float:
     return 1.0 + 1.0 / u
 
 
-def predict(model: QGaussianModel, X_new, psi_new_block=None, n_new: int | None = None):
-    """(mean, q_new, covariance-or-None) on a new block of n_new rows."""
+def predict(model: QGaussianModel, X_new, psi_new_block=None):
+    """(mean, q_new, covariance-or-None) on the rows of X_new; the covariance
+    is m/(m-2) sigma^2 Psi_new (identity if None), and a Psi_new block that
+    is not (rows, rows) raises ValueError."""
     X_new = np.asarray(X_new, float)
     if X_new.shape[1] + 1 != model.theta.size:
         raise ValueError("X_new has the wrong number of columns")
-    n_new = n_new if n_new is not None else X_new.shape[0]
+    n = X_new.shape[0]
+    psi = np.eye(n) if psi_new_block is None else np.asarray(psi_new_block, float)
+    if psi.shape != (n, n):
+        raise ValueError(f"psi_new_block must be ({n}, {n}) for {n} rows, got {psi.shape}")
     mean = _design(X_new) @ model.theta
-    q_new = recover_q_subset(model.q_train, model.n_train, n_new)
-    m_new = dof_from_q(q_new, n_new)
-    psi = None if psi_new_block is None else np.asarray(psi_new_block, float)
+    q_new = recover_q_subset(model.q_train, model.n_train, n)
+    m_new = dof_from_q(q_new, n)
     if m_new > 2:
-        cov = m_new / (m_new - 2) * model.sigma2 * (
-            psi if psi is not None else np.eye(n_new))
-        return mean, q_new, cov
+        return mean, q_new, m_new / (m_new - 2) * model.sigma2 * psi
     return mean, q_new, None

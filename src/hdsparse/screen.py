@@ -51,7 +51,7 @@ __all__ = [
 # the KDE grid reaches this many bandwidths beyond the data on every side
 PAD_BANDWIDTHS = 3.0
 # mi_fftkde's estimator: a Gaussian product kernel with Silverman bandwidths on
-# make_grid's default 256 x 256 grid, summing only the cells where the joint
+# make_grid's 256 x 256 grid, summing only the cells where the joint
 # and the product of the marginals exceed the floor
 KDE_FLOOR = 1e-12
 
@@ -159,13 +159,12 @@ def next_fast_len(target: int) -> int:
     return best
 
 
-def make_grid(x, y, hx: float, hy: float, nx: int = 256, ny: int = 256) -> Grid2D:
-    """Grid covering the data plus PAD_BANDWIDTHS*max(h) on every side."""
+def make_grid(x, y, hx: float, hy: float) -> Grid2D:
+    """Grid2D's 256 x 256 nodes over the data plus PAD_BANDWIDTHS*max(h) per side."""
     pad = PAD_BANDWIDTHS * max(hx, hy)
     return Grid2D(
         float(np.min(x) - pad), float(np.max(x) + pad),
         float(np.min(y) - pad), float(np.max(y) + pad),
-        nx, ny,
     )
 
 
@@ -368,13 +367,13 @@ def _prepare_knn(y):
     return yj, np.sort(yj)
 
 
-def _knn_column(x, prep, k: int = 3) -> MIResult:
+def _knn_column(x, prep) -> MIResult:
     from scipy.spatial import cKDTree
     from scipy.special import digamma
 
     yj, ys = prep
-    n = yj.size
-    if not 1 <= k < n:      # the outcome's check, so it comes before the column's
+    n, k = yj.size, 3      # Kraskov's k neighbours
+    if n <= k:              # the outcome's check, so it comes before the column's
         raise ValueError("need 1 <= k < n")
     xj = _dedupe_jitter(_finite(x))
     z = np.column_stack([xj, yj])
@@ -392,9 +391,9 @@ def _knn_column(x, prep, k: int = 3) -> MIResult:
     return MIResult(max(raw, 0.0), "knn", {"k": k, "raw": raw})
 
 
-def mi_knn(x, y, k: int = 3) -> MIResult:
-    """KSG estimator (variant 1) with max-norm neighborhoods."""
-    return _knn_column(x, _prepare_knn(y), k)
+def mi_knn(x, y) -> MIResult:
+    """KSG estimator (variant 1), k = 3, max-norm neighborhoods; needs n > 3."""
+    return _knn_column(x, _prepare_knn(y))
 
 
 def _prepare_pearson(y):

@@ -40,7 +40,8 @@ from hdsparse.qgaussian import (
     q_from_dof,
     sigma2_update,
     theta_update,
-    _theta_objective,
+    _psi_cholesky,
+    _whitened_objective,
 )
 from hdsparse.screen import mi_fftkde, mi_knn, screen_all, selection_auroc
 
@@ -151,7 +152,7 @@ def test_c04_gradient_finite_differences():
     _check_gradients(logi.value, logi.grad, 8, rng)
     a = rng.normal(size=(60, 60))
     psi = a @ a.T / 60 + np.eye(60)
-    qobj = _theta_objective(X, y, psi, PenaltySpec("l1", 0.0))
+    qobj = _whitened_objective(X, y, _psi_cholesky(psi), PenaltySpec("l1", 0.0))
     _check_gradients(qobj.value, qobj.grad, 9, rng)
 
 

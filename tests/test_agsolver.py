@@ -22,7 +22,7 @@ from hdsparse.agsolver import (
     schedule_original,
     verify_schedule,
 )
-from hdsparse.penalty import PenaltySpec
+from hdsparse.penalty import PenaltySpec, lipschitz_h
 
 
 def test_schedule_optimal_exact_heads():
@@ -454,6 +454,19 @@ def test_objectives_and_gradients():
         for make, resp in ((make_linear_objective, y), (make_logistic_objective, yb)):
             with pytest.raises(ValueError, match="NaN or inf"):
                 make(Z, resp)
+
+
+def test_zero_design_has_no_step_size_without_a_concave_part():
+    # an all-zero design gives lambda_max(X'X) = 0: with l1 (or no penalty)
+    # L = 0 and 1/L has no meaning, so the builders refuse it; SCAD and MCP
+    # add L_h > 0 and still build
+    X, y, yb = np.zeros((4, 2)), np.array([1.0, 2.0, 3.0, 5.0]), np.array([0.0, 1, 1, 0])
+    for make, resp in ((make_linear_objective, y), (make_logistic_objective, yb)):
+        for pen in (None, PenaltySpec("l1", 0.1)):
+            with pytest.raises(ValueError, match="^L = 0: the design has no nonzero entry"):
+                make(X, resp, pen)
+        scad = PenaltySpec("scad", 0.1, a=3.7)
+        assert make(X, resp, scad).lipschitz == lipschitz_h(scad) > 0
 
 
 def test_converged_point_has_small_mapping():

@@ -119,6 +119,22 @@ def test_fit_pcg_tol_zero_stops_where_the_map_underflows(tmp_path):
     assert payload["moreau_grad_norm"] == np.max(np.abs(s))
 
 
+@pytest.mark.parametrize("solver", ["ag", "pg", "pcg"])
+def test_fit_rejects_a_zero_design_under_l1(tmp_path, solver):
+    # two all-zero features give L = 0 under l1; pg and pcg used to die with
+    # ZeroDivisionError (1/L, 0.5/L) and ag with a schedule error.  SCAD adds
+    # L_h > 0, so the same data still fits.
+    data = tmp_path / "zero.csv"
+    data.write_text("x1,x2,y\n0,0,1\n0,0,2\n0,0,3\n0,0,5\n")
+    argv = ["fit", "--data", str(data), "--outcome", "y", "--solver", solver,
+            "--lambda", "0.1"]
+    with pytest.raises(ValueError, match="^L = 0: the design has no nonzero entry"):
+        main(argv + ["--penalty", "l1", "--out-dir", str(tmp_path / "l1")])
+    assert not (tmp_path / "l1").exists()
+    main(argv + ["--penalty", "scad", "--out-dir", str(tmp_path / "scad")])
+    assert json.loads((tmp_path / "scad" / "fit.json").read_text())["estimate"] == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("psi", ["identity", "toeplitz"])
 def test_qfit_command(linear_csv, tmp_path, psi):
     if psi == "toeplitz":

@@ -20,7 +20,6 @@ def test_standardize_basic_column():
     # sample sd of (1,2,3) is 1 with the n-1 denominator
     assert np.allclose(out.values.ravel(), [-1.0, 0.0, 1.0])
     assert rec.means[0] == 2.0 and rec.sds[0] == 1.0
-    assert out.standardized
 
 
 def test_standardize_invariants_and_idempotence():

@@ -22,7 +22,8 @@ from hdsparse.qgaussian import (
     q_log,
     q_update,
     recover_q_subset,
-    _theta_objective,
+    _psi_cholesky,
+    _whitened_objective,
     sigma2_update,
     theta_update,
 )
@@ -191,7 +192,7 @@ def test_theta_lipschitz_adds_concave_part():
     n = 80
     X = rng.normal(size=(n, 5))
     y = rng.normal(size=n)
-    obj = _theta_objective(X, y, None, PenaltySpec("mcp", 0.1, gamma=1.5))
+    obj = _whitened_objective(X, y, _psi_cholesky(None), PenaltySpec("mcp", 0.1, gamma=1.5))
     Xd = np.column_stack([np.ones(n), X])
     l_loss = np.linalg.eigvalsh(Xd.T @ Xd / n).max()
     assert obj.lipschitz == pytest.approx(l_loss + 1 / 1.5, rel=1e-6)
@@ -229,8 +230,8 @@ def test_q_update_near_gaussian_boundary():
     model.theta = theta_update(model, X, y)
     model.sigma2 = sigma2_update(model, X, y)
     with pytest.warns(UserWarning, match="boundary"):
-        q = q_update(model, X, y, u_cap=1e6)
-    assert q == pytest.approx(q_from_dof(2e6 - 60, 60))
+        q = q_update(model, X, y)
+    assert q == pytest.approx(q_from_dof(2e8 - 60, 60))
 
 
 @pytest.mark.parametrize("n, s", [(3, 1.0), (50, 1e-3), (60, 1e3)])
@@ -332,3 +333,11 @@ def test_predict():
         assert np.allclose(cov, m_new / (m_new - 2) * model.sigma2 * np.eye(5))
     with pytest.raises(ValueError):
         predict(model, rng.normal(size=(5, 7)))
+    # a Psi block scales the same factor; one not (5, 5) is refused, where it
+    # used to come back as a covariance of its own size
+    psi_new = toeplitz(0.5 ** np.arange(5))
+    mean_psi, q_psi, cov = predict(model, Xn, psi_new)
+    assert np.array_equal(mean_psi, mean) and q_psi == q_new and m_new > 2
+    assert np.array_equal(cov, m_new / (m_new - 2) * model.sigma2 * psi_new)
+    with pytest.raises(ValueError, match=r"psi_new_block must be \(5, 5\) for 5 rows"):
+        predict(model, Xn, np.eye(3))
