@@ -35,12 +35,9 @@ from .bench import (
     scaled_estimation_error,
 )
 from .data import (
-    DataSplit,
     FeatureMatrix,
     ResponseVector,
     read_table,
-    split_stratified,
-    standardize_columns,
     write_table,
 )
 from .pcg import (

@@ -260,6 +260,8 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
     differently, so rows match ag_solve to rounding; one schedule and a vector
     x0 is ag_solve.
     """
+    if not schedules:
+        raise ValueError("ag_solve_many needs at least one schedule")
     for s in schedules:
         if len(s) < max_iter:
             raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")

@@ -38,7 +38,7 @@ from .agsolver import (  # noqa: F401 - pg_solve stays for perfbench's tracer to
     schedule_optimal,
     schedule_original,
 )
-from .data import FeatureMatrix, ResponseVector, standardize_columns
+from .data import FeatureMatrix, ResponseVector
 from .penalty import PenaltySpec
 from .screen import screen_all, selection_auroc, toeplitz
 
@@ -90,6 +90,9 @@ class SimSpec:
             raise ValueError(f"unknown signal {self.signal!r}")
         if self.outcome not in OUTCOMES:
             raise ValueError(f"unknown outcome {self.outcome!r}")
+        if self.n < 3 and self.nonlinear and self.outcome.startswith("screening_"):
+            # two standardized values are +-1/sqrt(2), so every squared column is constant
+            raise ValueError("n must be at least 3 for the nonlinear screening outcomes")
         if self.signal == "screening_recipe" and not 1 <= self.p_true <= self.p:
             raise ValueError("p_true must lie in [1, p] for the screening_recipe signal")
         least = {"four_fixed": 4, "five_blocks": 50}.get(self.signal, 1)
@@ -151,10 +154,8 @@ def gen_signal(spec: SimSpec, rng: np.random.Generator | None = None) -> np.ndar
 
 
 def _standardize_matrix(x: np.ndarray) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fm, _ = standardize_columns(FeatureMatrix(x))
-    return fm.values
+    # no column is constant: the draws are continuous, and SimSpec rejects n = 2 squared ones
+    return (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
 
 
 def gen_outcome(spec: SimSpec, X: FeatureMatrix, beta_true: np.ndarray,

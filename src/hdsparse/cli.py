@@ -32,7 +32,7 @@ from .agsolver import (
     schedule_optimal,
     schedule_original,
 )
-from .bench import E3, SimSpec, gen_dataset, run_benchmark
+from .bench import E3, OUTCOMES, SIGNALS, SimSpec, gen_dataset, run_benchmark
 from .data import read_table, write_table
 from .pcg import PCGConfig, pcg_solve
 from .penalty import PenaltySpec
@@ -204,9 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, default=400)
         p.add_argument("--tau", type=float, default=0.5)
         p.add_argument("--snr", type=float, default=3.0)
-        p.add_argument("--signal", choices=("four_fixed", "five_blocks",
-                                            "screening_recipe"), default="five_blocks")
-        p.add_argument("--outcome", default="linear")
+        p.add_argument("--signal", choices=SIGNALS, default="five_blocks")
+        p.add_argument("--outcome", choices=OUTCOMES, default="linear")
         p.add_argument("--p-true", dest="p_true", type=int, default=10)
         p.add_argument("--seed", type=int, default=0)
         if name == "bench":

@@ -1,4 +1,4 @@
-"""Dataset containers, column standardization, stratified splitting, CSV I/O.
+"""Dataset containers and CSV I/O.
 
 Everything downstream (screening, solvers, the q-Gaussian model) works on a
 plain dense FeatureMatrix + ResponseVector pair.  Nothing fancy: immutable
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +16,6 @@ import numpy as np
 __all__ = [
     "FeatureMatrix",
     "ResponseVector",
-    "StandardizationRecord",
-    "DataSplit",
-    "standardize_columns",
-    "inverse_standardize",
-    "split_stratified",
     "read_table",
     "write_table",
 ]
@@ -71,112 +65,6 @@ class ResponseVector:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class StandardizationRecord:
-    means: np.ndarray
-    sds: np.ndarray          # constant columns carry sd 1 here, see flag below
-    constant: np.ndarray     # boolean mask of constant columns
-
-
-@dataclass(frozen=True)
-class DataSplit:
-    """Sorted row indices of split_stratified's train, validation and test parts."""
-
-    train_idx: np.ndarray
-    val_idx: np.ndarray
-    test_idx: np.ndarray
-
-
-def standardize_columns(m: FeatureMatrix) -> tuple[FeatureMatrix, StandardizationRecord]:
-    """Center and scale every column to mean 0 / sample sd 1 (n-1 denominator).
-
-    Constant columns come out as all zeros (sd flagged 1) with a warning so a
-    screening pass can still run over messy inputs.
-    """
-    x = m.values
-    if x.shape[0] < 2:
-        raise ValueError("standardization needs n >= 2")
-    bad = ~np.isfinite(x)
-    if bad.any():
-        cols = np.unique(np.nonzero(bad)[1])
-        raise ValueError(f"non-finite entries in column(s) {cols.tolist()}")
-    means = x.mean(axis=0)
-    sds = x.std(axis=0, ddof=1)
-    const = sds == 0.0
-    if const.any():
-        warnings.warn(
-            f"constant column(s) {np.nonzero(const)[0].tolist()} set to zero",
-            stacklevel=2,
-        )
-    safe = np.where(const, 1.0, sds)
-    out = (x - means) / safe
-    out[:, const] = 0.0
-    rec = StandardizationRecord(means=means, sds=safe, constant=const)
-    return FeatureMatrix(out, m.column_names), rec
-
-
-def inverse_standardize(m: FeatureMatrix, rec: StandardizationRecord) -> FeatureMatrix:
-    """Undo standardize_columns (constant columns return to their mean)."""
-    x = m.values * rec.sds + rec.means
-    return FeatureMatrix(x, m.column_names)
-
-
-def _stratum_labels(y: ResponseVector, bins: int) -> np.ndarray:
-    if y.kind == "binary":
-        return y.values.astype(int)
-    # equal-frequency bins on the outcome
-    q = np.quantile(y.values, np.linspace(0, 1, bins + 1)[1:-1])
-    return np.searchsorted(q, y.values, side="left")
-
-
-def split_stratified(
-    y: ResponseVector,
-    fractions: tuple[float, float, float],
-    bins: int = 30,
-    seed: int = 0,
-) -> DataSplit:
-    """Stratified train/val/test split on the outcome.
-
-    Continuous outcomes are cut into `bins` equal-frequency bins and each bin is
-    split separately, so every subset sees a balanced slice of the outcome
-    distribution.  Within each stratum the counts follow the fractions by
-    largest remainder, which keeps class proportions within one observation.
-    """
-    fr = np.asarray(fractions, dtype=float)
-    if fr.ndim != 1 or fr.size != 3:
-        raise ValueError("fractions must be (train, val, test)")
-    if np.any(fr < 0) or fr.sum() > 1 + 1e-12 or fr.sum() <= 0:
-        raise ValueError("fractions must be nonnegative and sum to at most 1")
-    if y.kind == "continuous" and bins < 2:
-        raise ValueError("continuous stratification requires bins >= 2")
-
-    labels = _stratum_labels(y, bins)
-    n_splits = int(np.count_nonzero(fr > 0))
-    rng = np.random.default_rng(seed)
-    parts: list[list[int]] = [[], [], []]
-    for lab in np.unique(labels):
-        idx = np.nonzero(labels == lab)[0]
-        if idx.size < n_splits:
-            raise ValueError(
-                f"stratum {lab} has {idx.size} observation(s), fewer than "
-                f"{n_splits} requested splits"
-            )
-        idx = rng.permutation(idx)
-        # largest-remainder apportionment of this stratum across the splits
-        exact = fr * idx.size
-        take = np.floor(exact).astype(int)
-        rem = int(round(exact.sum())) - take.sum()
-        order = np.argsort(-(exact - take), kind="stable")
-        for j in order[:rem]:
-            take[j] += 1
-        start = 0
-        for j in range(3):
-            parts[j].extend(idx[start : start + take[j]].tolist())
-            start += take[j]
-    train, val, test = (np.sort(np.asarray(p, dtype=int)) for p in parts)
-    return DataSplit(train, val, test)
 
 
 def read_table(

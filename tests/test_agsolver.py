@@ -360,6 +360,12 @@ def test_ag_solve_many_checks_every_schedule_length():
         ag_solve_many(obj, PenaltySpec("l1", 0.0), scheds, np.zeros(1), max_iter=50)
 
 
+def test_ag_solve_many_rejects_an_empty_schedule_list():
+    # it used to fail in np.stack with "need at least one array to stack"
+    with pytest.raises(ValueError, match=r"^ag_solve_many needs at least one schedule$"):
+        ag_solve_many(_quad_obj(), PenaltySpec("l1", 0.0), [], np.zeros(1), max_iter=50)
+
+
 def test_pg_solve_rejects_nan_response():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(30, 5))

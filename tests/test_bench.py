@@ -38,6 +38,7 @@ def test_simspec_validation():
     ("p_true", dict(p_true=21)),
     ("p", dict(signal="four_fixed", p=3)),
     ("p", dict(signal="five_blocks", p=49)),
+    ("n", dict(n=2)),   # squared screening columns: all-zero or NaN outcomes
 ])
 def test_simspec_rejects_bad_sizes_and_snr(field, bad):
     # snr=0 used to give a non-finite screening outcome and a ZeroDivisionError

@@ -365,6 +365,21 @@ def test_layered_solver_gets_the_flag_choice_check(linear_csv, tmp_path, monkeyp
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("layer", ["flag", "env"])
+def test_simulate_outcome_gets_a_choice_check(tmp_path, monkeypatch, capsys, layer):
+    # a misspelt outcome used to pass argparse and raise ValueError from SimSpec
+    argv = ["simulate", "--n", "20", "--p", "10", "--out-dir", str(tmp_path / "o")]
+    if layer == "env":
+        monkeypatch.setenv("HDSL_OUTCOME", "linaer")
+    else:
+        argv += ["--outcome", "linaer"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --outcome: invalid choice: 'linaer'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_and_env_values_are_honoured(linear_csv, tmp_path, monkeypatch):
     # keys follow the long flags (lambda, max_iter); both used to be ignored.
     # method is a screen option, so fit ignores it

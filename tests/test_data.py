@@ -2,81 +2,7 @@ import numpy as np
 import pytest
 
 from hdsparse import data
-from hdsparse.data import (
-    DataSplit,
-    FeatureMatrix,
-    ResponseVector,
-    inverse_standardize,
-    read_table,
-    split_stratified,
-    standardize_columns,
-    write_table,
-)
-
-
-def test_standardize_basic_column():
-    fm = FeatureMatrix(np.array([[1.0], [2.0], [3.0]]))
-    out, rec = standardize_columns(fm)
-    # sample sd of (1,2,3) is 1 with the n-1 denominator
-    assert np.allclose(out.values.ravel(), [-1.0, 0.0, 1.0])
-    assert rec.means[0] == 2.0 and rec.sds[0] == 1.0
-
-
-def test_standardize_invariants_and_idempotence():
-    rng = np.random.default_rng(0)
-    fm = FeatureMatrix(rng.normal(3, 7, size=(40, 5)))
-    out, rec = standardize_columns(fm)
-    assert np.all(np.abs(out.values.mean(axis=0)) <= 1e-10)
-    assert np.all(np.abs(out.values.std(axis=0, ddof=1) - 1) <= 1e-8)
-    again, _ = standardize_columns(out)
-    assert np.allclose(again.values, out.values, atol=1e-12)
-    back = inverse_standardize(out, rec)
-    assert np.allclose(back.values, fm.values, rtol=1e-12)
-
-
-def test_standardize_constant_column_warns():
-    fm = FeatureMatrix(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
-    with pytest.warns(UserWarning, match="constant"):
-        out, rec = standardize_columns(fm)
-    assert np.all(out.values[:, 0] == 0.0)
-    assert rec.constant[0] and not rec.constant[1]
-
-
-def test_standardize_rejects_nonfinite_with_column():
-    x = np.ones((5, 3))
-    x[2, 1] = np.nan
-    with pytest.raises(ValueError, match=r"column\(s\) \[1\]"):
-        standardize_columns(FeatureMatrix(x))
-
-
-def test_split_binary_balanced():
-    y = ResponseVector(np.repeat([0.0, 1.0], 50), "binary")
-    s = split_stratified(y, (0.8, 0.0, 0.2), seed=3)
-    yv = y.values
-    for idx, frac in ((s.train_idx, 0.8), (s.test_idx, 0.2)):
-        # class proportions match overall within one observation per class
-        assert abs(yv[idx].sum() - frac * 50) <= 1
-        assert len(idx) == round(frac * 100)
-    assert len(s.val_idx) == 0
-
-
-def test_split_partition_and_determinism():
-    rng = np.random.default_rng(1)
-    y = ResponseVector(rng.normal(size=120))
-    s1 = split_stratified(y, (0.6, 0.2, 0.2), bins=10, seed=42)
-    s2 = split_stratified(y, (0.6, 0.2, 0.2), bins=10, seed=42)
-    for a, b in zip((s1.train_idx, s1.val_idx, s1.test_idx),
-                    (s2.train_idx, s2.val_idx, s2.test_idx)):
-        assert np.array_equal(a, b)
-    allidx = np.concatenate([s1.train_idx, s1.val_idx, s1.test_idx])
-    assert len(set(allidx.tolist())) == len(allidx)          # disjoint
-    assert len(allidx) == round(120 * 1.0)                    # full coverage
-
-
-def test_split_small_stratum_errors():
-    y = ResponseVector(np.arange(30, dtype=float))
-    with pytest.raises(ValueError, match="stratum"):
-        split_stratified(y, (0.8, 0.0, 0.2), bins=30, seed=0)
+from hdsparse.data import FeatureMatrix, ResponseVector, read_table, write_table
 
 
 def test_read_write_roundtrip(tmp_path):

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,15 @@ import hdsparse
 
 # every module but the command-line entry point, which exports nothing
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hdsparse.__path__) if m.name != "cli")
+
+# public names that no program code calls, only tests: the paper's results,
+# checked against oracles (agsolver's bounds and schedules, the q-Gaussian
+# density, covariance and q-functions, predict), the per-pair MI estimators
+# behind screen_all, and linear_cg, which acceptance test c14 pins and
+# perfbench's tracer patches by its name
+TEST_ONLY = ("admissible_ab", "complexity_bound", "damping_lower_bound", "optimal_ab",
+             "grad_mapping", "logpdf", "q_covariance", "covariance", "q_exp", "q_log",
+             "predict", "mi_fftkde", "mi_binning", "mi_knn", "pearson_abs", "linear_cg")
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -28,3 +38,17 @@ def test_package_imports_only_exported_names():
     missing = [f"{module}.{name}" for module, name in imports
                if name not in importlib.import_module(f"hdsparse.{module}").__all__]
     assert missing == []
+
+
+def test_every_exported_name_is_used_by_program_code():
+    # a name read anywhere in src/ or perfbench/, as a name or an attribute;
+    # a def, a class or an import alone does not count
+    root = Path(__file__).resolve().parents[1]
+    files = [*(root / "src").rglob("*.py"), *(root / "perfbench").rglob("*.py")]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for f in files for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    unused = [f"{module}.{name}" for module in MODULES
+              for name in importlib.import_module(f"hdsparse.{module}").__all__
+              if name not in used and name not in TEST_ONLY]
+    assert unused == []
