@@ -9,7 +9,8 @@ the q-Gaussian theta step.  One iteration:
     x    = P(x,    grad Psi(x_md), delta_k)
     x_ag = P(x_md, grad Psi(x_md), omega_k)
 
-with P the scaled soft-threshold prox.  The damping schedule must satisfy
+with P the scaled soft-threshold prox, and the traced objective the composite's
+one value(x): the loss plus penalty.penalty_sum.  The damping schedule must satisfy
 alpha_k*delta_k <= omega_k < 1/L and alpha_k/(delta_k*Gamma_k) nonincreasing;
 two ready-made schedules are provided (the optimal one and the classical
 2/(k+1) one) plus a checker and the theoretical complexity bound.  The plain
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -72,9 +74,10 @@ class SmoothObjective:
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """f = g + h with g = loss + smooth penalty part (value/grad/L) and h
-    convex with a prox; make_composite builds it.
+    """f = g + h with g = loss + smooth penalty part (grad/L) and h convex with
+    a prox; make_composite builds it.
 
+    value(x) = g(x) + h(x): the loss plus sum_j p(x_j) over the penalized coordinates.
     h_prox(v, rho) must return argmin_u h(u) + ||u - v||^2 / (2 rho).
     g_grad(x) forms the loss gradient itself; g_grad(x, lg) takes a known
     lg = loss_grad(x) instead.  curvature is the loss's constant Hessian-vector
@@ -82,10 +85,9 @@ class CompositeProblem:
     it the gradient at x + alpha d is g_grad(x + alpha d, lg + alpha * H d).
     """
 
-    g_value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], float]
     g_grad: Callable[..., np.ndarray]
     lipschitz_g: float
-    h_value: Callable[[np.ndarray], float]
     h_prox: Callable[[np.ndarray, float], np.ndarray]
     dimension: int
     loss_grad: Callable[[np.ndarray], np.ndarray]
@@ -96,9 +98,10 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
     """Composite problem with g = loss + concave penalty part, h = lambda*l1.
 
     Coordinates in skip (the intercept, typically) carry no penalty at all.
-    h_value and h_grad are looked up on the penalty module at each call, so a
-    wrapper installed there (as perfbench's tracer does) sees every call.
-    Each also takes a (k, p) block, a point per row (h_prox a (k, 1) column of scales).
+    penalty_sum and h_grad are looked up on the penalty module at each call, so
+    a wrapper installed there (as perfbench's tracer does on h_grad) sees every
+    call.  Each also takes a (k, p) block, a point per row (h_prox a (k, 1)
+    column of scales).
     """
     skip_idx = np.asarray(list(skip), dtype=int)
     mask = None
@@ -107,10 +110,9 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
         mask[skip_idx] = False
     lam = penalty.lam
 
-
-    def g_value(x):
-        h = _penalty.h_value(penalty, x if mask is None else np.where(mask, x, 0.0))
-        return obj.value(x) + h.sum(axis=-1)
+    def value(x):
+        pen = _penalty.penalty_sum(penalty, x if mask is None else np.where(mask, x, 0.0))
+        return obj.value(x) + pen
 
     def g_grad(x, loss_grad=None):
         hg = _penalty.h_grad(penalty, x)
@@ -119,14 +121,10 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
         hg += obj.grad(x) if loss_grad is None else loss_grad
         return hg
 
-    def h_value(x):
-        return lam * np.abs(x.T if mask is None else x.T[mask]).sum(axis=0)
-
     return CompositeProblem(
-        g_value=g_value,
+        value=value,
         g_grad=g_grad,
         lipschitz_g=obj.lipschitz,
-        h_value=h_value,
         # prox of lam*||.||_1 is the scaled soft threshold at a zero gradient
         h_prox=lambda v, rho: prox_scaled_l1(v, 0.0, rho, lam, skip_idx),
         dimension=obj.dimension,
@@ -154,6 +152,11 @@ class AGSchedule:
         w = np.asarray(self.omegas, dtype=float)
         if not (len(a) == len(d) == len(w)) or len(a) == 0:
             raise ValueError("alpha/delta/omega must share a positive length")
+        for name, v in (("deltas", d), ("omegas", w)):  # checked here, not in the prox
+            if not ((v > 0) & (v < np.inf)).all():  # NaN included
+                raise ValueError(f"{name} must be finite and positive")
+        if not ((a > 0) & (a <= 1)).all():
+            raise ValueError("alphas must lie in (0, 1]")
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "deltas", d)
         object.__setattr__(self, "omegas", w)
@@ -233,7 +236,10 @@ def verify_schedule(s: AGSchedule, L: float) -> tuple[bool, str | None]:
 
 def grad_mapping(x, y, c: float, penalty: PenaltySpec) -> np.ndarray:
     """Composite gradient analogue G(x,y,c) = (x - P(x,y,c))/c, all coordinates penalized."""
-    return (np.asarray(x, float) - prox_scaled_l1(x, y, c, penalty.lam)) / c
+    if not c > 0:
+        raise ValueError("c must be positive")
+    x = np.asarray(x, float)
+    return (x - prox_scaled_l1(x, np.asarray(y, float), c, penalty.lam)) / c
 
 
 def ag_solve(obj: SmoothObjective, penalty: PenaltySpec, s: AGSchedule, x0, tol: float = 1e-4,
@@ -256,21 +262,27 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
     A step forms one block product for the gradient and one for the value,
     not k of each.  Each row keeps ag_solve's descent check, best iterate and
     stopping test; a stopped row is frozen, its wall_time the block's until
-    then.  x0 is one start or a (k, p) block.  Block products round
-    differently, so rows match ag_solve to rounding; one schedule and a vector
-    x0 is ag_solve.
+    then.  x0 is one start, shape (p,), or a (k, p) block.  Block products
+    round differently, so rows match ag_solve to rounding; one schedule and a
+    vector x0 is ag_solve.  A step makes one loss gradient, h_grad and value,
+    and one or two prox calls.
     """
     if not schedules:
         raise ValueError("ag_solve_many needs at least one schedule")
     for s in schedules:
         if len(s) < max_iter:
             raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")
+    if not tol >= 0:  # NaN included
+        raise ValueError(f"tol must be >= 0, got {tol}")
     t0 = time.perf_counter()
-    p = make_composite(obj, penalty, skip)
     x = np.asarray(x0, dtype=float)
+    k, dim = len(schedules), obj.dimension
+    if x.shape not in ((dim,), (k, dim)):
+        raise ValueError(f"x0 has shape {x.shape}; need ({dim},) or ({k}, {dim})")
+    p = make_composite(obj, penalty, skip)
     # per-row values are floats on a vector, (k,) arrays on a block
-    block = len(schedules) > 1 or x.ndim == 2
-    x = x_ag = np.broadcast_to(x, (len(schedules), obj.dimension)).copy() if block else x.copy()
+    block = k > 1 or x.ndim == 2
+    x = x_ag = np.broadcast_to(x, (k, dim)).copy() if block else x.copy()
     sched = np.stack([[s.alphas[:max_iter], s.deltas[:max_iter], s.omegas[:max_iter]]
                       for s in schedules], axis=1)  # (alpha, delta, omega) x row x step
     pg = (sched[0] == 1.0) & (sched[1] == sched[2])  # x_md = x and one prox step
@@ -279,14 +291,16 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
     # proximal gradient rows descend: no step may raise their objective
     descent = pg.all(axis=1)
     alphas, deltas, omegas = sched.transpose(0, 2, 1)[..., None] if block else sched[:, 0]
+    # a vector reads Python floats: cheaper than numpy scalars, the same bits
+    at = operator.getitem if block else np.ndarray.item
     finite = (lambda v: bool(np.isfinite(v).all())) if block else math.isfinite
-    rows = np.arange(len(schedules)) if block else 0  # the rows still running
-    best_val, best_x = np.full(len(schedules), np.inf) if block else np.inf, x
+    rows = np.arange(k) if block else 0  # the rows still running
+    best_val, best_x = np.full(k, np.inf) if block else np.inf, x
     # the descent rows' last value (inf on the other rows of a block)
-    prev = p.g_value(x) + p.h_value(x) if descent.any() else None
+    prev = p.value(x) if descent.any() else None
     prev = np.where(descent, np.inf if prev is None else prev, np.inf) if block else prev
-    obj_tr, gap2_tr = np.empty((2, max_iter, len(schedules)))
-    reports, it = [None] * len(schedules), 0
+    obj_tr, gap2_tr = np.empty((2, max_iter, k))
+    reports, it = [None] * k, 0
 
     def finish(done, converged):
         for j in np.flatnonzero(done):
@@ -297,7 +311,7 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
                 np.sqrt(gap2_tr[:it, r]) / sched[2, r, :it], converged, time.perf_counter() - t0)
 
     for i in range(max_iter):
-        a, d, w = alphas[i], deltas[i], omegas[i]
+        a, d, w = at(alphas, i), at(deltas, i), at(omegas, i)
         # alpha weights the plain sequence; the aggregated sequence carries
         # the rest (this is what makes the momentum identity hold)
         x_md = (1.0 - a) * x_ag + a * x if mixed[i] else x
@@ -306,12 +320,12 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
         # with x_md = x and delta = omega both prox steps take the same point
         x_ag = p.h_prox(x_md - w * g, w) if two_prox[i] else x_new
         gap = x_md - x_ag
-        gap2 = _sumsq(gap)
+        gap2 = np.einsum("ij,ij->i", gap, gap) if block else gap @ gap
         # a non-finite entry of g makes that entry of x_ag, and so gap2,
         # non-finite; only then does g itself need a scan
         if not finite(gap2) and not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient at iteration {i + 1}")
-        val = p.g_value(x_ag) + p.h_value(x_ag)
+        val = p.value(x_ag)
         if not finite(val):
             raise FloatingPointError(f"non-finite objective at iteration {i + 1}")
         if prev is not None:
@@ -328,7 +342,7 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
             best_x = np.where(better[:, None], x_ag, best_x)
         elif val < best_val:  # x_ag is a fresh array that no later step writes to
             best_val, best_x = val, x_ag
-        step = np.abs(x_new - x if two_prox[i] else gap).max(axis=-1)  # gap = x - x_new there
+        step = np.maximum.reduce(np.abs(x_new - x if two_prox[i] else gap), -1)  # gap = x - x_new
         x, it = x_new, i + 1
         stop = step < tol
         if stop.any() if block else stop:
@@ -351,8 +365,8 @@ def pg_solve(obj: SmoothObjective, penalty: PenaltySpec, step: float, x0, tol: f
     step, which is not passed through verify_schedule: its omega < 1/L is
     strict, while proximal gradient descends for any step up to 1/L.
     """
-    if step > 1.0 / obj.lipschitz + 1e-15:
-        raise ValueError("step must be <= 1/L")
+    if not 0 < step <= 1.0 / obj.lipschitz + 1e-15:  # NaN included
+        raise ValueError(f"step must lie in (0, 1/L], got {step}")
     ones = np.ones(max(max_iter, 1))
     return ag_solve(obj, penalty, AGSchedule(ones, ones * step, ones * step),
                     x0, tol, max_iter, skip)
@@ -408,21 +422,17 @@ def _lipschitz(X: np.ndarray, c: float, penalty: PenaltySpec | None) -> float:
     return L
 
 
-def _sumsq(v):
-    # v @ v, one per row of a (k, m) block v
-    return v @ v if v.ndim == 1 else np.einsum("ij,ij->i", v, v)
-
-
-def least_squares_loss(X: np.ndarray, y: np.ndarray, b) -> float | np.ndarray:
+def least_squares_loss(X: np.ndarray, y: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """1/(2n)||Xb - y||^2, the value of make_linear_objective; one per row of
     a (k, p) block b."""
-    return _sumsq(np.asarray(b) @ X.T - y) * (0.5 / X.shape[0])
+    r = np.dot(b, X.T) - y
+    return (np.dot(r, r) if r.ndim == 1 else np.einsum("ij,ij->i", r, r)) * (0.5 / X.shape[0])
 
 
-def logistic_loss(X: np.ndarray, y: np.ndarray, b) -> float | np.ndarray:
+def logistic_loss(X: np.ndarray, y: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Mean negative Bernoulli log-likelihood, the value of
     make_logistic_objective; one per row of a (k, p) block b."""
-    z = np.asarray(b) @ X.T
+    z = np.dot(b, X.T)
     # log(1 + e^z) via logaddexp keeps large z finite
     return np.mean(np.logaddexp(0.0, z) - y * z, axis=-1)
 
@@ -432,15 +442,16 @@ def make_linear_objective(X: np.ndarray, y: np.ndarray,
     """Least squares 1/(2n)||Xb - y||^2; L = lambda_max(X'X)/n, exact (see
     _lipschitz), plus the penalty's concave part.
 
-    value and grad also take a (k, p) block, one point per row; for a vector
-    b, numpy sends b @ X.T and r @ X to the gemv calls of X @ b and X.T @ r.
+    value and grad also take a (k, p) block, one point per row.  np.dot
+    sends a vector b to the gemv calls of X @ b and X.T @ r, with less
+    dispatch than matmul and the same bits.
     """
     X = np.asarray(X, float)
     y = np.asarray(y, float).ravel()
-    n = X.shape[0]
+    n, XT = X.shape[0], X.T
     return SmoothObjective(
-        value=lambda b: least_squares_loss(X, y, b),
-        grad=lambda b: (b @ X.T - y) @ X / n,
+        value=functools.partial(least_squares_loss, X, y),
+        grad=lambda b: np.dot(np.dot(b, XT) - y, X) / n,
         lipschitz=_lipschitz(X, 1.0, penalty),
         dimension=X.shape[1],
         curvature=lambda d: X.T @ (X @ d) / n,
@@ -460,6 +471,6 @@ def make_logistic_objective(X: np.ndarray, y: np.ndarray,
     # scipy's expit, whose last bits no numpy form matches, loads on first use
     from scipy.special import expit
 
-    return SmoothObjective(value=lambda b: logistic_loss(X, y, b),
-                           grad=lambda b: (expit(b @ X.T) - y) @ X / n,
+    return SmoothObjective(value=functools.partial(logistic_loss, X, y),
+                           grad=lambda b: np.dot(expit(np.dot(b, X.T)) - y, X) / n,
                            lipschitz=_lipschitz(X, 4.0, penalty), dimension=X.shape[1])

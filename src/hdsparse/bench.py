@@ -27,15 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .agsolver import (  # noqa: F401 - pg_solve stays for perfbench's tracer to patch
-    AGSchedule,
-    ag_solve,
-    ag_solve_many,
-    least_squares_loss,
-    logistic_loss,
-    make_linear_objective,
-    make_logistic_objective,
-    pg_solve,
-    schedule_optimal,
+    AGSchedule, ag_solve, ag_solve_many, least_squares_loss, logistic_loss,
+    make_linear_objective, make_logistic_objective, pg_solve, schedule_optimal,
     schedule_original,
 )
 from .data import FeatureMatrix, ResponseVector
@@ -55,14 +48,10 @@ __all__ = [
     "run_benchmark",
 ]
 
+KINDS = ("screening_auroc", "ag_convergence", "signal_recovery", "qgaussian_recovery")
 SIGNALS = ("four_fixed", "five_blocks", "screening_recipe")
-OUTCOMES = (
-    "linear",
-    "logistic",
-    "screening_continuous",
-    "screening_binary_original",
-    "screening_binary_translated",
-)
+OUTCOMES = ("linear", "logistic", "screening_continuous", "screening_binary_original",
+            "screening_binary_translated")
 
 
 @dataclass(frozen=True)
@@ -372,7 +361,7 @@ def run_benchmark(
         "signal_recovery": lambda rng: _rep_signal(spec, rng, penalty, path_len, max_iter),
         "qgaussian_recovery": lambda rng: _rep_qgaussian(spec, rng),
     }
-    if kind not in protocols:
+    if kind not in KINDS:
         raise ValueError(f"unknown benchmark kind {kind!r}")
     protocol = protocols[kind]
     sizes = dict(replications=replications, workers=workers, max_iter=max_iter, path_len=path_len)

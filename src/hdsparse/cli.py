@@ -32,7 +32,7 @@ from .agsolver import (
     schedule_optimal,
     schedule_original,
 )
-from .bench import E3, OUTCOMES, SIGNALS, SimSpec, gen_dataset, run_benchmark
+from .bench import E3, KINDS, OUTCOMES, SIGNALS, SimSpec, gen_dataset, run_benchmark
 from .data import read_table, write_table
 from .pcg import PCGConfig, pcg_solve
 from .penalty import PenaltySpec
@@ -195,9 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("simulate", cmd_simulate), ("bench", cmd_bench)):
         p = sub.add_parser(name, help=f"{name} synthetic data / protocols")
         if name == "bench":
-            p.add_argument("--kind", required=True,
-                           choices=("screening_auroc", "ag_convergence",
-                                    "signal_recovery", "qgaussian_recovery"))
+            p.add_argument("--kind", required=True, choices=KINDS)
             p.add_argument("--replications", type=int, default=20)
             p.add_argument("--threshold", type=float, default=E3)
         p.add_argument("--n", type=int, default=200)

@@ -192,6 +192,8 @@ def pcg_solve(
     """
     t0 = time.perf_counter()
     config = config or PCGConfig()
+    if not 0 < p.lipschitz_g < np.inf:  # the prox does not check its scale rho
+        raise ValueError(f"pcg needs a finite Lipschitz constant > 0, got {p.lipschitz_g}")
     rho = 0.5 / p.lipschitz_g
     x = np.zeros(p.dimension) if x0 is None else np.asarray(x0, float).copy()
     # the loss gradient at each iterate is formed once, for s, and handed on
@@ -204,7 +206,7 @@ def pcg_solve(
     it = 0
     for k in range(config.max_iter):
         sn = np.max(np.abs(s))
-        obj_trace.append(p.g_value(x) + p.h_value(x))
+        obj_trace.append(p.value(x))
         gn = float(np.linalg.norm(s))
         if gn == 0.0 and sn > 0.0:  # s @ s underflows: scale s by its sup-norm first
             gn = float(sn * np.linalg.norm(s / sn))

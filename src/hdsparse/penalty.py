@@ -13,7 +13,9 @@ t = min(|b|, a*lambda) for SCAD and t = min(|b|, gamma*lambda) for MCP:
     SCAD  h' = -copysign(clip(|b| - lambda, 0, (a-1) lambda), b) / (a-1)
     MCP   h' = -copysign(min(|b|, gamma lambda), b) / gamma = clip(-b/gamma, +-lambda)
 
-and the soft threshold is copysign(max(|z| - c*lambda, 0), z).
+and the soft threshold is copysign(max(|z| - c*lambda, 0), z).  The solvers'
+objective takes the penalty's sum over coordinates in one pass of reductions,
+lambda*sum(t) - sum(q) (penalty_sum), without forming p elementwise.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 __all__ = [
     "PenaltySpec",
     "penalty_value",
+    "penalty_sum",
     "h_value",
     "h_grad",
     "lipschitz_h",
@@ -81,14 +84,13 @@ class PenaltySpec:
 
 
 def _clip(spec: PenaltySpec, b):
-    """(t, q) at b = |beta| for SCAD/MCP, with p = lam*t - q and h = p - lam*b."""
+    """(t, u, c) at b = |beta| for SCAD/MCP: q = u^2/c, p = lam*t - q and h = p - lam*b."""
     lam = spec.lam
     if spec.kind == "scad":
         t = np.minimum(b, spec.a * lam)
-        u = np.maximum(t - lam, 0.0)
-        return t, u * u / (2.0 * (spec.a - 1.0))
+        return t, np.maximum(t - lam, 0.0), 2.0 * (spec.a - 1.0)
     t = np.minimum(b, spec.gamma * lam)
-    return t, t * t / (2.0 * spec.gamma)
+    return t, t, 2.0 * spec.gamma
 
 
 def penalty_value(spec: PenaltySpec, beta):
@@ -97,9 +99,19 @@ def penalty_value(spec: PenaltySpec, beta):
     if spec.kind == "l1":
         out = spec.lam * b
     else:
-        t, q = _clip(spec, b)
-        out = spec.lam * t - q
+        t, u, c = _clip(spec, b)
+        out = spec.lam * t - u * u / c
     return out if out.ndim else float(out)
+
+
+def penalty_sum(spec: PenaltySpec, beta):
+    """sum_j p(beta_j) over the last axis, one value per row of a (k, p) block:
+    lam*sum(t) - u.u/c, no elementwise p formed.  beta is a float array."""
+    b = np.abs(beta)
+    if spec.kind == "l1":
+        return spec.lam * np.add.reduce(b, axis=-1)
+    t, u, c = _clip(spec, b)
+    return spec.lam * np.add.reduce(t, axis=-1) - np.vecdot(u, u) / c
 
 
 def h_value(spec: PenaltySpec, beta):
@@ -108,21 +120,21 @@ def h_value(spec: PenaltySpec, beta):
     if spec.kind == "l1":
         out = np.zeros_like(b)
     else:
-        t, q = _clip(spec, b)
-        out = spec.lam * (t - b) - q
+        t, u, c = _clip(spec, b)
+        out = spec.lam * (t - b) - u * u / c
     return out if out.ndim else float(out)
 
 
 def h_grad(spec: PenaltySpec, beta) -> np.ndarray:
-    """Elementwise gradient of the concave part (zeros for l1)."""
-    b = np.asarray(beta, dtype=float)
+    """Elementwise gradient of the concave part (zeros for l1); beta is a float
+    array or scalar."""
     if spec.kind == "l1":
-        return np.zeros_like(b)
+        return np.zeros_like(beta)
     lam = spec.lam
     if spec.kind == "scad":
-        g = np.minimum(np.maximum(np.abs(b) - lam, 0.0), (spec.a - 1.0) * lam)
-        return np.copysign(g, b) / (1.0 - spec.a)
-    return np.minimum(np.maximum(b / -spec.gamma, -lam), lam)
+        g = np.minimum(np.maximum(np.abs(beta) - lam, 0.0), (spec.a - 1.0) * lam)
+        return np.copysign(g, beta) / (1.0 - spec.a)
+    return np.minimum(np.maximum(beta / -spec.gamma, -lam), lam)
 
 
 def lipschitz_h(spec: PenaltySpec) -> float:
@@ -138,14 +150,12 @@ def prox_scaled_l1(x, y, c: float, lam: float, skip=()) -> np.ndarray:
     """argmin_u <y,u> + ||u-x||^2/(2c) + lam*sum_{j not in skip} |u_j|.
 
     Soft thresholding of the gradient step x - c*y; skipped components (the
-    intercept, typically) just take the plain step.  Over a (k, p) block x,
-    c may be a (k, 1) column of scales, one per row.
+    intercept, typically) just take the plain step.  x and y are float arrays
+    (y may be the scalar 0.0, then z is x itself) and c > 0: the solvers check
+    their steps once per solve, not here.  Over a (k, p) block x, c may be a
+    (k, 1) column of scales, one per row.
     """
-    if (c <= 0).any() if isinstance(c, np.ndarray) else c <= 0:
-        raise ValueError("c must be positive")
-    z = np.asarray(x, dtype=float)
-    if not (isinstance(y, float) and y == 0.0):  # h_prox's zero gradient: z is x
-        z = z - c * np.asarray(y, dtype=float)
+    z = x if isinstance(y, float) and y == 0.0 else x - c * y
     out = np.copysign(np.maximum(np.abs(z) - c * lam, 0.0), z)
     if not isinstance(skip, np.ndarray):  # make_composite passes a built index
         skip = np.asarray(list(skip), dtype=int)

@@ -1,4 +1,6 @@
 import math
+import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +24,7 @@ from hdsparse.agsolver import (
     schedule_original,
     verify_schedule,
 )
-from hdsparse.penalty import PenaltySpec, lipschitz_h
+from hdsparse.penalty import PenaltySpec, lipschitz_h, penalty_value
 
 
 def test_schedule_optimal_exact_heads():
@@ -198,6 +200,61 @@ def test_pg_step_validation():
         pg_solve(obj, PenaltySpec("l1", 0.0), 1.0, np.zeros(1))
 
 
+@pytest.mark.parametrize("step", [np.nan, 0.0, -0.1])
+def test_pg_solve_rejects_a_step_that_is_not_positive(step):
+    # a NaN step used to pass `step > 1/L` and die as a non-finite objective;
+    # zero and negative steps failed only inside the first prox call
+    with pytest.raises(ValueError, match=r"^step must lie in \(0, 1/L\], got "):
+        pg_solve(_quad_obj(), PenaltySpec("l1", 0.0), step, np.zeros(1), max_iter=5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["deltas", "omegas"])
+def test_ag_schedule_rejects_steps_that_are_not_finite_and_positive(name, bad):
+    # a NaN delta used to die as "non-finite gradient at iteration 2", a
+    # negative omega inside the first prox call
+    s = schedule_optimal(1.0, 5)
+    steps = dict(alphas=s.alphas, deltas=s.deltas, omegas=s.omegas)
+    steps[name] = steps[name].copy()
+    steps[name][1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+        AGSchedule(**steps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -0.5, 1.5])
+def test_ag_schedule_rejects_alphas_outside_the_unit_interval(bad):
+    s = schedule_optimal(1.0, 5)
+    a = s.alphas.copy()
+    a[2] = bad
+    with pytest.raises(ValueError, match=r"^alphas must lie in \(0, 1\]$"):
+        AGSchedule(a, s.deltas, s.omegas)
+
+
+def test_ag_solve_many_rejects_a_mis_shaped_start():
+    # a wrong length used to surface as numpy's matmul error, and a (2, p)
+    # block with three schedules as a broadcast error
+    obj, pen = _regression("linear", "scad")
+    p, s = obj.dimension, schedule_optimal(obj.lipschitz, 10)
+    for x0 in (np.zeros(p + 1), np.zeros((2, p)), np.zeros((p, 1))):
+        msg = f"x0 has shape {x0.shape}; need ({p},) or (3, {p})"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            ag_solve_many(obj, pen, [s, s, s], x0, max_iter=10)
+    msg = f"x0 has shape (2, {p}); need ({p},) or (1, {p})"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        ag_solve(obj, pen, s, np.zeros((2, p)), max_iter=10)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-6])
+def test_ag_solve_many_rejects_a_tol_that_is_nan_or_negative(tol):
+    # a NaN tol used to run every iteration and report not converged
+    obj, pen = _regression("linear", "scad")
+    s = schedule_optimal(obj.lipschitz, 10)
+    with pytest.raises(ValueError, match=r"^tol must be >= 0, got "):
+        ag_solve_many(obj, pen, [s, s], np.zeros(obj.dimension), tol=tol, max_iter=10)
+    with pytest.raises(ValueError, match=r"^tol must be >= 0, got "):
+        pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(obj.dimension), tol=tol, max_iter=10)
+
+
 def _regression(loss, kind):
     rng = np.random.default_rng(11)
     n, p = 60, 90
@@ -218,12 +275,12 @@ def _pg_reference(obj, penalty, step, x0, tol, max_iter, skip):
     p = make_composite(obj, penalty, skip)
     x = np.asarray(x0, dtype=float).copy()
     obj_trace, gm_trace = [], []
-    prev = p.g_value(x) + p.h_value(x)
+    prev = p.value(x)
     converged = False
     it = 0
     for k in range(max_iter):
         x_new = p.h_prox(x - step * p.g_grad(x), step)
-        val = p.g_value(x_new) + p.h_value(x_new)
+        val = p.value(x_new)
         assert val <= prev + 1e-10
         obj_trace.append(val)
         moved = x - x_new
@@ -270,7 +327,7 @@ def _ag_reference(obj, penalty, s, x0, tol, max_iter, skip):
         x_new = p.h_prox(x - d * g, d)
         x_ag = p.h_prox(x_md - w * g, w)
         gap = x_md - x_ag
-        val = p.g_value(x_ag) + p.h_value(x_ag)
+        val = p.value(x_ag)
         obj_trace.append(val)
         gm_trace.append(math.sqrt(gap @ gap) / w)
         if val < best_val:
@@ -299,6 +356,63 @@ def test_ag_solve_is_the_plain_loop_bitwise(loss, kind, skip, tol):
     assert rep.objective_trace.tobytes() == objs.tobytes()
     assert rep.grad_map_trace.tobytes() == gms.tobytes()
     assert (rep.iterations, rep.converged) == (it, conv)
+
+
+@pytest.mark.parametrize("skip", [(), (0,)])
+@pytest.mark.parametrize("kind", ["l1", "scad", "mcp"])
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+def test_composite_value_is_the_loss_plus_the_penalty_sum(loss, kind, skip):
+    # one value: the loss plus p summed over the penalized coordinates, its
+    # entries spread over every piece of SCAD and MCP
+    obj, pen = _regression(loss, kind)
+    comp = make_composite(obj, pen, skip)
+    penalized = np.ones(obj.dimension, dtype=bool)
+    penalized[list(skip)] = False
+    B = np.random.default_rng(7).normal(scale=0.5, size=(4, obj.dimension))
+    for x in B:
+        want = obj.value(x) + penalty_value(pen, x)[penalized].sum()
+        assert comp.value(x) == pytest.approx(want, rel=1e-13, abs=0)
+    # one value per row of a block, each the vector's to rounding
+    rows = comp.value(B)
+    assert rows.shape == (4,)
+    np.testing.assert_allclose(rows, [comp.value(x) for x in B], rtol=1e-13, atol=0)
+
+
+def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch):
+    # per step: one loss value, one loss gradient, one h_grad and one penalty
+    # sum, and two prox calls (one where alpha = 1 and delta = omega, as on a
+    # pg step or the first optimal step); the elementwise h_value is never
+    # called.  pg also values its start once, for its descent check.
+    import hdsparse.agsolver as ag
+    import hdsparse.penalty as pen_mod
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    base, pen = _regression("linear", "scad")
+    obj = replace(base, value=counted("value", base.value), grad=counted("grad", base.grad))
+    for name in ("h_grad", "penalty_sum", "h_value"):
+        monkeypatch.setattr(pen_mod, name, counted(name, getattr(pen_mod, name)))
+    monkeypatch.setattr(ag, "prox_scaled_l1", counted("prox", ag.prox_scaled_l1))
+    x0, L = np.zeros(obj.dimension), obj.lipschitz
+
+    def count(solve, n):
+        calls.clear()
+        assert solve(n).iterations == n
+        return dict(calls)
+
+    ag_run = lambda n: ag_solve(obj, pen, schedule_optimal(L, 40), x0, tol=0.0, max_iter=n)
+    pg_run = lambda n: pg_solve(obj, pen, 1 / L, x0, tol=0.0, max_iter=n)
+    # (a one-step optimal schedule is a pg step, so n starts at 2)
+    for n in (2, 7, 40):
+        each = dict(value=n, grad=n, h_grad=n, penalty_sum=n)
+        assert count(ag_run, n) == dict(each, prox=2 * n - 1)
+        assert count(pg_run, n) == dict(each, value=n + 1, penalty_sum=n + 1, prox=n)
 
 
 def _sequential(obj, pen, max_iter, tol, skip, step=None):

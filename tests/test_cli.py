@@ -183,6 +183,26 @@ def test_bench_command(tmp_path):
     assert len(rows) == 2
 
 
+def test_bench_kinds_come_from_bench_and_each_runs(tmp_path):
+    # --kind's choices are bench.KINDS, not a copy of them, and every kind
+    # runs one tiny replication through the command line
+    import argparse
+
+    from hdsparse.bench import KINDS
+    from hdsparse.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in sub.choices["bench"]._actions if a.dest == "kind")
+    assert tuple(kind.choices) == KINDS
+    for k in KINDS:
+        out = tmp_path / k
+        assert main(["bench", "--kind", k, "--n", "40", "--p", "12", "--signal", "four_fixed",
+                     "--replications", "1", "--seed", "3", "--out-dir", str(out)]) == 0
+        with open(out / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and "error" not in rows[0], k
+
+
 def test_screen_csv_quotes_feature_names(tmp_path):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 3))

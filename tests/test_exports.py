@@ -14,11 +14,13 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(hdsparse.__path__) if m.na
 # public names that no program code calls, only tests: the paper's results,
 # checked against oracles (agsolver's bounds and schedules, the q-Gaussian
 # density, covariance and q-functions, predict), the per-pair MI estimators
-# behind screen_all, and linear_cg, which acceptance test c14 pins and
-# perfbench's tracer patches by its name
+# behind screen_all, linear_cg, which acceptance test c14 pins, and
+# penalty.h_value, the elementwise concave part; perfbench's tracer patches
+# both of the last two by name
 TEST_ONLY = ("admissible_ab", "complexity_bound", "damping_lower_bound", "optimal_ab",
              "grad_mapping", "logpdf", "q_covariance", "covariance", "q_exp", "q_log",
-             "predict", "mi_fftkde", "mi_binning", "mi_knn", "pearson_abs", "linear_cg")
+             "predict", "mi_fftkde", "mi_binning", "mi_knn", "pearson_abs", "linear_cg",
+             "h_value")
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -149,6 +149,15 @@ def test_line_search_exact_step():
         line_search(p, x, s, rho, lg, float(s @ s))  # ascent direction
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, np.nan, np.inf])
+def test_pcg_solve_rejects_a_lipschitz_constant_that_gives_no_step(L):
+    # rho = 0.5/L scales every prox, and the prox does not check its scale
+    obj = SmoothObjective(value=lambda x: float(x @ x), grad=lambda x: 2.0 * x,
+                          lipschitz=L, dimension=3)
+    with pytest.raises(ValueError, match="^pcg needs a finite Lipschitz constant > 0, got "):
+        pcg_solve(make_composite(obj, PenaltySpec("l1", 0.1)), PCGConfig(max_iter=5), np.ones(3))
+
+
 def test_line_search_reports_a_missing_bracket():
     # a linear loss c.x with no penalty has no root of <s(x + a d), d> along
     # d = -c: the derivative stays at -||c||^2 through all 60 doublings
