@@ -152,7 +152,7 @@ class AGSchedule:
         w = np.asarray(self.omegas, dtype=float)
         if not (len(a) == len(d) == len(w)) or len(a) == 0:
             raise ValueError("alpha/delta/omega must share a positive length")
-        for name, v in (("deltas", d), ("omegas", w)):  # checked here, not in the prox
+        for name, v in (("deltas", d), ("omegas", w)):  # fail here, not at a step's prox
             if not ((v > 0) & (v < np.inf)).all():  # NaN included
                 raise ValueError(f"{name} must be finite and positive")
         if not ((a > 0) & (a <= 1)).all():
@@ -236,10 +236,7 @@ def verify_schedule(s: AGSchedule, L: float) -> tuple[bool, str | None]:
 
 def grad_mapping(x, y, c: float, penalty: PenaltySpec) -> np.ndarray:
     """Composite gradient analogue G(x,y,c) = (x - P(x,y,c))/c, all coordinates penalized."""
-    if not c > 0:
-        raise ValueError("c must be positive")
-    x = np.asarray(x, float)
-    return (x - prox_scaled_l1(x, np.asarray(y, float), c, penalty.lam)) / c
+    return (np.asarray(x, float) - prox_scaled_l1(x, y, c, penalty.lam)) / c
 
 
 def ag_solve(obj: SmoothObjective, penalty: PenaltySpec, s: AGSchedule, x0, tol: float = 1e-4,

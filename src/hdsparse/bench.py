@@ -27,8 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from .agsolver import (  # noqa: F401 - pg_solve stays for perfbench's tracer to patch
-    AGSchedule, ag_solve, ag_solve_many, least_squares_loss, logistic_loss,
-    make_linear_objective, make_logistic_objective, pg_solve, schedule_optimal,
+    AGSchedule,
+    ag_solve,
+    ag_solve_many,
+    least_squares_loss,
+    logistic_loss,
+    make_linear_objective,
+    make_logistic_objective,
+    pg_solve,
+    schedule_optimal,
     schedule_original,
 )
 from .data import FeatureMatrix, ResponseVector
@@ -50,8 +57,13 @@ __all__ = [
 
 KINDS = ("screening_auroc", "ag_convergence", "signal_recovery", "qgaussian_recovery")
 SIGNALS = ("four_fixed", "five_blocks", "screening_recipe")
-OUTCOMES = ("linear", "logistic", "screening_continuous", "screening_binary_original",
-            "screening_binary_translated")
+OUTCOMES = (
+    "linear",
+    "logistic",
+    "screening_continuous",
+    "screening_binary_original",
+    "screening_binary_translated",
+)
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,7 @@ def pcg_solve(
     """
     t0 = time.perf_counter()
     config = config or PCGConfig()
-    if not 0 < p.lipschitz_g < np.inf:  # the prox does not check its scale rho
+    if not 0 < p.lipschitz_g < np.inf:  # rho = 0.5/L is every prox step's scale
         raise ValueError(f"pcg needs a finite Lipschitz constant > 0, got {p.lipschitz_g}")
     rho = 0.5 / p.lipschitz_g
     x = np.zeros(p.dimension) if x0 is None else np.asarray(x0, float).copy()

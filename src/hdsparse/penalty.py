@@ -106,12 +106,13 @@ def penalty_value(spec: PenaltySpec, beta):
 
 def penalty_sum(spec: PenaltySpec, beta):
     """sum_j p(beta_j) over the last axis, one value per row of a (k, p) block:
-    lam*sum(t) - u.u/c, no elementwise p formed.  beta is a float array."""
+    lam*sum(t) - u.u/c, no elementwise p formed."""
     b = np.abs(beta)
     if spec.kind == "l1":
         return spec.lam * np.add.reduce(b, axis=-1)
     t, u, c = _clip(spec, b)
-    return spec.lam * np.add.reduce(t, axis=-1) - np.vecdot(u, u) / c
+    uu = u @ u if u.ndim == 1 else np.einsum("ij,ij->i", u, u)
+    return spec.lam * np.add.reduce(t, axis=-1) - uu / c
 
 
 def h_value(spec: PenaltySpec, beta):
@@ -126,15 +127,15 @@ def h_value(spec: PenaltySpec, beta):
 
 
 def h_grad(spec: PenaltySpec, beta) -> np.ndarray:
-    """Elementwise gradient of the concave part (zeros for l1); beta is a float
-    array or scalar."""
+    """Elementwise gradient of the concave part (zeros for l1)."""
+    b = np.asarray(beta, dtype=float)
     if spec.kind == "l1":
-        return np.zeros_like(beta)
+        return np.zeros_like(b)
     lam = spec.lam
     if spec.kind == "scad":
-        g = np.minimum(np.maximum(np.abs(beta) - lam, 0.0), (spec.a - 1.0) * lam)
-        return np.copysign(g, beta) / (1.0 - spec.a)
-    return np.minimum(np.maximum(beta / -spec.gamma, -lam), lam)
+        g = np.minimum(np.maximum(np.abs(b) - lam, 0.0), (spec.a - 1.0) * lam)
+        return np.copysign(g, b) / (1.0 - spec.a)
+    return np.minimum(np.maximum(b / -spec.gamma, -lam), lam)
 
 
 def lipschitz_h(spec: PenaltySpec) -> float:
@@ -150,12 +151,15 @@ def prox_scaled_l1(x, y, c: float, lam: float, skip=()) -> np.ndarray:
     """argmin_u <y,u> + ||u-x||^2/(2c) + lam*sum_{j not in skip} |u_j|.
 
     Soft thresholding of the gradient step x - c*y; skipped components (the
-    intercept, typically) just take the plain step.  x and y are float arrays
-    (y may be the scalar 0.0, then z is x itself) and c > 0: the solvers check
-    their steps once per solve, not here.  Over a (k, p) block x, c may be a
-    (k, 1) column of scales, one per row.
+    intercept, typically) just take the plain step.  y may be the scalar 0.0,
+    then z is x itself.  Over a (k, p) block x, c may be a (k, 1) column of
+    scales, one per row.
     """
-    z = x if isinstance(y, float) and y == 0.0 else x - c * y
+    if not ((c > 0).all() if isinstance(c, np.ndarray) else c > 0):  # NaN included
+        raise ValueError("c must be positive")
+    z = np.asarray(x, dtype=float)
+    if not (isinstance(y, float) and y == 0.0):  # h_prox's zero gradient: z is x
+        z = z - c * np.asarray(y, dtype=float)
     out = np.copysign(np.maximum(np.abs(z) - c * lam, 0.0), z)
     if not isinstance(skip, np.ndarray):  # make_composite passes a built index
         skip = np.asarray(list(skip), dtype=int)

@@ -151,7 +151,7 @@ def test_line_search_exact_step():
 
 @pytest.mark.parametrize("L", [0.0, -1.0, np.nan, np.inf])
 def test_pcg_solve_rejects_a_lipschitz_constant_that_gives_no_step(L):
-    # rho = 0.5/L scales every prox, and the prox does not check its scale
+    # rho = 0.5/L scales every prox: L = 0 would divide by zero, a NaN L reach the prox
     obj = SmoothObjective(value=lambda x: float(x @ x), grad=lambda x: 2.0 * x,
                           lipschitz=L, dimension=3)
     with pytest.raises(ValueError, match="^pcg needs a finite Lipschitz constant > 0, got "):

@@ -175,6 +175,19 @@ def test_prox_skip_set():
     assert out[0] == 0.1 and out[1] == 0.0
 
 
+@pytest.mark.parametrize("c", [0.0, -0.5, np.nan, np.array([[0.5], [0.0]])])
+def test_prox_rejects_a_scale_that_is_not_positive(c):
+    with pytest.raises(ValueError, match="^c must be positive$"):
+        prox_scaled_l1(np.ones((2, 3)), 0.0, c, 1.0)
+
+
+def test_prox_and_h_grad_take_lists():
+    assert prox_scaled_l1([1.0, 0.1], 0.0, 1.0, 0.5, skip=(0,)).tolist() == [1.0, 0.0]
+    assert prox_scaled_l1([2.0], [1.0], 1.0, 0.5).tolist() == [0.5]
+    for spec in (L1, SCAD, MCP):
+        assert h_grad(spec, [1.0, -2.0]).tolist() == h_grad(spec, np.array([1.0, -2.0])).tolist()
+
+
 # The piecewise SCAD/MCP formulas the clip-form kernels replaced, kept as the
 # reference: h(b) and h'(b), with |b| split at lam and a*lam (SCAD) or gamma*lam.
 def _ref_h(spec, b):
