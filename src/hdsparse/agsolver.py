@@ -9,13 +9,16 @@ the q-Gaussian theta step.  One iteration:
     x    = P(x,    grad Psi(x_md), delta_k)
     x_ag = P(x_md, grad Psi(x_md), omega_k)
 
-with P the scaled soft-threshold prox, and the traced objective the composite's
-one value(x): the loss plus penalty.penalty_sum.  The damping schedule must satisfy
-alpha_k*delta_k <= omega_k < 1/L and alpha_k/(delta_k*Gamma_k) nonincreasing;
-two ready-made schedules are provided (the optimal one and the classical
-2/(k+1) one) plus a checker and the theoretical complexity bound.  The plain
-proximal-gradient baseline, pg_solve, is the constant schedule alpha_k = 1,
-delta_k = omega_k = step: then x_md = x and the two prox steps are one.
+with P the scaled soft-threshold prox, and the traced objective the loss plus
+the penalty's sum at x_ag.  The loss sees x only through z = x X', so a step
+streams X twice: one forward product [x_ag; next x_md] X' gives the value at
+x_ag and the next gradient's z, and the gradient's X' r is the other.  The
+damping schedule must satisfy alpha_k*delta_k <= omega_k < 1/L and
+alpha_k/(delta_k*Gamma_k) nonincreasing; two ready-made schedules are provided
+(the optimal one and the classical 2/(k+1) one) plus a checker and the
+theoretical complexity bound.  The plain proximal-gradient baseline, pg_solve,
+is the constant schedule alpha_k = 1, delta_k = omega_k = step: then x_md = x
+and the two prox steps are one.
 """
 
 from __future__ import annotations
@@ -60,16 +63,20 @@ __all__ = [
 class SmoothObjective:
     """Smooth part of the composite objective: value, gradient, Lipschitz L.
 
+    forward, when given, is the linear predictor z = b X' (a row per row of a
+    block b); value(b, z) and grad(b, z) then read a known z, and form it when
+    z is None.  Without it value(b) and grad(b) see b as its own predictor.
     curvature, when given, is the constant Hessian-vector product d -> H d of
     a quadratic loss; it lets a line search move the gradient along d without
     a matvec per step.
     """
 
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
+    value: Callable[..., float]
+    grad: Callable[..., np.ndarray]
     lipschitz: float
     dimension: int
     curvature: Callable[[np.ndarray], np.ndarray] | None = None
+    forward: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -83,15 +90,18 @@ class CompositeProblem:
     lg = loss_grad(x) instead.  curvature is the loss's constant Hessian-vector
     product (SmoothObjective.curvature, None unless the loss is quadratic): with
     it the gradient at x + alpha d is g_grad(x + alpha d, lg + alpha * H d).
+    forward(x) is the loss's z; value, loss_value and loss_grad take it as (x, z).
     """
 
-    value: Callable[[np.ndarray], float]
+    value: Callable[..., float]
     g_grad: Callable[..., np.ndarray]
     lipschitz_g: float
     h_prox: Callable[[np.ndarray, float], np.ndarray]
     dimension: int
-    loss_grad: Callable[[np.ndarray], np.ndarray]
+    loss_grad: Callable[..., np.ndarray]
     curvature: Callable[[np.ndarray], np.ndarray] | None
+    forward: Callable[[np.ndarray], np.ndarray]
+    loss_value: Callable[..., float]
 
 
 def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> CompositeProblem:
@@ -104,33 +114,29 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
     column of scales).
     """
     skip_idx = np.asarray(list(skip), dtype=int)
-    mask = None
-    if skip_idx.size:
-        mask = np.ones(obj.dimension, dtype=bool)
-        mask[skip_idx] = False
-    lam = penalty.lam
+    mask = np.isin(np.arange(obj.dimension), skip_idx, invert=True) if skip_idx.size else None
+    forward, loss_value, loss_grad = obj.forward, obj.value, obj.grad
+    if forward is None:  # value(b) and grad(b) only: the point is its own predictor
+        forward = lambda b: b
+        loss_value = lambda b, z=None: obj.value(b if z is None else z)
+        loss_grad = lambda b, z=None: obj.grad(b if z is None else z)
 
-    def value(x):
-        pen = _penalty.penalty_sum(penalty, x if mask is None else np.where(mask, x, 0.0))
-        return obj.value(x) + pen
+    def value(x, z=None):
+        return loss_value(x, z) + _penalty.penalty_sum(
+            penalty, x if mask is None else np.where(mask, x, 0.0))
 
-    def g_grad(x, loss_grad=None):
+    def g_grad(x, lg=None):
         hg = _penalty.h_grad(penalty, x)
         if mask is not None:
             hg.T[skip_idx] = 0.0  # .T: a block's columns
-        hg += obj.grad(x) if loss_grad is None else loss_grad
+        hg += loss_grad(x) if lg is None else lg
         return hg
 
     return CompositeProblem(
-        value=value,
-        g_grad=g_grad,
-        lipschitz_g=obj.lipschitz,
+        value=value, g_grad=g_grad, lipschitz_g=obj.lipschitz, dimension=obj.dimension,
         # prox of lam*||.||_1 is the scaled soft threshold at a zero gradient
-        h_prox=lambda v, rho: prox_scaled_l1(v, 0.0, rho, lam, skip_idx),
-        dimension=obj.dimension,
-        loss_grad=obj.grad,
-        curvature=obj.curvature,
-    )
+        h_prox=lambda v, rho: prox_scaled_l1(v, 0.0, rho, penalty.lam, skip_idx),
+        loss_grad=loss_grad, curvature=obj.curvature, forward=forward, loss_value=loss_value)
 
 
 @dataclass(frozen=True)
@@ -207,11 +213,8 @@ def schedule_original(L: float, N: int) -> AGSchedule:
     a = 2.0 / (k + 1.0)
     w = np.full(N, 1.0 / (2.0 * L))
     d = k * w / 2.0
-    s = AGSchedule(a, d, w)
-    ok, why = verify_schedule(s, L)
-    if not ok:
-        raise ValueError(f"original schedule failed verification: {why}")
-    return s
+    # verify_schedule holds at any L: alpha_k delta_k <= omega, alpha_k/(delta_k Gamma_k) = 2/omega
+    return AGSchedule(a, d, w)
 
 
 def verify_schedule(s: AGSchedule, L: float) -> tuple[bool, str | None]:
@@ -256,13 +259,13 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
                   max_iter: int = 2000, skip=()) -> list[SolveReport]:
     """ag_solve on k schedules in lockstep: row i of a (k, p) block follows schedules[i].
 
-    A step forms one block product for the gradient and one for the value,
-    not k of each.  Each row keeps ag_solve's descent check, best iterate and
-    stopping test; a stopped row is frozen, its wall_time the block's until
-    then.  x0 is one start, shape (p,), or a (k, p) block.  Block products
-    round differently, so rows match ag_solve to rounding; one schedule and a
-    vector x0 is ag_solve.  A step makes one loss gradient, h_grad and value,
-    and one or two prox calls.
+    Each row keeps ag_solve's descent check, best iterate and stopping test; a
+    stopped row is frozen, its wall_time the block's until then.  x0 is one
+    start, shape (p,), or a (k, p) block.  Block products round differently,
+    so rows match ag_solve to rounding; one schedule and a vector x0 is
+    ag_solve.  A step makes one loss gradient, from a known z, and one forward
+    product [x_ag; next x_md] X' of 2k rows (x_ag's k alone on a pg step and
+    the last), whose rows give the value at x_ag and the next step's z.
     """
     if not schedules:
         raise ValueError("ag_solve_many needs at least one schedule")
@@ -277,6 +280,8 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
     if x.shape not in ((dim,), (k, dim)):
         raise ValueError(f"x0 has shape {x.shape}; need ({dim},) or ({k}, {dim})")
     p = make_composite(obj, penalty, skip)
+    # the soft threshold that prox_scaled_l1 runs behind its input checks
+    soft, lam, skip_idx = _penalty._soft, penalty.lam, np.asarray(list(skip), dtype=int)
     # per-row values are floats on a vector, (k,) arrays on a block
     block = k > 1 or x.ndim == 2
     x = x_ag = np.broadcast_to(x, (k, dim)).copy() if block else x.copy()
@@ -293,8 +298,9 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
     finite = (lambda v: bool(np.isfinite(v).all())) if block else math.isfinite
     rows = np.arange(k) if block else 0  # the rows still running
     best_val, best_x = np.full(k, np.inf) if block else np.inf, x
+    x_md, z_md = x, p.forward(x)  # the first x_md is the start, as x_ag = x there
     # the descent rows' last value (inf on the other rows of a block)
-    prev = p.value(x) if descent.any() else None
+    prev = p.value(x_md, z_md) if descent.any() else None
     prev = np.where(descent, np.inf if prev is None else prev, np.inf) if block else prev
     obj_tr, gap2_tr = np.empty((2, max_iter, k))
     reports, it = [None] * k, 0
@@ -308,21 +314,29 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
                 np.sqrt(gap2_tr[:it, r]) / sched[2, r, :it], converged, time.perf_counter() - t0)
 
     for i in range(max_iter):
-        a, d, w = at(alphas, i), at(deltas, i), at(omegas, i)
-        # alpha weights the plain sequence; the aggregated sequence carries
-        # the rest (this is what makes the momentum identity hold)
-        x_md = (1.0 - a) * x_ag + a * x if mixed[i] else x
-        g = p.g_grad(x_md)
-        x_new = p.h_prox(x - d * g, d)
+        d, w = at(deltas, i), at(omegas, i)
+        g = p.g_grad(x_md, p.loss_grad(x_md, z_md))
+        x_new, mag = soft(x - d * g, d * lam, skip_idx)  # mag = |x_new|, penalized coordinates
         # with x_md = x and delta = omega both prox steps take the same point
-        x_ag = p.h_prox(x_md - w * g, w) if two_prox[i] else x_new
+        x_ag, mag = soft(x_md - w * g, w * lam, skip_idx) if two_prox[i] else (x_new, mag)
         gap = x_md - x_ag
         gap2 = np.einsum("ij,ij->i", gap, gap) if block else gap @ gap
         # a non-finite entry of g makes that entry of x_ag, and so gap2,
         # non-finite; only then does g itself need a scan
         if not finite(gap2) and not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient at iteration {i + 1}")
-        val = p.value(x_ag)
+        step = np.maximum.reduce(np.abs(x_new - x if two_prox[i] else gap), -1)  # gap = x - x_new
+        stop = step < tol
+        if i + 1 == max_iter or (stop.all() if block else stop) or not (
+                mixed[i + 1] or two_prox[i]):  # no next step, or its x_md is x_ag
+            x_md, z_md = x_ag, p.forward(x_ag)
+            z_ag = z_md
+        else:  # the next x_md: alpha on the plain sequence, the rest on the aggregated one
+            a = at(alphas, i + 1)
+            x_md = (1.0 - a) * x_ag + a * x_new if mixed[i + 1] else x_new
+            z = p.forward(np.concatenate((x_ag, x_md)) if block else np.array((x_ag, x_md)))
+            z_ag, z_md = z.reshape(2, -1, z.shape[-1]) if block else z
+        val = p.loss_value(x_ag, z_ag) + _penalty._sum_abs(penalty, mag)
         if not finite(val):
             raise FloatingPointError(f"non-finite objective at iteration {i + 1}")
         if prev is not None:
@@ -339,15 +353,13 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
             best_x = np.where(better[:, None], x_ag, best_x)
         elif val < best_val:  # x_ag is a fresh array that no later step writes to
             best_val, best_x = val, x_ag
-        step = np.maximum.reduce(np.abs(x_new - x if two_prox[i] else gap), -1)  # gap = x - x_new
         x, it = x_new, i + 1
-        stop = step < tol
         if stop.any() if block else stop:
             finish(stop, True)
             if not block or stop.all():
                 break
-            rows, x, x_ag, best_x, best_val, prev = (  # the stopped rows leave the block
-                v[~stop] for v in (rows, x, x_ag, best_x, best_val, prev))
+            rows, x, x_ag, x_md, z_md, best_x, best_val, prev = (  # the stopped rows leave
+                v[~stop] for v in (rows, x, x_ag, x_md, z_md, best_x, best_val, prev))
             alphas, deltas, omegas = (v[:, ~stop] for v in (alphas, deltas, omegas))
     else:
         finish(np.ones(np.size(rows), dtype=bool), False)
@@ -359,8 +371,7 @@ def pg_solve(obj: SmoothObjective, penalty: PenaltySpec, step: float, x0, tol: f
     """Plain proximal gradient with fixed step <= 1/L; monotone descent baseline.
 
     This is ag_solve on the constant schedule alpha_k = 1, delta_k = omega_k =
-    step, which is not passed through verify_schedule: its omega < 1/L is
-    strict, while proximal gradient descends for any step up to 1/L.
+    step; it descends for any step up to 1/L, where AG needs omega < 1/L.
     """
     if not 0 < step <= 1.0 / obj.lipschitz + 1e-15:  # NaN included
         raise ValueError(f"step must lie in (0, 1/L], got {step}")
@@ -419,17 +430,17 @@ def _lipschitz(X: np.ndarray, c: float, penalty: PenaltySpec | None) -> float:
     return L
 
 
-def least_squares_loss(X: np.ndarray, y: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+def least_squares_loss(X: np.ndarray, y: np.ndarray, b: np.ndarray, z=None) -> float | np.ndarray:
     """1/(2n)||Xb - y||^2, the value of make_linear_objective; one per row of
-    a (k, p) block b."""
-    r = np.dot(b, X.T) - y
+    a (k, p) block b.  z = b X', if known."""
+    r = (np.dot(b, X.T) if z is None else z) - y
     return (np.dot(r, r) if r.ndim == 1 else np.einsum("ij,ij->i", r, r)) * (0.5 / X.shape[0])
 
 
-def logistic_loss(X: np.ndarray, y: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+def logistic_loss(X: np.ndarray, y: np.ndarray, b: np.ndarray, z=None) -> float | np.ndarray:
     """Mean negative Bernoulli log-likelihood, the value of
-    make_logistic_objective; one per row of a (k, p) block b."""
-    z = np.dot(b, X.T)
+    make_logistic_objective; one per row of a (k, p) block b.  z = b X', if known."""
+    z = np.dot(b, X.T) if z is None else z
     # log(1 + e^z) via logaddexp keeps large z finite
     return np.mean(np.logaddexp(0.0, z) - y * z, axis=-1)
 
@@ -439,8 +450,8 @@ def make_linear_objective(X: np.ndarray, y: np.ndarray,
     """Least squares 1/(2n)||Xb - y||^2; L = lambda_max(X'X)/n, exact (see
     _lipschitz), plus the penalty's concave part.
 
-    value and grad also take a (k, p) block, one point per row.  np.dot
-    sends a vector b to the gemv calls of X @ b and X.T @ r, with less
+    value, grad and forward also take a (k, p) block, one point per row.
+    np.dot sends a vector b to the gemv calls of X @ b and X.T @ r, with less
     dispatch than matmul and the same bits.
     """
     X = np.asarray(X, float)
@@ -448,11 +459,9 @@ def make_linear_objective(X: np.ndarray, y: np.ndarray,
     n, XT = X.shape[0], X.T
     return SmoothObjective(
         value=functools.partial(least_squares_loss, X, y),
-        grad=lambda b: np.dot(np.dot(b, XT) - y, X) / n,
-        lipschitz=_lipschitz(X, 1.0, penalty),
-        dimension=X.shape[1],
-        curvature=lambda d: X.T @ (X @ d) / n,
-    )
+        grad=lambda b, z=None: np.dot((np.dot(b, XT) if z is None else z) - y, X) / n,
+        lipschitz=_lipschitz(X, 1.0, penalty), dimension=X.shape[1],
+        curvature=lambda d: X.T @ (X @ d) / n, forward=lambda b: np.dot(b, XT))
 
 
 def make_logistic_objective(X: np.ndarray, y: np.ndarray,
@@ -464,10 +473,12 @@ def make_logistic_objective(X: np.ndarray, y: np.ndarray,
     y = np.asarray(y, float).ravel()
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("logistic objective requires a 0/1 response")
-    n = X.shape[0]
+    n, XT = X.shape[0], X.T
     # scipy's expit, whose last bits no numpy form matches, loads on first use
     from scipy.special import expit
 
-    return SmoothObjective(value=functools.partial(logistic_loss, X, y),
-                           grad=lambda b: np.dot(expit(np.dot(b, X.T)) - y, X) / n,
-                           lipschitz=_lipschitz(X, 4.0, penalty), dimension=X.shape[1])
+    return SmoothObjective(
+        value=functools.partial(logistic_loss, X, y),
+        grad=lambda b, z=None: np.dot(expit(np.dot(b, XT) if z is None else z) - y, X) / n,
+        lipschitz=_lipschitz(X, 4.0, penalty), dimension=X.shape[1],
+        forward=lambda b: np.dot(b, XT))

@@ -16,8 +16,9 @@ and importing pcg loads no scipy.  Each line search evaluates that
 derivative only at new points: its value at 0 is <s, d>, which the solver
 holds, and _brentq starts from the bracket's two known values.  The
 composite problem itself is the one the AG solver uses
-(agsolver.make_composite).  pcg forms the loss gradient lg once per iterate
-and calls g_grad(x, lg); the line search moves it along d as
+(agsolver.make_composite).  pcg forms the loss's forward product z and the
+loss gradient lg once per iterate, values the iterate from that z for the
+trace, and calls g_grad(x, lg); the line search moves lg along d as
 lg + alpha * H d when the problem carries the loss's curvature H, so a
 quadratic loss costs no matvec per step.  A textbook linear CG for SPD
 systems (linear_cg) sits here too; no solver calls it.
@@ -197,8 +198,10 @@ def pcg_solve(
     rho = 0.5 / p.lipschitz_g
     x = np.zeros(p.dimension) if x0 is None else np.asarray(x0, float).copy()
     # the loss gradient at each iterate is formed once, for s, and handed on
-    # to the line search that starts there
-    lg = p.loss_grad(x)
+    # to the line search that starts there; its forward product z also gives
+    # the iterate's traced value
+    z = p.forward(x)
+    lg = p.loss_grad(x, z)
     s = linearized_moreau_grad(p, x, rho, p.g_grad(x, lg))
     d = -s
     obj_trace, gm_trace = [], []
@@ -206,7 +209,7 @@ def pcg_solve(
     it = 0
     for k in range(config.max_iter):
         sn = np.max(np.abs(s))
-        obj_trace.append(p.value(x))
+        obj_trace.append(p.value(x, z))
         gn = float(np.linalg.norm(s))
         if gn == 0.0 and sn > 0.0:  # s @ s underflows: scale s by its sup-norm first
             gn = float(sn * np.linalg.norm(s / sn))
@@ -226,7 +229,8 @@ def pcg_solve(
         x_new = x + alpha * d
         if not np.all(np.isfinite(x_new)):
             raise FloatingPointError(f"non-finite iterate at iteration {k + 1}")
-        lg = p.loss_grad(x_new)
+        z = p.forward(x_new)
+        lg = p.loss_grad(x_new, z)
         s_new = linearized_moreau_grad(p, x_new, rho, p.g_grad(x_new, lg))
         d = hz_direction(s_new, s, d)
         x, s = x_new, s_new

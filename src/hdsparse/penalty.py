@@ -16,6 +16,11 @@ t = min(|b|, a*lambda) for SCAD and t = min(|b|, gamma*lambda) for MCP:
 and the soft threshold is copysign(max(|z| - c*lambda, 0), z).  The solvers'
 objective takes the penalty's sum over coordinates in one pass of reductions,
 lambda*sum(t) - sum(q) (penalty_sum), without forming p elementwise.
+
+prox_scaled_l1 and penalty_sum are input handling in front of private kernels
+(_soft, _sum_abs).  The AG step calls those kernels itself, and sums the
+penalty at x_ag from the max(|z| - c*lambda, 0) that its soft threshold
+already formed, which is |x_ag| exactly.
 """
 
 from __future__ import annotations
@@ -107,7 +112,11 @@ def penalty_value(spec: PenaltySpec, beta):
 def penalty_sum(spec: PenaltySpec, beta):
     """sum_j p(beta_j) over the last axis, one value per row of a (k, p) block:
     lam*sum(t) - u.u/c, no elementwise p formed."""
-    b = np.abs(beta)
+    return _sum_abs(spec, np.abs(beta))
+
+
+def _sum_abs(spec: PenaltySpec, b):
+    """penalty_sum's kernel, from b = |beta|."""
     if spec.kind == "l1":
         return spec.lam * np.add.reduce(b, axis=-1)
     t, u, c = _clip(spec, b)
@@ -160,9 +169,18 @@ def prox_scaled_l1(x, y, c: float, lam: float, skip=()) -> np.ndarray:
     z = np.asarray(x, dtype=float)
     if not (isinstance(y, float) and y == 0.0):  # h_prox's zero gradient: z is x
         z = z - c * np.asarray(y, dtype=float)
-    out = np.copysign(np.maximum(np.abs(z) - c * lam, 0.0), z)
     if not isinstance(skip, np.ndarray):  # make_composite passes a built index
         skip = np.asarray(list(skip), dtype=int)
+    return _soft(z, c * lam, skip)[0]
+
+
+def _soft(z: np.ndarray, t, skip: np.ndarray):
+    """prox_scaled_l1's kernel: the soft threshold of z at t, with the columns
+    in skip passed through, and its magnitude max(|z| - t, 0) with them zeroed
+    (the |beta| that _sum_abs takes over the penalized coordinates)."""
+    mag = np.maximum(np.abs(z) - t, 0.0)
+    out = np.copysign(mag, z)
     if skip.size:
         out.T[skip] = z.T[skip]  # .T: a block's columns
-    return out
+        mag.T[skip] = 0.0
+    return out, mag

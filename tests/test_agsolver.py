@@ -61,6 +61,15 @@ def test_schedule_original():
     assert ok, why
 
 
+@pytest.mark.parametrize("L", [1e-3, 1.0, 1e3])
+def test_schedule_original_passes_verify_schedule(L):
+    # schedule_original does not check itself: alpha_k delta_k = k omega/(k+1)
+    # <= omega < 1/L and alpha_k/(delta_k Gamma_k) = 2/omega for every L
+    for N in (1, 2, 50, 20_000):
+        ok, why = verify_schedule(schedule_original(L, N), L)
+        assert ok, (N, why)
+
+
 def test_verify_schedule_rejects_violations():
     L = 1.0
     s = schedule_optimal(L, 20)
@@ -312,7 +321,11 @@ def test_pg_solve_is_the_plain_loop_bitwise(loss, kind, skip, tol):
 
 
 def _ag_reference(obj, penalty, s, x0, tol, max_iter, skip):
-    """The accelerated scheme written out as its own loop, for ag_solve to match."""
+    """The accelerated scheme written out as its own loop, for ag_solve to match.
+
+    One forward product [x_ag; next x_md] X' a step gives the value at x_ag
+    and the next step's gradient; the last step forms x_ag's alone.
+    """
     p = make_composite(obj, penalty, skip)
     x = np.asarray(x0, dtype=float).copy()
     x_ag = x.copy()
@@ -320,19 +333,25 @@ def _ag_reference(obj, penalty, s, x0, tol, max_iter, skip):
     best_val, best_x = np.inf, x.copy()
     converged = False
     it = 0
+    x_md, z_md = x, p.forward(x)  # x_ag = x at the start, so x_md is x
     for k in range(max_iter):
-        a, d, w = s.alphas[k], s.deltas[k], s.omegas[k]
-        x_md = (1.0 - a) * x_ag + a * x
-        g = p.g_grad(x_md)
+        d, w = s.deltas[k], s.omegas[k]
+        g = p.g_grad(x_md, p.loss_grad(x_md, z_md))
         x_new = p.h_prox(x - d * g, d)
         x_ag = p.h_prox(x_md - w * g, w)
         gap = x_md - x_ag
-        val = p.value(x_ag)
+        diff = np.abs(x_new - x).max()
+        if k + 1 < max_iter and not diff < tol:
+            a = s.alphas[k + 1]
+            x_md = (1.0 - a) * x_ag + a * x_new
+            z_ag, z_md = p.forward(np.stack((x_ag, x_md)))
+        else:
+            z_ag = p.forward(x_ag)
+        val = p.value(x_ag, z_ag)
         obj_trace.append(val)
         gm_trace.append(math.sqrt(gap @ gap) / w)
         if val < best_val:
             best_val, best_x = val, x_ag
-        diff = np.abs(x_new - x).max()
         x = x_new
         it = k + 1
         if diff < tol:
@@ -359,6 +378,27 @@ def test_ag_solve_is_the_plain_loop_bitwise(loss, kind, skip, tol):
 
 
 @pytest.mark.parametrize("skip", [(), (0,)])
+def test_a_value_and_grad_objective_runs_the_same_loop(skip):
+    # an objective with no forward product is its own predictor, z = x, so
+    # ag_solve and pg_solve run it through the one loop, as the plain loops do
+    obj, pen = _regression("linear", "scad")
+    bare = SmoothObjective(value=lambda b: obj.value(b), grad=lambda b: obj.grad(b),
+                           lipschitz=obj.lipschitz, dimension=obj.dimension)
+    s, x0 = schedule_optimal(obj.lipschitz, 300), np.zeros(obj.dimension)
+    rep = ag_solve(bare, pen, s, x0, 1e-6, 300, skip)
+    est, it, objs, gms, conv = _ag_reference(bare, pen, s, x0, 1e-6, 300, skip)
+    assert rep.estimate.tobytes() == est.tobytes()
+    assert rep.objective_trace.tobytes() == objs.tobytes()
+    assert rep.grad_map_trace.tobytes() == gms.tobytes()
+    assert (rep.iterations, rep.converged) == (it, conv)
+    rep = pg_solve(bare, pen, 1 / obj.lipschitz, x0, 1e-6, 300, skip)
+    est, it, objs, gms, conv = _pg_reference(bare, pen, 1 / obj.lipschitz, x0, 1e-6, 300, skip)
+    assert rep.estimate.tobytes() == est.tobytes()
+    assert rep.objective_trace.tobytes() == objs.tobytes()
+    assert (rep.iterations, rep.converged) == (it, conv)
+
+
+@pytest.mark.parametrize("skip", [(), (0,)])
 @pytest.mark.parametrize("kind", ["l1", "scad", "mcp"])
 @pytest.mark.parametrize("loss", ["linear", "logistic"])
 def test_composite_value_is_the_loss_plus_the_penalty_sum(loss, kind, skip):
@@ -378,11 +418,12 @@ def test_composite_value_is_the_loss_plus_the_penalty_sum(loss, kind, skip):
     np.testing.assert_allclose(rows, [comp.value(x) for x in B], rtol=1e-13, atol=0)
 
 
-def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch):
-    # per step: one loss value, one loss gradient, one h_grad and one penalty
-    # sum, and two prox calls (one where alpha = 1 and delta = omega, as on a
-    # pg step or the first optimal step); the elementwise h_value is never
-    # called.  pg also values its start once, for its descent check.
+def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch, design_products):
+    # X is streamed twice a step: one transpose product for the gradient and
+    # one forward product [x_ag; next x_md] X', 2 rows on a mixed step, 1 on
+    # a pg step and on the last step.  The start's product serves the first
+    # gradient and pg's descent check.  Each step makes one loss value, one
+    # loss gradient and one h_grad; the public prox and h_value are not called.
     import hdsparse.agsolver as ag
     import hdsparse.penalty as pen_mod
 
@@ -394,25 +435,32 @@ def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    base, pen = _regression("linear", "scad")
+    rng = np.random.default_rng(11)
+    X, y, pen = rng.normal(size=(60, 90)), rng.normal(size=60), PenaltySpec("scad", 0.1, a=3.7)
+    base = make_linear_objective(X, y, pen)
     obj = replace(base, value=counted("value", base.value), grad=counted("grad", base.grad))
-    for name in ("h_grad", "penalty_sum", "h_value"):
+    for name in ("h_grad", "h_value"):
         monkeypatch.setattr(pen_mod, name, counted(name, getattr(pen_mod, name)))
     monkeypatch.setattr(ag, "prox_scaled_l1", counted("prox", ag.prox_scaled_l1))
+    products = design_products(X)
     x0, L = np.zeros(obj.dimension), obj.lipschitz
 
     def count(solve, n):
         calls.clear()
+        products.clear()
         assert solve(n).iterations == n
-        return dict(calls)
+        return dict(calls), products
 
     ag_run = lambda n: ag_solve(obj, pen, schedule_optimal(L, 40), x0, tol=0.0, max_iter=n)
     pg_run = lambda n: pg_solve(obj, pen, 1 / L, x0, tol=0.0, max_iter=n)
-    # (a one-step optimal schedule is a pg step, so n starts at 2)
+    # the optimal schedule's first step is a pg step, then every step mixes
+    # (so n starts at 2)
     for n in (2, 7, 40):
-        each = dict(value=n, grad=n, h_grad=n, penalty_sum=n)
-        assert count(ag_run, n) == dict(each, prox=2 * n - 1)
-        assert count(pg_run, n) == dict(each, value=n + 1, penalty_sum=n + 1, prox=n)
+        assert count(ag_run, n) == (
+            dict(value=n, grad=n, h_grad=n),
+            [("fwd", 1)] + [("t", 1), ("fwd", 2)] * (n - 1) + [("t", 1), ("fwd", 1)])
+        assert count(pg_run, n) == (
+            dict(value=n + 1, grad=n, h_grad=n), [("fwd", 1)] + [("t", 1), ("fwd", 1)] * n)
 
 
 def _sequential(obj, pen, max_iter, tol, skip, step=None):

@@ -376,10 +376,26 @@ def test_pcg_forms_each_loss_gradient_once():
     pen = PenaltySpec("scad", 0.1, a=3.7)
     obj = make_linear_objective(X, y, pen)
     calls = []
-    counted = replace(obj, grad=lambda b: calls.append(1) or obj.grad(b))
+    counted = replace(obj, grad=lambda b, z=None: calls.append(1) or obj.grad(b, z))
     rep, _ = pcg_solve(make_composite(counted, pen), PCGConfig(tol=1e-8), np.zeros(30))
     assert rep.converged and rep.iterations > 5
     assert len(calls) == rep.iterations + 1
+
+
+def test_pcg_forms_x_times_each_iterate_once(design_products):
+    # the forward product X x that the loss gradient at an iterate forms also
+    # gives that iterate's traced value; the line search moves the
+    # least-squares gradient along d through the curvature, with no product x X'
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(100, 30))
+    y = X[:, :3].sum(axis=1) + 0.3 * rng.normal(size=100)
+    pen = PenaltySpec("scad", 0.1, a=3.7)
+    comp = make_composite(make_linear_objective(X, y, pen), pen)
+    products = design_products(X)
+    rep, _ = pcg_solve(comp, PCGConfig(tol=1e-8), np.zeros(30))
+    assert rep.converged and rep.iterations > 5
+    forward = [rows for kind, rows in products if kind == "fwd"]
+    assert forward == [1] * (rep.iterations + 1) and len(rep.objective_trace) == len(forward)
 
 
 @pytest.mark.parametrize("loss", ["linear", "logistic"])
