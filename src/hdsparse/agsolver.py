@@ -1,9 +1,9 @@
 """Accelerated gradient method for nonconvex composite problems.
 
 Minimizes Psi(x) + chi(x) where Psi = f + h is L-smooth (f the loss, h the
-concave part of a SCAD/MCP penalty) and chi = lambda*||.||_1.  That split is
-built once, by make_composite, and shared by ag_solve, pg_solve, pcg_solve and
-the q-Gaussian theta step.  One iteration:
+concave part of a SCAD/MCP penalty) and chi = lambda*||.||_1.  That split, the
+loss with its penalized set, is built once by make_composite and shared by
+ag_solve, pg_solve, pcg_solve and the q-Gaussian theta step.  One iteration:
 
     x_md = (1 - alpha_k) * x_ag + alpha_k * x
     x    = P(x,    grad Psi(x_md), delta_k)
@@ -27,7 +27,7 @@ import functools
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -81,62 +81,57 @@ class SmoothObjective:
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """f = g + h with g = loss + smooth penalty part (grad/L) and h convex with
-    a prox; make_composite builds it.
-
-    value(x) = g(x) + h(x): the loss plus sum_j p(x_j) over the penalized coordinates.
-    h_prox(v, rho) must return argmin_u h(u) + ||u - v||^2 / (2 rho).
-    g_grad(x) forms the loss gradient itself; g_grad(x, lg) takes a known
-    lg = loss_grad(x) instead.  curvature is the loss's constant Hessian-vector
-    product (SmoothObjective.curvature, None unless the loss is quadratic): with
-    it the gradient at x + alpha d is g_grad(x + alpha d, lg + alpha * H d).
-    forward(x) is the loss's z; value, loss_value and loss_grad take it as (x, z).
+    """f = g + h, g = loss + smooth penalty part, h convex with a prox; built
+    by make_composite.  obj is the loss, with forward and (x, z)-taking value
+    and grad, and skip the unpenalized coordinates.  value(x, z=None) = g + h,
+    the loss plus sum_j p(x_j) over the penalized coordinates; g_grad(x, lg)
+    takes a known lg = obj.grad(x), or forms it; h_prox(v, rho) returns
+    argmin_u h(u) + ||u - v||^2 / (2 rho).
     """
 
+    obj: SmoothObjective
+    skip: np.ndarray
     value: Callable[..., float]
     g_grad: Callable[..., np.ndarray]
-    lipschitz_g: float
     h_prox: Callable[[np.ndarray, float], np.ndarray]
-    dimension: int
-    loss_grad: Callable[..., np.ndarray]
-    curvature: Callable[[np.ndarray], np.ndarray] | None
-    forward: Callable[[np.ndarray], np.ndarray]
-    loss_value: Callable[..., float]
 
 
 def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> CompositeProblem:
     """Composite problem with g = loss + concave penalty part, h = lambda*l1.
 
-    Coordinates in skip (the intercept, typically) carry no penalty at all.
-    penalty_sum and h_grad are looked up on the penalty module at each call, so
-    a wrapper installed there (as perfbench's tracer does on h_grad) sees every
-    call.  Each also takes a (k, p) block, a point per row (h_prox a (k, 1)
-    column of scales).
+    Coordinates in skip (the intercept, typically) carry no penalty at all;
+    one outside [0, p) raises ValueError.  An objective without forward gets
+    the identity predictor.  penalty_sum and h_grad are looked up on the
+    penalty module at each call, so a wrapper installed there (as perfbench's
+    tracer does on h_grad) sees every call.  Each also takes a (k, p) block, a
+    point per row (h_prox a (k, 1) column of scales).
     """
-    skip_idx = np.asarray(list(skip), dtype=int)
-    mask = np.isin(np.arange(obj.dimension), skip_idx, invert=True) if skip_idx.size else None
-    forward, loss_value, loss_grad = obj.forward, obj.value, obj.grad
-    if forward is None:  # value(b) and grad(b) only: the point is its own predictor
-        forward = lambda b: b
-        loss_value = lambda b, z=None: obj.value(b if z is None else z)
-        loss_grad = lambda b, z=None: obj.grad(b if z is None else z)
+    skip = np.asarray(list(skip), dtype=int)
+    if skip.size and not (0 <= skip.min() and skip.max() < obj.dimension):
+        raise ValueError(f"skip indices must lie in [0, {obj.dimension}), got {skip.tolist()}")
+    if obj.forward is None:  # value(b) and grad(b) only: the point is its own predictor
+        v, g = obj.value, obj.grad
+        obj = replace(obj, forward=lambda b: b, value=lambda b, z=None: v(b if z is None else z),
+                      grad=lambda b, z=None: g(b if z is None else z))
+    loss_value, loss_grad = obj.value, obj.grad
 
     def value(x, z=None):
-        return loss_value(x, z) + _penalty.penalty_sum(
-            penalty, x if mask is None else np.where(mask, x, 0.0))
+        loss = loss_value(x, z)
+        if skip.size:
+            x = np.array(x, dtype=float)
+            x.T[skip] = 0.0  # .T: a block's columns
+        return loss + _penalty.penalty_sum(penalty, x)
 
     def g_grad(x, lg=None):
         hg = _penalty.h_grad(penalty, x)
-        if mask is not None:
-            hg.T[skip_idx] = 0.0  # .T: a block's columns
+        if skip.size:
+            hg.T[skip] = 0.0
         hg += loss_grad(x) if lg is None else lg
         return hg
 
-    return CompositeProblem(
-        value=value, g_grad=g_grad, lipschitz_g=obj.lipschitz, dimension=obj.dimension,
-        # prox of lam*||.||_1 is the scaled soft threshold at a zero gradient
-        h_prox=lambda v, rho: prox_scaled_l1(v, 0.0, rho, penalty.lam, skip_idx),
-        loss_grad=loss_grad, curvature=obj.curvature, forward=forward, loss_value=loss_value)
+    # prox of lam*||.||_1 is the scaled soft threshold at a zero gradient
+    return CompositeProblem(obj, skip, value, g_grad,
+                            lambda v, rho: prox_scaled_l1(v, 0.0, rho, penalty.lam, skip))
 
 
 @dataclass(frozen=True)
@@ -280,8 +275,9 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
     if x.shape not in ((dim,), (k, dim)):
         raise ValueError(f"x0 has shape {x.shape}; need ({dim},) or ({k}, {dim})")
     p = make_composite(obj, penalty, skip)
+    forward, loss_grad, loss_value, skip = p.obj.forward, p.obj.grad, p.obj.value, p.skip
     # the soft threshold that prox_scaled_l1 runs behind its input checks
-    soft, lam, skip_idx = _penalty._soft, penalty.lam, np.asarray(list(skip), dtype=int)
+    soft, lam = _penalty._soft, penalty.lam
     # per-row values are floats on a vector, (k,) arrays on a block
     block = k > 1 or x.ndim == 2
     x = x_ag = np.broadcast_to(x, (k, dim)).copy() if block else x.copy()
@@ -298,7 +294,7 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
     finite = (lambda v: bool(np.isfinite(v).all())) if block else math.isfinite
     rows = np.arange(k) if block else 0  # the rows still running
     best_val, best_x = np.full(k, np.inf) if block else np.inf, x
-    x_md, z_md = x, p.forward(x)  # the first x_md is the start, as x_ag = x there
+    x_md, z_md = x, forward(x)  # the first x_md is the start, as x_ag = x there
     # the descent rows' last value (inf on the other rows of a block)
     prev = p.value(x_md, z_md) if descent.any() else None
     prev = np.where(descent, np.inf if prev is None else prev, np.inf) if block else prev
@@ -315,10 +311,10 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
 
     for i in range(max_iter):
         d, w = at(deltas, i), at(omegas, i)
-        g = p.g_grad(x_md, p.loss_grad(x_md, z_md))
-        x_new, mag = soft(x - d * g, d * lam, skip_idx)  # mag = |x_new|, penalized coordinates
+        g = p.g_grad(x_md, loss_grad(x_md, z_md))
+        x_new, mag = soft(x - d * g, d * lam, skip)  # mag = |x_new|, penalized coordinates
         # with x_md = x and delta = omega both prox steps take the same point
-        x_ag, mag = soft(x_md - w * g, w * lam, skip_idx) if two_prox[i] else (x_new, mag)
+        x_ag, mag = soft(x_md - w * g, w * lam, skip) if two_prox[i] else (x_new, mag)
         gap = x_md - x_ag
         gap2 = np.einsum("ij,ij->i", gap, gap) if block else gap @ gap
         # a non-finite entry of g makes that entry of x_ag, and so gap2,
@@ -329,14 +325,14 @@ def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol
         stop = step < tol
         if i + 1 == max_iter or (stop.all() if block else stop) or not (
                 mixed[i + 1] or two_prox[i]):  # no next step, or its x_md is x_ag
-            x_md, z_md = x_ag, p.forward(x_ag)
+            x_md, z_md = x_ag, forward(x_ag)
             z_ag = z_md
         else:  # the next x_md: alpha on the plain sequence, the rest on the aggregated one
             a = at(alphas, i + 1)
             x_md = (1.0 - a) * x_ag + a * x_new if mixed[i + 1] else x_new
-            z = p.forward(np.concatenate((x_ag, x_md)) if block else np.array((x_ag, x_md)))
+            z = forward(np.concatenate((x_ag, x_md)) if block else np.array((x_ag, x_md)))
             z_ag, z_md = z.reshape(2, -1, z.shape[-1]) if block else z
-        val = p.loss_value(x_ag, z_ag) + _penalty._sum_abs(penalty, mag)
+        val = loss_value(x_ag, z_ag) + _penalty._sum_abs(penalty, mag)
         if not finite(val):
             raise FloatingPointError(f"non-finite objective at iteration {i + 1}")
         if prev is not None:
@@ -471,7 +467,7 @@ def make_logistic_objective(X: np.ndarray, y: np.ndarray,
     for least squares."""
     X = np.asarray(X, float)
     y = np.asarray(y, float).ravel()
-    if not np.all(np.isin(y, (0.0, 1.0))):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("logistic objective requires a 0/1 response")
     n, XT = X.shape[0], X.T
     # scipy's expit, whose last bits no numpy form matches, loads on first use

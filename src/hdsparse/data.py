@@ -69,12 +69,12 @@ class ResponseVector:
 
 def read_table(
     path,
-    outcome: str | int | None = None,
+    outcome: str | None = None,
 ) -> tuple[FeatureMatrix, ResponseVector | None]:
     """Read a numeric CSV with a header row; optionally pull out one column as the outcome.
 
-    `outcome` can be a column name (unique in the header) or a 0-based
-    index.  An outcome holding only 0 and 1 is binary, any other continuous.
+    `outcome` is a column name, unique in the header.  An outcome holding
+    only 0 and 1 is binary, any other continuous.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
@@ -83,16 +83,11 @@ def read_table(
 
     if outcome is None:
         return FeatureMatrix(values, names), None
-    if isinstance(outcome, str):
-        if outcome not in names:
-            raise ValueError(f"outcome column {outcome!r} not found")
-        if names.count(outcome) > 1:
-            raise ValueError(f"outcome column {outcome!r} appears {names.count(outcome)} times")
-        oj = names.index(outcome)
-    else:
-        oj = int(outcome)
-        if not 0 <= oj < width:
-            raise ValueError(f"outcome column index {oj} out of range")
+    if outcome not in names:
+        raise ValueError(f"outcome column {outcome!r} not found")
+    if names.count(outcome) > 1:
+        raise ValueError(f"outcome column {outcome!r} appears {names.count(outcome)} times")
+    oj = names.index(outcome)
     yv = values[:, oj]
     keep = [j for j in range(width) if j != oj]
     kind = "binary" if np.all(np.isin(yv, (0.0, 1.0))) else "continuous"

@@ -17,10 +17,10 @@ derivative only at new points: its value at 0 is <s, d>, which the solver
 holds, and _brentq starts from the bracket's two known values.  The
 composite problem itself is the one the AG solver uses
 (agsolver.make_composite).  pcg forms the loss's forward product z and the
-loss gradient lg once per iterate, values the iterate from that z for the
-trace, and calls g_grad(x, lg); the line search moves lg along d as
-lg + alpha * H d when the problem carries the loss's curvature H, so a
-quadratic loss costs no matvec per step.  A textbook linear CG for SPD
+loss gradient lg = p.obj.grad(x, z) once per iterate, values the iterate from
+that z for the trace, and calls g_grad(x, lg); the line search moves lg along
+d as lg + alpha * H d when the loss carries its curvature H (p.obj.curvature),
+so a quadratic loss costs no matvec per step.  A textbook linear CG for SPD
 systems (linear_cg) sits here too; no solver calls it.
 """
 
@@ -93,10 +93,10 @@ def hz_direction(s_next, s_prev, d_prev) -> np.ndarray:
 def _phi_grad(p, x, d, rho, loss_grad):
     # directional derivative surrogate: <s(x + alpha d), d>; with the loss's
     # curvature the gradient along d is lg + alpha * H d, no matvec per step
-    if p.curvature is None:
+    if p.obj.curvature is None:
         grad = lambda alpha: p.g_grad(x + alpha * d)
     else:
-        hd = p.curvature(d)
+        hd = p.obj.curvature(d)
         grad = lambda alpha: p.g_grad(x + alpha * d, loss_grad + alpha * hd)
 
     def phi(alpha):
@@ -164,7 +164,7 @@ def line_search(p: CompositeProblem, x, d, rho: float, loss_grad, slope: float) 
     """Step along the descent direction d: the root of <s(x + alpha d), d> = 0,
     bracketed by doubling alpha from rho and found by Brent's method.
 
-    loss_grad is p.loss_grad(x) and slope is <s(x), d>, which the caller holds.
+    loss_grad is p.obj.grad(x) and slope is <s(x), d>, which the caller holds.
     """
     if not slope < 0:
         raise ValueError("line search needs a descent direction")
@@ -189,19 +189,22 @@ def pcg_solve(
 
     A map s whose s @ s underflows to 0 is zero to working precision: no line
     search can descend along -s, so the solve stops there as converged, and
-    the certificate reports that map's sup-norm.
+    the certificate reports that map's sup-norm.  x0 must have shape (p,).
     """
     t0 = time.perf_counter()
     config = config or PCGConfig()
-    if not 0 < p.lipschitz_g < np.inf:  # rho = 0.5/L is every prox step's scale
-        raise ValueError(f"pcg needs a finite Lipschitz constant > 0, got {p.lipschitz_g}")
-    rho = 0.5 / p.lipschitz_g
-    x = np.zeros(p.dimension) if x0 is None else np.asarray(x0, float).copy()
+    obj = p.obj
+    if not 0 < obj.lipschitz < np.inf:  # rho = 0.5/L is every prox step's scale
+        raise ValueError(f"pcg needs a finite Lipschitz constant > 0, got {obj.lipschitz}")
+    rho = 0.5 / obj.lipschitz
+    x = np.zeros(obj.dimension) if x0 is None else np.array(x0, float)
+    if x.shape != (obj.dimension,):
+        raise ValueError(f"x0 has shape {x.shape}; need ({obj.dimension},)")
     # the loss gradient at each iterate is formed once, for s, and handed on
     # to the line search that starts there; its forward product z also gives
     # the iterate's traced value
-    z = p.forward(x)
-    lg = p.loss_grad(x, z)
+    z = obj.forward(x)
+    lg = obj.grad(x, z)
     s = linearized_moreau_grad(p, x, rho, p.g_grad(x, lg))
     d = -s
     obj_trace, gm_trace = [], []
@@ -219,7 +222,7 @@ def pcg_solve(
             break
         # hard restart periodically and whenever d stops being a descent dir
         slope = float(s @ d)
-        if k % p.dimension == 0 or slope >= 0:
+        if k % obj.dimension == 0 or slope >= 0:
             d = -s
             slope = float(s @ d)
             if slope == 0.0:  # s @ s underflows: s is zero to working precision
@@ -229,8 +232,8 @@ def pcg_solve(
         x_new = x + alpha * d
         if not np.all(np.isfinite(x_new)):
             raise FloatingPointError(f"non-finite iterate at iteration {k + 1}")
-        z = p.forward(x_new)
-        lg = p.loss_grad(x_new, z)
+        z = obj.forward(x_new)
+        lg = obj.grad(x_new, z)
         s_new = linearized_moreau_grad(p, x_new, rho, p.g_grad(x_new, lg))
         d = hz_direction(s_new, s, d)
         x, s = x_new, s_new

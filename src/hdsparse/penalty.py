@@ -25,7 +25,6 @@ already formed, which is |x_ag| exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,17 +74,6 @@ class PenaltySpec:
         if self.kind == "mcp":
             d["gamma"] = self.gamma
         return d
-
-    @staticmethod
-    def from_config(cfg: dict | str) -> "PenaltySpec":
-        if isinstance(cfg, str):
-            cfg = json.loads(cfg)
-        return PenaltySpec(
-            kind=cfg["kind"],
-            lam=cfg["lambda"],
-            a=cfg.get("a"),
-            gamma=cfg.get("gamma"),
-        )
 
 
 def _clip(spec: PenaltySpec, b):

@@ -33,7 +33,7 @@ from .agsolver import (
 )
 # unused here; perfbench's tracer patches the name on this module
 from .pcg import PCGConfig, linear_cg, pcg_solve  # noqa: F401
-from .penalty import PenaltySpec, penalty_value
+from .penalty import PenaltySpec, penalty_sum
 
 __all__ = [
     "QShape",
@@ -260,7 +260,7 @@ def _quad_Q(model: QGaussianModel, X: np.ndarray, y: np.ndarray) -> float:
     Xd = _design(X)
     w = _whiten(_model_cholesky(model), np.asarray(y, float).ravel() - Xd @ model.theta)
     quad = float(w @ w)
-    pen = float(np.sum(penalty_value(model.penalty, model.theta[1:])))
+    pen = float(penalty_sum(model.penalty, model.theta[1:]))
     return quad + 2.0 * model.n_train * pen
 
 

@@ -333,10 +333,10 @@ def _ag_reference(obj, penalty, s, x0, tol, max_iter, skip):
     best_val, best_x = np.inf, x.copy()
     converged = False
     it = 0
-    x_md, z_md = x, p.forward(x)  # x_ag = x at the start, so x_md is x
+    x_md, z_md = x, p.obj.forward(x)  # x_ag = x at the start, so x_md is x
     for k in range(max_iter):
         d, w = s.deltas[k], s.omegas[k]
-        g = p.g_grad(x_md, p.loss_grad(x_md, z_md))
+        g = p.g_grad(x_md, p.obj.grad(x_md, z_md))
         x_new = p.h_prox(x - d * g, d)
         x_ag = p.h_prox(x_md - w * g, w)
         gap = x_md - x_ag
@@ -344,9 +344,9 @@ def _ag_reference(obj, penalty, s, x0, tol, max_iter, skip):
         if k + 1 < max_iter and not diff < tol:
             a = s.alphas[k + 1]
             x_md = (1.0 - a) * x_ag + a * x_new
-            z_ag, z_md = p.forward(np.stack((x_ag, x_md)))
+            z_ag, z_md = p.obj.forward(np.stack((x_ag, x_md)))
         else:
-            z_ag = p.forward(x_ag)
+            z_ag = p.obj.forward(x_ag)
         val = p.value(x_ag, z_ag)
         obj_trace.append(val)
         gm_trace.append(math.sqrt(gap @ gap) / w)
@@ -416,6 +416,27 @@ def test_composite_value_is_the_loss_plus_the_penalty_sum(loss, kind, skip):
     rows = comp.value(B)
     assert rows.shape == (4,)
     np.testing.assert_allclose(rows, [comp.value(x) for x in B], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("skip", [(-1,), (3,), (0, 3)])
+def test_skip_indices_outside_the_columns_raise(skip):
+    # a negative index used to be half-applied (the prox skipped the last
+    # coordinate, the value still penalized it) and one past the end to die
+    # with numpy's IndexError; make_composite checks once for every solver
+    obj = SmoothObjective(value=lambda x: float(x @ x), grad=lambda x: 2.0 * x,
+                          lipschitz=2.0, dimension=3)
+    pen, x0 = PenaltySpec("l1", 1.0), np.array([1.0, -2.0, 1.5])
+    match = r"^skip indices must lie in \[0, 3\), got "
+    with pytest.raises(ValueError, match=match):
+        make_composite(obj, pen, skip)
+    with pytest.raises(ValueError, match=match):
+        ag_solve(obj, pen, schedule_optimal(2.0, 5), x0, max_iter=5, skip=skip)
+    with pytest.raises(ValueError, match=match):
+        pg_solve(obj, pen, 0.5, x0, max_iter=5, skip=skip)
+    # the last coordinate skipped by its own index: value and prox agree
+    comp = make_composite(obj, pen, (2,))
+    assert comp.value(x0) == 7.25 + 3.0
+    assert comp.h_prox(x0, 0.5).tolist() == [0.5, -1.5, 1.5]
 
 
 def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch, design_products):

@@ -112,7 +112,8 @@ def test_fit_pcg_tol_zero_stops_where_the_map_underflows(tmp_path):
           "--solver", "pcg", "--tol", "0", "--out-dir", str(tmp_path)])
     payload = json.loads((tmp_path / "fit.json").read_text())
     X, y = read_table(tmp_path / "simulated.csv", outcome="y")
-    pen = PenaltySpec.from_config(payload["penalty"])
+    cfg = payload["penalty"]
+    pen = PenaltySpec(cfg["kind"], cfg["lambda"], cfg.get("a"), cfg.get("gamma"))
     obj = make_linear_objective(X.values, y.values, pen)
     s = linearized_moreau_grad(make_composite(obj, pen), payload["estimate"], payload["rho"])
     assert payload["converged"]

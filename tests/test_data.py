@@ -55,7 +55,7 @@ def test_read_table_bad_cells(tmp_path):
         read_table(ragged)
 
 
-@pytest.mark.parametrize("outcome", [None, "a", 0, 2])
+@pytest.mark.parametrize("outcome", [None, "a"])
 def test_read_table_header_width_must_match_rows(tmp_path, outcome):
     path = tmp_path / "short_header.csv"
     path.write_text("a,b\n1,2,3\n4,5,6\n")

@@ -17,11 +17,12 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(hdsparse.__path__) if m.na
 # behind screen_all, linear_cg, which acceptance test c14 pins, and
 # penalty.h_value, the elementwise concave part; perfbench's tracer patches
 # both of the last two by name.  verify_schedule is the paper's checker,
-# pinned by c02
+# pinned by c02, and penalty_value the elementwise penalty that the summed
+# kernels are tested against
 TEST_ONLY = ("admissible_ab", "complexity_bound", "damping_lower_bound", "optimal_ab",
              "grad_mapping", "logpdf", "q_covariance", "covariance", "q_exp", "q_log",
              "predict", "mi_fftkde", "mi_binning", "mi_knn", "pearson_abs", "linear_cg",
-             "h_value", "verify_schedule")
+             "h_value", "verify_schedule", "penalty_value")
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -48,7 +48,7 @@ def test_moreau_grad_two_form_identity():
     A = _spd(rng, 4)
     b = rng.normal(size=4)
     p = _quad_problem(A, b, h_lam=0.3)
-    rho = 0.5 / p.lipschitz_g
+    rho = 0.5 / p.obj.lipschitz
     for _ in range(50):
         x = rng.normal(size=4) * 2
         s = linearized_moreau_grad(p, x, rho)
@@ -64,7 +64,7 @@ def test_moreau_grad_h_zero_and_stationary():
     A = _spd(rng, 3)
     b = rng.normal(size=3)
     p = _quad_problem(A, b, h_lam=0.0)
-    rho = 0.4 / p.lipschitz_g
+    rho = 0.4 / p.obj.lipschitz
     x = rng.normal(size=3)
     assert np.allclose(linearized_moreau_grad(p, x, rho), p.g_grad(x), atol=1e-12)
     xstar = np.linalg.solve(A, b)
@@ -76,8 +76,8 @@ def test_linearized_lipschitz_empirical():
     A = _spd(rng, 4)
     b = rng.normal(size=4)
     p = _quad_problem(A, b, h_lam=0.5)
-    rho = 0.3 / p.lipschitz_g
-    L_lin = p.lipschitz_g + 1 / rho  # crude but always-valid bound
+    rho = 0.3 / p.obj.lipschitz
+    L_lin = p.obj.lipschitz + 1 / rho  # crude but always-valid bound
     u = rng.normal(size=(2000, 4))
     v = rng.normal(size=(2000, 4))
     for uu, vv in zip(u[:200], v[:200]):
@@ -136,11 +136,11 @@ def test_line_search_exact_step():
     A = _spd(rng, 2)
     b = rng.normal(size=2)
     p = _quad_problem(A, b, h_lam=0.0)
-    rho = 0.5 / p.lipschitz_g
+    rho = 0.5 / p.obj.lipschitz
     x = rng.normal(size=2)
     s = linearized_moreau_grad(p, x, rho)
     d = -s
-    lg = p.loss_grad(x)
+    lg = p.obj.grad(x)
     # exact search on a quadratic with steepest descent: <G(x+ad), d> = 0
     a = line_search(p, x, d, rho, lg, float(s @ d))
     assert a > 0
@@ -158,6 +158,21 @@ def test_pcg_solve_rejects_a_lipschitz_constant_that_gives_no_step(L):
         pcg_solve(make_composite(obj, PenaltySpec("l1", 0.1)), PCGConfig(max_iter=5), np.ones(3))
 
 
+@pytest.mark.parametrize("built", [False, True])
+def test_pcg_solve_rejects_a_start_of_the_wrong_shape(built):
+    # a length-5 start on a 3-dimensional objective used to run to a
+    # "converged" (5,) estimate, or die in numpy's shape check when built
+    if built:
+        obj = make_linear_objective(np.eye(3), np.ones(3))
+    else:
+        obj = SmoothObjective(value=lambda x: float(x @ x), grad=lambda x: 2.0 * x,
+                              lipschitz=2.0, dimension=3)
+    comp = make_composite(obj, PenaltySpec("l1", 0.1))
+    for x0, shape in ((np.ones(5), "(5,)"), (np.ones((1, 3)), "(1, 3)")):
+        with pytest.raises(ValueError, match=re.escape(f"x0 has shape {shape}; need (3,)")):
+            pcg_solve(comp, PCGConfig(max_iter=5), x0)
+
+
 def test_line_search_reports_a_missing_bracket():
     # a linear loss c.x with no penalty has no root of <s(x + a d), d> along
     # d = -c: the derivative stays at -||c||^2 through all 60 doublings
@@ -166,7 +181,7 @@ def test_line_search_reports_a_missing_bracket():
                           lipschitz=1.0, dimension=3, curvature=lambda d: np.zeros_like(d))
     p = make_composite(obj, PenaltySpec("l1", 0.0))
     with pytest.raises(RuntimeError, match="^brent bracket not found; last derivative"):
-        line_search(p, np.zeros(3), -c, 0.5 / p.lipschitz_g, c, float(-c @ c))
+        line_search(p, np.zeros(3), -c, 0.5 / p.obj.lipschitz, c, float(-c @ c))
 
 
 def _bracketed_functions():
@@ -327,23 +342,23 @@ def test_gradient_along_d_matches_gradient_at_the_point(loss, skip):
         obj = make_logistic_objective(X, (y > 0).astype(float), pen)
         assert obj.curvature is None
     comp = make_composite(obj, pen, skip)
-    assert comp.curvature is obj.curvature
+    assert comp.obj.curvature is obj.curvature
     x, d = rng.normal(size=(2, 12))
-    rho = 0.5 / comp.lipschitz_g
-    lg = comp.loss_grad(x)
+    rho = 0.5 / comp.obj.lipschitz
+    lg = comp.obj.grad(x)
     phi = _phi_grad(comp, x, d, rho, lg)
-    if comp.curvature is not None:  # the loss gradient moved along d by alpha * H d
-        hd = comp.curvature(d)
+    if comp.obj.curvature is not None:  # the loss gradient moved along d by alpha * H d
+        hd = comp.obj.curvature(d)
     for alpha in (0.0, 1e-3, 0.3, 1.0, 7.5):
         want = comp.g_grad(x + alpha * d)
-        if comp.curvature is not None:
+        if comp.obj.curvature is not None:
             along = comp.g_grad(x + alpha * d, lg + alpha * hd)
             assert np.max(np.abs(along - want)) <= 1e-12 * np.max(np.abs(want)), alpha
         s = linearized_moreau_grad(comp, x + alpha * d, rho)
         assert abs(phi(alpha) - s @ d) <= 1e-12 * np.abs(s) @ np.abs(d), alpha
     if skip:  # the skipped coordinates get no concave part along d either
         idx = list(skip)
-        got = comp.g_grad(x + 0.3 * d, comp.loss_grad(x + 0.3 * d))
+        got = comp.g_grad(x + 0.3 * d, comp.obj.grad(x + 0.3 * d))
         assert np.allclose(got[idx], obj.grad(x + 0.3 * d)[idx], rtol=1e-12, atol=0)
 
 
@@ -358,11 +373,11 @@ def test_brent_line_search_takes_one_loss_gradient():
     calls = []
     counted = replace(obj, grad=lambda b: calls.append(1) or obj.grad(b))
     comp = make_composite(counted, pen)
-    rho = 0.5 / comp.lipschitz_g
+    rho = 0.5 / comp.obj.lipschitz
     x = rng.normal(size=20)
     d = -linearized_moreau_grad(comp, x, rho)
     calls.clear()
-    alpha = line_search(comp, x, d, rho, comp.loss_grad(x), float(-d @ d))
+    alpha = line_search(comp, x, d, rho, comp.obj.grad(x), float(-d @ d))
     assert alpha > 0 and len(calls) == 1
     assert abs(np.dot(linearized_moreau_grad(comp, x + alpha * d, rho), d)) <= 1e-9
 
@@ -434,5 +449,5 @@ def test_line_search_rejects_a_non_descent_slope_unevaluated(slope, monkeypatch)
     monkeypatch.setattr(pcg, "linearized_moreau_grad",
                         lambda *a: calls.append(1) or moreau(*a))
     with pytest.raises(ValueError, match="descent direction"):
-        line_search(p, x, -x, 0.5 / p.lipschitz_g, p.loss_grad(x), slope)
+        line_search(p, x, -x, 0.5 / p.obj.lipschitz, p.obj.grad(x), slope)
     assert calls == []

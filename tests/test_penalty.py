@@ -42,12 +42,6 @@ def test_spec_rejects_non_finite_values(kwargs, field):
         PenaltySpec(**kwargs)
 
 
-def test_config_roundtrip():
-    for spec in SPECS:
-        assert PenaltySpec.from_config(spec.to_config()) == spec
-    assert PenaltySpec.from_config('{"kind":"scad","lambda":0.5,"a":3.7}') == SCAD
-
-
 def test_penalty_point_values():
     # piecewise evaluations at hand-checked points
     assert penalty_value(SCAD, 0.3) == pytest.approx(0.15, abs=1e-12)

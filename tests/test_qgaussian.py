@@ -4,7 +4,7 @@ from scipy import integrate
 from scipy.linalg import toeplitz
 from scipy.stats import multivariate_t
 
-from hdsparse.penalty import PenaltySpec
+from hdsparse.penalty import PenaltySpec, penalty_value
 from hdsparse.qgaussian import (
     QGaussianFitConfig,
     QGaussianModel,
@@ -23,6 +23,7 @@ from hdsparse.qgaussian import (
     q_update,
     recover_q_subset,
     _psi_cholesky,
+    _quad_Q,
     _whitened_objective,
     sigma2_update,
     theta_update,
@@ -220,6 +221,20 @@ def test_sigma2_update_stationarity():
     assert abs(deriv) <= 1e-6 * abs(curv * s2) + 1e-8
     # and it is a minimum, not merely stationary
     assert f(1.5 * s2) > f(s2) and f(0.5 * s2) > f(s2)
+
+
+@pytest.mark.parametrize("pen", [PenaltySpec("l1", 0.3), PenaltySpec("scad", 0.3, a=3.7),
+                                 PenaltySpec("mcp", 0.3, gamma=3.0)])
+def test_quad_q_sums_the_penalty_elementwise(pen):
+    # Q sums the penalty with the solvers' one-pass kernel; the intercept is
+    # not penalized, and theta spans every piece of SCAD and MCP
+    rng = np.random.default_rng(9)
+    X, y, _ = _toy_fit_data(rng)
+    theta = np.array([5.0, -1.5, -0.2, 0.5, 1.5])
+    model = QGaussianModel(theta, 1.0, 1 + 1 / 120, 60, None, pen)
+    r = y - theta[0] - X @ theta[1:]
+    want = r @ r + 2 * 60 * penalty_value(pen, theta[1:]).sum()
+    assert _quad_Q(model, X, y) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_q_update_near_gaussian_boundary():
