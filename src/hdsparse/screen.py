@@ -7,7 +7,10 @@ power-of-two grid and convolves with a separable kernel (zero-padded, so no
 wrap-around), which is what makes screening thousands of columns tractable.
 Separability turns the 2-D convolution into two 1-D passes (Wand 1994): a
 sparse product of the binned weights with the banded y-kernel matrix, then an
-FFT convolution along x.
+FFT convolution along x.  Both passes cover only the window of grid nodes the
+kernels reach from the binned data, and the density is exactly zero outside
+it: the grid pads both axes by the larger bandwidth, so when one bandwidth
+dwarfs the other, most of the narrow axis lies beyond its kernel's reach.
 
 Each estimator is split into the outcome's share (its bandwidth and range, bin
 count, jittered and sorted copy, or centred copy), prepared once, and the
@@ -54,6 +57,8 @@ PAD_BANDWIDTHS = 3.0
 # make_grid's 256 x 256 grid, summing only the cells where the joint
 # and the product of the marginals exceed the floor
 KDE_FLOOR = 1e-12
+# mi_knn's estimator: Kraskov's k neighbours
+KNN_K = 3
 
 
 @dataclass(frozen=True)
@@ -168,22 +173,25 @@ def make_grid(x, y, hx: float, hy: float) -> Grid2D:
     )
 
 
-def _linear_bin_2d(x, y, grid: Grid2D):
+def _cloud_in_cell(v, lo: float, step: float, nodes: int):
+    # each value's left node, clipped so that its right node is on the grid,
+    # and the share of its mass that goes to the right node; int32 nodes are
+    # coo_matrix's own index type, so it keeps them without a copy
+    f = (v - lo) / step
+    i = np.clip(f.astype(np.int32), 0, nodes - 2)
+    return i, f - i
+
+
+def _linear_bin_2d(ix, wx, iy, wy, shape):
     # cloud-in-cell assignment, as a scipy.sparse COO matrix: each sample
     # spreads over its 4 surrounding nodes; entries that land on the same
     # node are summed by any product
     from scipy.sparse import coo_matrix
 
-    fx = (x - grid.x_min) / grid.dx
-    fy = (y - grid.y_min) / grid.dy
-    ix = np.clip(fx.astype(int), 0, grid.nx - 2)
-    iy = np.clip(fy.astype(int), 0, grid.ny - 2)
-    wx = fx - ix
-    wy = fy - iy
     rows = np.concatenate((ix, ix + 1, ix, ix + 1))
     cols = np.concatenate((iy, iy, iy + 1, iy + 1))
     mass = np.concatenate(((1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy))
-    return coo_matrix((mass / x.size, (rows, cols)), shape=(grid.nx, grid.ny))
+    return coo_matrix((mass / ix.size, (rows, cols)), shape=shape)
 
 
 def fft_kde_2d(x, y, hx: float, hy: float, grid: Grid2D) -> np.ndarray:
@@ -192,9 +200,14 @@ def fft_kde_2d(x, y, hx: float, hy: float, grid: Grid2D) -> np.ndarray:
     The product kernel is applied in two 1-D passes: the binned weights (a
     sparse matrix with at most 4n entries) times the banded Toeplitz matrix of
     the y kernel, then an FFT convolution of every column with the x kernel.
-    Both passes are zero-padded (linear) convolutions, so there is no
-    wrap-around; tiny negative FFT artifacts are clipped and the density
-    renormalized to unit Euler sum.
+    Both passes run only on the window the kernels reach: the rows within
+    the x kernel's reach of the occupied x nodes and the columns within the
+    y kernel's reach of the occupied y nodes, clipped to the grid.  Every
+    node outside the window is exactly 0.0.  Both passes are zero-padded
+    (linear) convolutions, so there is no wrap-around, even where the window
+    is clipped at a grid edge; tiny negative FFT artifacts are clipped and
+    the density renormalized to unit Euler sum.  When the bandwidths are on
+    one scale, the window is the whole grid.
     """
     x = np.asarray(x, float).ravel()
     y = np.asarray(y, float).ravel()
@@ -208,26 +221,37 @@ def fft_kde_2d(x, y, hx: float, hy: float, grid: Grid2D) -> np.ndarray:
         raise ValueError(f"grid does not cover the data plus {PAD_BANDWIDTHS:g} bandwidths")
     kx = _kernel_half(hx, grid.dx, grid.nx)
     ky = _kernel_half(hy, grid.dy, grid.ny)
+    ix, wx = _cloud_in_cell(x, grid.x_min, grid.dx, grid.nx)
+    iy, wy = _cloud_in_cell(y, grid.y_min, grid.dy, grid.ny)
+    # the window: the occupied nodes [min i, max i + 1] widened by the reach
+    r0 = max(int(ix.min()) - (kx.size - 1), 0)
+    r1 = min(int(ix.max()) + 1 + kx.size, grid.nx)
+    c0 = max(int(iy.min()) - (ky.size - 1), 0)
+    c1 = min(int(iy.max()) + 1 + ky.size, grid.ny)
+    m = r1 - r0
     # y pass: row i of the product sums ky(y_node - y_j) over row i's weights;
     # it is stored transposed so that the x pass runs along contiguous rows
     # (an FFT along the strided axis does not scale across threads)
     col = np.zeros(grid.ny)
     col[:ky.size] = ky
-    smooth_t = (_linear_bin_2d(x, y, grid) @ toeplitz(col)).T.copy()
-    # x pass: a circular convolution of length >= nx + reach, with the kernel
-    # centred on index 0, equals the linear one on the first nx nodes
-    size = next_fast_len(grid.nx + kx.size - 1)
+    binned = _linear_bin_2d(ix - r0, wx, iy, wy, (m, grid.ny))   # the window's rows
+    smooth_t = (binned @ toeplitz(col)[:, c0:c1]).T.copy()
+    # x pass: a circular convolution of length >= m + reach, with the kernel
+    # centred on index 0, equals the linear one on the first m nodes
+    size = next_fast_len(m + kx.size - 1)
     kc = np.zeros(size)
     kc[:kx.size] = kx
     kc[size - kx.size + 1:] = kx[:0:-1]
     spec = rfft(smooth_t, size)
     spec *= rfft(kc).real                   # an even kernel has a real spectrum
-    dens = irfft(spec, size)[:, :grid.nx].T
+    dens = irfft(spec, size)[:, :m].T
     np.clip(dens, 0.0, None, out=dens)
     total = dens.sum() * grid.dx * grid.dy
     if total <= 0:
         raise ValueError("degenerate density")
-    return np.divide(dens, total, out=np.empty((grid.nx, grid.ny)))   # C order
+    out = np.zeros((grid.nx, grid.ny))     # C order
+    np.divide(dens, total, out=out[r0:r1, c0:c1])
+    return out
 
 
 # Each method's prepared outcome is a plain tuple, built by _prepare_<method>
@@ -248,15 +272,26 @@ def _prepare_fftkde(y):
     return y, silverman_bandwidth(y), np.array([y.min(), y.max()])
 
 
+def _nonzero_span(v) -> slice:
+    # the indices from v's first nonzero entry to its last
+    nz = np.flatnonzero(v)
+    return slice(nz[0], nz[-1] + 1)
+
+
 def _fftkde_column(x, prep) -> MIResult:
     x = _finite(x)
     y, hy, y_range = prep
     hx = silverman_bandwidth(x)
     grid = make_grid(x, y_range, hx, hy)
     pxy = fft_kde_2d(x, y, hx, hy, grid)
+    # a row or column with a zero marginal holds no cell above the floor, so
+    # the span of the nonzero ones keeps the full grid's cells in C order;
+    # the rows outside the span add only zeros to py
     px = pxy.sum(axis=1) * grid.dy
-    py = pxy.sum(axis=0) * grid.dx
-    outer = np.outer(px, py)
+    rows = _nonzero_span(px)
+    py = pxy[rows].sum(axis=0) * grid.dx
+    cols = _nonzero_span(py)
+    pxy, outer = pxy[rows, cols], np.outer(px[rows], py[cols])
     ok = (pxy > KDE_FLOOR) & (outer > KDE_FLOOR)
     p = pxy[ok]
     mi = float(np.sum(p * np.log(p / outer[ok])) * grid.dx * grid.dy)
@@ -362,33 +397,36 @@ def _dedupe_jitter(v: np.ndarray) -> np.ndarray:
 
 
 def _prepare_knn(y):
-    # the jittered y and its sorted copy
-    yj = _dedupe_jitter(_finite(y))
-    return yj, np.sort(yj)
+    # the jittered y and its sorted copy, digamma(k) + digamma(n), and the
+    # table digamma(1), ..., digamma(n) that the neighbour counts index
+    from scipy.special import digamma
+
+    y = _finite(y)
+    n = y.size
+    if n <= KNN_K:
+        raise ValueError("need 1 <= k < n")
+    yj = _dedupe_jitter(y)
+    return yj, np.sort(yj), digamma(KNN_K) + digamma(n), digamma(np.arange(1, n + 1))
 
 
 def _knn_column(x, prep) -> MIResult:
     from scipy.spatial import cKDTree
-    from scipy.special import digamma
 
-    yj, ys = prep
-    n, k = yj.size, 3      # Kraskov's k neighbours
-    if n <= k:              # the outcome's check, so it comes before the column's
-        raise ValueError("need 1 <= k < n")
+    yj, ys, psi_kn, psi = prep
     xj = _dedupe_jitter(_finite(x))
     z = np.column_stack([xj, yj])
     tree = cKDTree(z)
-    dist, _ = tree.query(z, k=k + 1, p=np.inf)
+    dist, _ = tree.query(z, k=KNN_K + 1, p=np.inf)
     eps = dist[:, -1]
     xs = np.sort(xj)
     # strict counts within the open max-norm ball; they include the point
-    # itself, so digamma(nx) is Kraskov's psi(n_x + 1)
+    # itself, so psi[nx - 1] = digamma(nx) is Kraskov's psi(n_x + 1)
     nx = (np.searchsorted(xs, xj + eps, side="left")
           - np.searchsorted(xs, xj - eps, side="right"))
     ny = (np.searchsorted(ys, yj + eps, side="left")
           - np.searchsorted(ys, yj - eps, side="right"))
-    raw = float(digamma(k) + digamma(n) - np.mean(digamma(nx) + digamma(ny)))
-    return MIResult(max(raw, 0.0), "knn", {"k": k, "raw": raw})
+    raw = float(psi_kn - np.mean(psi[nx - 1] + psi[ny - 1]))
+    return MIResult(max(raw, 0.0), "knn", {"k": KNN_K, "raw": raw})
 
 
 def mi_knn(x, y) -> MIResult:

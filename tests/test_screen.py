@@ -6,8 +6,11 @@ import pytest
 
 from hdsparse.data import FeatureMatrix, ResponseVector
 from hdsparse.screen import (
+    KDE_FLOOR,
     Grid2D,
+    _dedupe_jitter,
     _kernel_1d,
+    _kernel_half,
     bin_count,
     fft_kde_2d,
     make_grid,
@@ -172,6 +175,118 @@ def test_mi_fftkde_calibration():
     assert r.method == "fftkde" and r.diagnostics["kernel"] == "gaussian"
 
 
+def _full_grid_fft_kde_2d(x, y, hx, hy, grid):
+    """fft_kde_2d's two passes over every node of the grid: the reference
+    that the windowed passes must match."""
+    from scipy.sparse import coo_matrix
+
+    fx, fy = (x - grid.x_min) / grid.dx, (y - grid.y_min) / grid.dy
+    ix = np.clip(fx.astype(int), 0, grid.nx - 2)
+    iy = np.clip(fy.astype(int), 0, grid.ny - 2)
+    wx, wy = fx - ix, fy - iy
+    rows = np.concatenate((ix, ix + 1, ix, ix + 1))
+    cols = np.concatenate((iy, iy, iy + 1, iy + 1))
+    mass = np.concatenate(((1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy))
+    binned = coo_matrix((mass / x.size, (rows, cols)), shape=(grid.nx, grid.ny))
+    kx = _kernel_half(hx, grid.dx, grid.nx)
+    ky = _kernel_half(hy, grid.dy, grid.ny)
+    col = np.zeros(grid.ny)
+    col[:ky.size] = ky
+    smooth_t = (binned @ toeplitz(col)).T.copy()
+    size = next_fast_len(grid.nx + kx.size - 1)
+    kc = np.zeros(size)
+    kc[:kx.size] = kx
+    kc[size - kx.size + 1:] = kx[:0:-1]
+    spec = np.fft.rfft(smooth_t, size)
+    spec *= np.fft.rfft(kc).real
+    dens = np.fft.irfft(spec, size)[:, :grid.nx].T
+    np.clip(dens, 0.0, None, out=dens)
+    total = dens.sum() * grid.dx * grid.dy
+    return np.divide(dens, total, out=np.empty((grid.nx, grid.ny)))
+
+
+def _reach_window(x, y, hx, hy, grid):
+    """The rows and columns within the kernels' reach of the binned data."""
+    def span(v, lo, step, nodes, h):
+        i = np.clip(((v - lo) / step).astype(int), 0, nodes - 2)
+        reach = _kernel_half(h, step, nodes).size - 1
+        return slice(max(i.min() - reach, 0), min(i.max() + 2 + reach, nodes))
+    return (span(x, grid.x_min, grid.dx, grid.nx, hx),
+            span(y, grid.y_min, grid.dy, grid.ny, hy))
+
+
+def _scaled_pair(case):
+    # a nonlinear pair; case names the grid: make_grid's padding with one
+    # bandwidth about 40 times the other, per-axis pads of exactly 3h on both
+    # axes, or 3h on the left of x and far more on its right
+    rng = np.random.default_rng(31)
+    x, y = _bvn(rng, 400, 0.6)
+    y = y**2 + 0.3 * y
+    if case == "hy=40hx":
+        y = 40 * y
+    elif case == "hx=40hy":
+        x = 40 * x
+    hx, hy = silverman_bandwidth(x), silverman_bandwidth(y)
+    if case == "tight":
+        grid = Grid2D(float(x.min() - 3 * hx), float(x.max() + 3 * hx),
+                      float(y.min() - 3 * hy), float(y.max() + 3 * hy))
+    elif case == "left edge":
+        grid = Grid2D(float(x.min() - 3 * hx), float(x.max() + 300 * hx),
+                      float(y.min() - 3 * hy), float(y.max() + 3 * hy))
+    else:
+        grid = make_grid(x, y, hx, hy)
+    return x, y, hx, hy, grid
+
+
+@pytest.mark.parametrize("case, whole", [
+    ("hy=40hx", False), ("hx=40hy", False), ("left edge", False),
+    ("tight", True), ("same scale", True),
+])
+def test_fft_kde_window_matches_the_full_grid(case, whole):
+    # whole: the kernels reach every node, so the window is the whole grid
+    x, y, hx, hy, grid = _scaled_pair(case)
+    got = fft_kde_2d(x, y, hx, hy, grid)
+    ref = _full_grid_fft_kde_2d(x, y, hx, hy, grid)
+    assert got.shape == (grid.nx, grid.ny) and got.flags.c_contiguous
+    assert got.sum() * grid.dx * grid.dy == pytest.approx(1.0, abs=1e-12)
+    rows, cols = _reach_window(x, y, hx, hy, grid)
+    assert (rows == slice(0, grid.nx) and cols == slice(0, grid.ny)) == whole
+    if whole:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+    if case == "left edge":             # clipped at the left edge only
+        assert rows.start == 0 and rows.stop < grid.nx
+
+
+@pytest.mark.parametrize("case", ["hy=40hx", "left edge"])
+def test_fft_kde_is_zero_beyond_the_kernels_reach(case):
+    # rows beyond the x kernel's reach: the full-grid x pass is an FFT over
+    # every row, which leaves round-off there
+    x, y, hx, hy, grid = _scaled_pair(case)
+    outside = np.ones((grid.nx, grid.ny), bool)
+    outside[_reach_window(x, y, hx, hy, grid)] = False
+    assert outside.mean() > 0.5
+    assert np.all(fft_kde_2d(x, y, hx, hy, grid)[outside] == 0.0)
+    assert np.any(_full_grid_fft_kde_2d(x, y, hx, hy, grid)[outside] != 0.0)
+
+
+@pytest.mark.parametrize("case", ["hy=40hx", "hx=40hy", "same scale"])
+def test_mi_fftkde_is_the_full_grid_sum_bitwise(case):
+    # the MI sum skips rows and columns with a zero marginal, which hold no
+    # cell above the floor, and adds the same cells in the same order
+    x, y, hx, hy, _ = _scaled_pair(case)
+    grid = make_grid(x, y, hx, hy)
+    pxy = fft_kde_2d(x, y, hx, hy, grid)
+    px = pxy.sum(axis=1) * grid.dy
+    py = pxy.sum(axis=0) * grid.dx
+    outer = np.outer(px, py)
+    ok = (pxy > KDE_FLOOR) & (outer > KDE_FLOOR)
+    p = pxy[ok]
+    want = float(np.sum(p * np.log(p / outer[ok])) * grid.dx * grid.dy)
+    assert mi_fftkde(x, y).value == want
+
+
 def test_bin_count_matches_bruteforce():
     rng = np.random.default_rng(4)
     lognormal = rng.lognormal(size=300)
@@ -263,6 +378,30 @@ def test_mi_knn_handles_ties():
     y = np.round(x + rng.normal(scale=0.5, size=500), 1)
     r = mi_knn(x, y)
     assert np.isfinite(r.value) and r.value > 0.1
+
+
+def _ksg_reference(x, y, k=3):
+    """Kraskov's estimator with scipy's digamma on the neighbour counts, the
+    counts taken one point at a time over the open max-norm ball."""
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
+    xj, yj = _dedupe_jitter(x), _dedupe_jitter(y)
+    z = np.column_stack([xj, yj])
+    eps = cKDTree(z).query(z, k=k + 1, p=np.inf)[0][:, -1]
+    nx = np.array([np.sum((xi - e < xj) & (xj < xi + e)) for xi, e in zip(xj, eps)])
+    ny = np.array([np.sum((yi - e < yj) & (yj < yi + e)) for yi, e in zip(yj, eps)])
+    return float(digamma(k) + digamma(x.size) - np.mean(digamma(nx) + digamma(ny)))
+
+
+def test_mi_knn_is_the_digamma_formula_bitwise():
+    rng = np.random.default_rng(9)
+    x = np.round(rng.normal(size=400), 1)   # ties in both margins
+    y = np.round(x + rng.normal(scale=0.5, size=400), 1)
+    for xs, ys in ((x, y), (y, x), (x, rng.normal(size=400))):
+        r = mi_knn(xs, ys)
+        assert r.diagnostics["raw"] == _ksg_reference(xs, ys)
+        assert r.value == max(r.diagnostics["raw"], 0.0)
 
 
 def test_pearson_abs():
