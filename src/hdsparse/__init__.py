@@ -12,7 +12,7 @@ from .agsolver import (
     SmoothObjective,
     SolveReport,
     ag_solve,
-    ag_solve_many,
+    ag_traces,
     complexity_bound,
     make_composite,
     make_linear_objective,

@@ -18,14 +18,15 @@ alpha_k/(delta_k*Gamma_k) nonincreasing; two ready-made schedules are provided
 (the optimal one and the classical 2/(k+1) one) plus a checker and the
 theoretical complexity bound.  The plain proximal-gradient baseline, pg_solve,
 is the constant schedule alpha_k = 1, delta_k = omega_k = step: then x_md = x
-and the two prox steps are one.
+and the two prox steps are one.  ag_traces runs k schedules in lockstep on a
+(k, p) block, for the objective traces alone; it shares no loop with ag_solve,
+whose vector steps a one-row block would slow.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -46,7 +47,7 @@ __all__ = [
     "verify_schedule",
     "grad_mapping",
     "ag_solve",
-    "ag_solve_many",
+    "ag_traces",
     "pg_solve",
     "damping_lower_bound",
     "admissible_ab",
@@ -239,127 +240,125 @@ def grad_mapping(x, y, c: float, penalty: PenaltySpec) -> np.ndarray:
 
 def ag_solve(obj: SmoothObjective, penalty: PenaltySpec, s: AGSchedule, x0, tol: float = 1e-4,
              max_iter: int = 2000, skip=()) -> SolveReport:
-    """Run the accelerated scheme; stops when the sup-norm step falls below tol.
+    """Run the accelerated scheme from x0, shape (p,); stops when the sup-norm
+    step falls below tol.  The schedule must have at least max_iter steps.
 
     The method is not monotone, so it returns the best iterate seen.  A
     schedule with every alpha_k = 1 and delta_k = omega_k is proximal gradient,
     a descent method for steps up to 1/L: there every step must not raise the
     objective (else FloatingPointError) and the last iterate is returned.
-    The schedule must have at least max_iter steps.
     """
-    return ag_solve_many(obj, penalty, [s], x0, tol, max_iter, skip)[0]
-
-
-def ag_solve_many(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0, tol: float = 1e-4,
-                  max_iter: int = 2000, skip=()) -> list[SolveReport]:
-    """ag_solve on k schedules in lockstep: row i of a (k, p) block follows schedules[i].
-
-    Each row keeps ag_solve's descent check, best iterate and stopping test; a
-    stopped row is frozen, its wall_time the block's until then.  x0 is one
-    start, shape (p,), or a (k, p) block.  Block products round differently,
-    so rows match ag_solve to rounding; one schedule and a vector x0 is
-    ag_solve.  A step makes one loss gradient, from a known z, and one forward
-    product [x_ag; next x_md] X' of 2k rows (x_ag's k alone on a pg step and
-    the last), whose rows give the value at x_ag and the next step's z.
-    """
-    if not schedules:
-        raise ValueError("ag_solve_many needs at least one schedule")
-    for s in schedules:
-        if len(s) < max_iter:
-            raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")
+    if len(s) < max_iter:
+        raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")
     if not tol >= 0:  # NaN included
         raise ValueError(f"tol must be >= 0, got {tol}")
     t0 = time.perf_counter()
-    x = np.asarray(x0, dtype=float)
-    k, dim = len(schedules), obj.dimension
-    if x.shape not in ((dim,), (k, dim)):
-        raise ValueError(f"x0 has shape {x.shape}; need ({dim},) or ({k}, {dim})")
+    x = np.array(x0, dtype=float)
+    if x.shape != (obj.dimension,):
+        raise ValueError(f"x0 has shape {x.shape}; need ({obj.dimension},)")
     p = make_composite(obj, penalty, skip)
     forward, loss_grad, loss_value, skip = p.obj.forward, p.obj.grad, p.obj.value, p.skip
     # the soft threshold that prox_scaled_l1 runs behind its input checks
     soft, lam = _penalty._soft, penalty.lam
-    # per-row values are floats on a vector, (k,) arrays on a block
-    block = k > 1 or x.ndim == 2
-    x = x_ag = np.broadcast_to(x, (k, dim)).copy() if block else x.copy()
-    sched = np.stack([[s.alphas[:max_iter], s.deltas[:max_iter], s.omegas[:max_iter]]
-                      for s in schedules], axis=1)  # (alpha, delta, omega) x row x step
-    pg = (sched[0] == 1.0) & (sched[1] == sched[2])  # x_md = x and one prox step
+    alphas, deltas, omegas = s.alphas[:max_iter], s.deltas[:max_iter], s.omegas[:max_iter]
     # read step by step, so a solve that stops early pays nothing for the rest
-    mixed, two_prox = (sched[0] != 1.0).any(axis=0), (~pg).any(axis=0)
-    # proximal gradient rows descend: no step may raise their objective
-    descent = pg.all(axis=1)
-    alphas, deltas, omegas = sched.transpose(0, 2, 1)[..., None] if block else sched[:, 0]
-    # a vector reads Python floats: cheaper than numpy scalars, the same bits
-    at = operator.getitem if block else np.ndarray.item
-    finite = (lambda v: bool(np.isfinite(v).all())) if block else math.isfinite
-    rows = np.arange(k) if block else 0  # the rows still running
-    best_val, best_x = np.full(k, np.inf) if block else np.inf, x
-    x_md, z_md = x, forward(x)  # the first x_md is the start, as x_ag = x there
-    # the descent rows' last value (inf on the other rows of a block)
-    prev = p.value(x_md, z_md) if descent.any() else None
-    prev = np.where(descent, np.inf if prev is None else prev, np.inf) if block else prev
-    obj_tr, gap2_tr = np.empty((2, max_iter, k))
-    reports, it = [None] * k, 0
-
-    def finish(done, converged):
-        for j in np.flatnonzero(done):
-            r = rows[j] if block else 0
-            est = x_ag if descent[r] else best_x
-            reports[r] = SolveReport(
-                est[j].copy() if block else est, it, obj_tr[:it, r].copy(),
-                np.sqrt(gap2_tr[:it, r]) / sched[2, r, :it], converged, time.perf_counter() - t0)
-
+    mixed = alphas != 1.0
+    two_prox = mixed | (deltas != omegas)  # else x_md = x and one prox step
+    descent = not two_prox.any()  # proximal gradient: no step may raise the objective
+    x_ag = best_x = x_md = x  # the first x_md is the start, as x_ag = x there
+    best_val, it, converged, z_md = math.inf, 0, False, forward(x)
+    prev = p.value(x_md, z_md) if descent else None
+    obj_tr, gap2_tr = np.empty((2, max_iter))
     for i in range(max_iter):
-        d, w = at(deltas, i), at(omegas, i)
+        d, w = deltas.item(i), omegas.item(i)  # Python floats: cheaper, the same bits
         g = p.g_grad(x_md, loss_grad(x_md, z_md))
         x_new, mag = soft(x - d * g, d * lam, skip)  # mag = |x_new|, penalized coordinates
         # with x_md = x and delta = omega both prox steps take the same point
         x_ag, mag = soft(x_md - w * g, w * lam, skip) if two_prox[i] else (x_new, mag)
         gap = x_md - x_ag
-        gap2 = np.einsum("ij,ij->i", gap, gap) if block else gap @ gap
+        gap2 = gap @ gap
         # a non-finite entry of g makes that entry of x_ag, and so gap2,
         # non-finite; only then does g itself need a scan
-        if not finite(gap2) and not np.isfinite(g).all():
+        if not math.isfinite(gap2) and not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient at iteration {i + 1}")
-        step = np.maximum.reduce(np.abs(x_new - x if two_prox[i] else gap), -1)  # gap = x - x_new
-        stop = step < tol
-        if i + 1 == max_iter or (stop.all() if block else stop) or not (
-                mixed[i + 1] or two_prox[i]):  # no next step, or its x_md is x_ag
-            x_md, z_md = x_ag, forward(x_ag)
+        stop = np.maximum.reduce(np.abs(x_new - x if two_prox[i] else gap)) < tol  # gap = x - x_new
+        if i + 1 == max_iter or stop or not (mixed[i + 1] or two_prox[i]):
+            x_md, z_md = x_ag, forward(x_ag)  # no next step, or its x_md is x_ag
             z_ag = z_md
         else:  # the next x_md: alpha on the plain sequence, the rest on the aggregated one
-            a = at(alphas, i + 1)
+            a = alphas.item(i + 1)
             x_md = (1.0 - a) * x_ag + a * x_new if mixed[i + 1] else x_new
-            z = forward(np.concatenate((x_ag, x_md)) if block else np.array((x_ag, x_md)))
-            z_ag, z_md = z.reshape(2, -1, z.shape[-1]) if block else z
+            z_ag, z_md = forward(np.array((x_ag, x_md)))
         val = loss_value(x_ag, z_ag) + _penalty._sum_abs(penalty, mag)
-        if not finite(val):
+        if not math.isfinite(val):
             raise FloatingPointError(f"non-finite objective at iteration {i + 1}")
-        if prev is not None:
-            rise = val > prev + 1e-10
-            if rise.any() if block else rise:
-                raise FloatingPointError(
-                    f"objective increased at iteration {i + 1}; Lipschitz constant too small?"
-                )
-            prev = np.where(prev < np.inf, val, prev) if block else val
-        obj_tr[i, rows], gap2_tr[i, rows] = val, gap2
-        if block:
-            better = val < best_val
-            best_val = np.where(better, val, best_val)
-            best_x = np.where(better[:, None], x_ag, best_x)
-        elif val < best_val:  # x_ag is a fresh array that no later step writes to
+        if descent and val > prev + 1e-10:
+            raise FloatingPointError(f"objective increased at iteration {i + 1}; "
+                                     "Lipschitz constant too small?")
+        obj_tr[i], gap2_tr[i], prev = val, gap2, val
+        if val < best_val:  # x_ag is a fresh array that no later step writes to
             best_val, best_x = val, x_ag
         x, it = x_new, i + 1
-        if stop.any() if block else stop:
-            finish(stop, True)
-            if not block or stop.all():
-                break
-            rows, x, x_ag, x_md, z_md, best_x, best_val, prev = (  # the stopped rows leave
-                v[~stop] for v in (rows, x, x_ag, x_md, z_md, best_x, best_val, prev))
-            alphas, deltas, omegas = (v[:, ~stop] for v in (alphas, deltas, omegas))
-    else:
-        finish(np.ones(np.size(rows), dtype=bool), False)
-    return reports
+        if stop:
+            converged = True
+            break
+    return SolveReport(x_ag if descent else best_x, it, obj_tr[:it].copy(),
+                       np.sqrt(gap2_tr[:it]) / omegas[:it], converged, time.perf_counter() - t0)
+
+
+def ag_traces(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0,
+              max_iter: int) -> np.ndarray:
+    """The (k, max_iter) objective traces of k schedules run in lockstep from
+    one start x0, shape (p,): row i of a (k, p) block follows schedules[i].
+
+    Row i is ag_solve's trace at tol = 0 to rounding (block products round
+    differently), and a proximal-gradient row keeps pg_solve's descent check.
+    A step's forward product [x_ag; next x_md] X' has 2k rows (k when no row
+    mixes, and on the last step).
+    """
+    if not schedules:
+        raise ValueError("ag_traces needs at least one schedule")
+    for s in schedules:
+        if len(s) < max_iter:
+            raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (obj.dimension,):
+        raise ValueError(f"x0 has shape {x.shape}; need ({obj.dimension},)")
+    p = make_composite(obj, penalty)
+    forward, loss_grad, loss_value, skip = p.obj.forward, p.obj.grad, p.obj.value, p.skip
+    soft, lam, k = _penalty._soft, penalty.lam, len(schedules)
+    # (alpha, delta, omega) x step x row x 1: a step's values scale the block's rows
+    alphas, deltas, omegas = np.stack([[s.alphas[:max_iter], s.deltas[:max_iter],
+                                        s.omegas[:max_iter]] for s in schedules], axis=2)[..., None]
+    pg = (alphas == 1.0) & (deltas == omegas)  # x_md = x and one prox step
+    mixed, two_prox = (alphas != 1.0).any(axis=(1, 2)), (~pg).any(axis=(1, 2))
+    descent = pg.all(axis=0)[:, 0]  # proximal gradient rows: no step may raise their objective
+    x = x_md = np.tile(x, (k, 1))  # the first x_md is the start, as x_ag = x there
+    z_md = forward(x)
+    prev = p.value(x, z_md)
+    traces = np.empty((k, max_iter))
+    for i in range(max_iter):
+        d, w = deltas[i], omegas[i]
+        g = p.g_grad(x_md, loss_grad(x_md, z_md))
+        x_new, mag = soft(x - d * g, d * lam, skip)
+        x_ag, mag = soft(x_md - w * g, w * lam, skip) if two_prox[i] else (x_new, mag)
+        if i + 1 == max_iter or not (mixed[i + 1] or two_prox[i]):
+            x_md, z_md = x_ag, forward(x_ag)
+            z_ag = z_md
+        else:
+            a = alphas[i + 1]
+            x_md = (1.0 - a) * x_ag + a * x_new if mixed[i + 1] else x_new
+            z = forward(np.concatenate((x_ag, x_md)))
+            z_ag, z_md = z.reshape(2, k, z.shape[-1])
+        val = loss_value(x_ag, z_ag) + _penalty._sum_abs(penalty, mag)
+        if not np.isfinite(val).all():
+            raise FloatingPointError(f"non-finite objective at iteration {i + 1}")
+        if ((val > prev + 1e-10) & descent).any():
+            raise FloatingPointError(f"objective increased at iteration {i + 1}; "
+                                     "Lipschitz constant too small?")
+        traces[:, i] = prev = val
+        x = x_new
+    return traces
 
 
 def pg_solve(obj: SmoothObjective, penalty: PenaltySpec, step: float, x0, tol: float = 1e-4,
@@ -369,7 +368,7 @@ def pg_solve(obj: SmoothObjective, penalty: PenaltySpec, step: float, x0, tol: f
     This is ag_solve on the constant schedule alpha_k = 1, delta_k = omega_k =
     step; it descends for any step up to 1/L, where AG needs omega < 1/L.
     """
-    if not 0 < step <= 1.0 / obj.lipschitz + 1e-15:  # NaN included
+    if not (step > 0 and step * obj.lipschitz <= 1 + 1e-12):  # NaN included
         raise ValueError(f"step must lie in (0, 1/L], got {step}")
     ones = np.ones(max(max_iter, 1))
     return ag_solve(obj, penalty, AGSchedule(ones, ones * step, ones * step),

@@ -29,7 +29,7 @@ import numpy as np
 from .agsolver import (  # noqa: F401 - pg_solve stays for perfbench's tracer to patch
     AGSchedule,
     ag_solve,
-    ag_solve_many,
+    ag_traces,
     least_squares_loss,
     logistic_loss,
     make_linear_objective,
@@ -273,13 +273,13 @@ def _rep_ag(spec: SimSpec, rng, penalty: PenaltySpec, threshold: float, max_iter
     make = make_logistic_objective if spec.outcome == "logistic" else make_linear_objective
     obj = make(X.values, y.values, penalty)
     L, ones = obj.lipschitz, np.ones(max_iter)  # pg is the constant schedule 1, 1/L, 1/L
-    runs = ag_solve_many(obj, penalty, [schedule_optimal(L, max_iter),
-                                        schedule_original(L, max_iter),
-                                        AGSchedule(ones, ones / L, ones / L)],
-                         np.zeros(spec.p), tol=0.0, max_iter=max_iter)
-    gstar = min(r.objective_trace.min() for r in runs)
-    return {f"iters_{k}": _iters_to_threshold(r.objective_trace, gstar + threshold)
-            for k, r in zip(("ag_opt", "ag_orig", "pg"), runs)}
+    traces = ag_traces(obj, penalty, [schedule_optimal(L, max_iter),
+                                      schedule_original(L, max_iter),
+                                      AGSchedule(ones, ones / L, ones / L)],
+                       np.zeros(spec.p), max_iter)
+    gstar = traces.min()
+    return {f"iters_{k}": _iters_to_threshold(t, gstar + threshold)
+            for k, t in zip(("ag_opt", "ag_orig", "pg"), traces)}
 
 
 def _fit_path(make, X, y, penalty, lams, tol, max_iter):

@@ -85,14 +85,6 @@ class Grid2D:
     def dy(self) -> float:
         return (self.y_max - self.y_min) / (self.ny - 1)
 
-    @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
-
-    @property
-    def ys(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.ny)
-
 
 @dataclass(frozen=True)
 class MIResult:

@@ -11,7 +11,7 @@ from hdsparse.agsolver import (
     SmoothObjective,
     admissible_ab,
     ag_solve,
-    ag_solve_many,
+    ag_traces,
     complexity_bound,
     damping_lower_bound,
     grad_mapping,
@@ -209,6 +209,16 @@ def test_pg_step_validation():
         pg_solve(obj, PenaltySpec("l1", 0.0), 1.0, np.zeros(1))
 
 
+def test_pg_step_bound_is_relative_to_one_over_l():
+    # an absolute slack of 1e-15 on 1/L let any step through once 1/L was
+    # far below it: here L is about 1.5e16, and 3/L passed
+    X = np.random.default_rng(0).normal(size=(50, 5)) * 1e8
+    obj, pen = make_linear_objective(X, X[:, 0]), PenaltySpec("l1", 0.0)
+    with pytest.raises(ValueError, match=r"^step must lie in \(0, 1/L\], got "):
+        pg_solve(obj, pen, 3 / obj.lipschitz, np.zeros(5), max_iter=5)
+    assert pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(5), max_iter=5).iterations >= 1
+
+
 @pytest.mark.parametrize("step", [np.nan, 0.0, -0.1])
 def test_pg_solve_rejects_a_step_that_is_not_positive(step):
     # a NaN step used to pass `step > 1/L` and die as a non-finite objective;
@@ -239,29 +249,40 @@ def test_ag_schedule_rejects_alphas_outside_the_unit_interval(bad):
         AGSchedule(a, s.deltas, s.omegas)
 
 
-def test_ag_solve_many_rejects_a_mis_shaped_start():
-    # a wrong length used to surface as numpy's matmul error, and a (2, p)
-    # block with three schedules as a broadcast error
+def test_ag_solve_and_ag_traces_reject_a_mis_shaped_start():
+    # a wrong length used to surface as numpy's matmul error; both take one
+    # (p,) start, the lockstep too, and ag_solve no longer a (1, p) block
     obj, pen = _regression("linear", "scad")
     p, s = obj.dimension, schedule_optimal(obj.lipschitz, 10)
-    for x0 in (np.zeros(p + 1), np.zeros((2, p)), np.zeros((p, 1))):
-        msg = f"x0 has shape {x0.shape}; need ({p},) or (3, {p})"
+    for x0 in (np.zeros(p + 1), np.zeros((1, p)), np.zeros((3, p)), np.zeros((p, 1))):
+        msg = f"x0 has shape {x0.shape}; need ({p},)"
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            ag_solve_many(obj, pen, [s, s, s], x0, max_iter=10)
-    msg = f"x0 has shape (2, {p}); need ({p},) or (1, {p})"
-    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-        ag_solve(obj, pen, s, np.zeros((2, p)), max_iter=10)
+            ag_traces(obj, pen, [s, s, s], x0, max_iter=10)
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            ag_solve(obj, pen, s, x0, max_iter=10)
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1e-6])
-def test_ag_solve_many_rejects_a_tol_that_is_nan_or_negative(tol):
+def test_ag_solve_rejects_a_tol_that_is_nan_or_negative(tol):
     # a NaN tol used to run every iteration and report not converged
     obj, pen = _regression("linear", "scad")
     s = schedule_optimal(obj.lipschitz, 10)
     with pytest.raises(ValueError, match=r"^tol must be >= 0, got "):
-        ag_solve_many(obj, pen, [s, s], np.zeros(obj.dimension), tol=tol, max_iter=10)
+        ag_solve(obj, pen, s, np.zeros(obj.dimension), tol=tol, max_iter=10)
     with pytest.raises(ValueError, match=r"^tol must be >= 0, got "):
         pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(obj.dimension), tol=tol, max_iter=10)
+
+
+@pytest.mark.parametrize("solver", ["ag", "pg"])
+def test_a_solve_of_no_steps_returns_the_start(solver):
+    # the estimate is bound before the first step, to a copy of the start
+    obj, pen = _regression("linear", "scad")
+    x0, L = np.linspace(-1.0, 1.0, obj.dimension), obj.lipschitz
+    rep = (ag_solve(obj, pen, schedule_optimal(L, 1), x0, max_iter=0) if solver == "ag"
+           else pg_solve(obj, pen, 1 / L, x0, max_iter=0))
+    assert rep.estimate.tobytes() == x0.tobytes() and rep.estimate is not x0
+    assert (rep.iterations, rep.converged) == (0, False)
+    assert rep.objective_trace.size == rep.grad_map_trace.size == 0
 
 
 def _regression(loss, kind):
@@ -445,6 +466,7 @@ def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch, design_products):
     # a pg step and on the last step.  The start's product serves the first
     # gradient and pg's descent check.  Each step makes one loss value, one
     # loss gradient and one h_grad; the public prox and h_value are not called.
+    # The lockstep of k rows does the same with k rows where a solve has one.
     import hdsparse.agsolver as ag
     import hdsparse.penalty as pen_mod
 
@@ -482,47 +504,38 @@ def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch, design_products):
             [("fwd", 1)] + [("t", 1), ("fwd", 2)] * (n - 1) + [("t", 1), ("fwd", 1)])
         assert count(pg_run, n) == (
             dict(value=n + 1, grad=n, h_grad=n), [("fwd", 1)] + [("t", 1), ("fwd", 1)] * n)
+    # ag_convergence's three rows: after the pg step every step has a mixing row
+    for n in (1, 2, 7, 40):
+        calls.clear()
+        products.clear()
+        assert ag_traces(obj, pen, _schedules(L, n), x0, n).shape == (3, n)
+        assert (dict(calls), products) == (
+            dict(value=n + 1, grad=n, h_grad=n),
+            [("fwd", 3)] + [("t", 1), ("fwd", 6)] * (n - 1) + [("t", 1), ("fwd", 3)])
 
 
-def _sequential(obj, pen, max_iter, tol, skip, step=None):
-    # ag_opt, ag_orig and pg one at a time, and their schedules
-    L = obj.lipschitz
-    step = 1 / L if step is None else step
-    steps = np.full(max_iter, step)
-    scheds = [schedule_optimal(L, max_iter), schedule_original(L, max_iter),
-              AGSchedule(np.ones(max_iter), steps, steps)]
-    x0 = np.zeros(obj.dimension)
-    reps = [ag_solve(obj, pen, s, x0, tol, max_iter, skip) for s in scheds[:2]]
-    reps.append(pg_solve(obj, pen, step, x0, tol, max_iter, skip))
-    return scheds, reps
+def _schedules(L, max_iter):
+    # ag_convergence's rows: ag_opt, ag_orig and pg (the constant schedule 1, 1/L, 1/L)
+    steps = np.full(max_iter, 1 / L)
+    return [schedule_optimal(L, max_iter), schedule_original(L, max_iter),
+            AGSchedule(np.ones(max_iter), steps, steps)]
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-5])
-@pytest.mark.parametrize("skip", [(), (0,)])
 @pytest.mark.parametrize("loss", ["linear", "logistic"])
-def test_ag_solve_many_equals_sequential_solves(loss, skip, tol):
+def test_ag_traces_equals_sequential_solves(loss):
     obj, pen = _regression(loss, "scad")
-    if loss == "logistic":
-        pen = pen.with_lambda(0.2)   # so that every row converges at tol > 0
-    max_iter = 400 if tol == 0.0 else 5000
-    scheds, seq = _sequential(obj, pen, max_iter, tol, skip)
-    many = ag_solve_many(obj, pen, scheds, np.zeros(obj.dimension), tol, max_iter, skip)
-    assert len(many) == 3
-    for m, r in zip(many, seq):
-        assert (m.iterations, m.converged) == (r.iterations, r.converged)
-        np.testing.assert_allclose(m.objective_trace, r.objective_trace, rtol=1e-12)
-        # the gap is a difference of near-equal iterates: rounding shows late
-        gm = r.grad_map_trace
-        np.testing.assert_allclose(m.grad_map_trace, gm, rtol=1e-9, atol=1e-9 * gm[0])
-        np.testing.assert_allclose(m.estimate, r.estimate, rtol=1e-9, atol=1e-12)
-    if tol > 0:
-        # the rows stop at different steps, and each stays where it stopped
-        assert all(r.converged for r in seq)
-        assert len({r.iterations for r in seq}) == 3
-        assert max(r.iterations for r in seq) < max_iter
+    L, x0 = obj.lipschitz, np.zeros(obj.dimension)
+    ag_opt, ag_orig, _ = scheds = _schedules(L, 400)
+    seq = [ag_solve(obj, pen, ag_opt, x0, 0.0, 400), ag_solve(obj, pen, ag_orig, x0, 0.0, 400),
+           pg_solve(obj, pen, 1 / L, x0, 0.0, 400)]
+    traces = ag_traces(obj, pen, scheds, x0, 400)
+    assert traces.shape == (3, 400)
+    for t, r in zip(traces, seq):
+        assert r.iterations == 400
+        np.testing.assert_allclose(t, r.objective_trace, rtol=1e-12)
 
 
-def test_ag_solve_many_pg_row_raises_like_pg_solve():
+def test_ag_traces_pg_row_raises_like_pg_solve():
     # with L understated 4x the PG row's first step overshoots 3 to 12
     obj = replace(_quad_obj(L=2.0), lipschitz=0.5)
     pen = PenaltySpec("l1", 0.0)
@@ -531,22 +544,31 @@ def test_ag_solve_many_pg_row_raises_like_pg_solve():
     steps = np.full(50, 2.0)
     scheds = [schedule_optimal(2.0, 50), AGSchedule(np.ones(50), steps, steps)]
     with pytest.raises(FloatingPointError) as many:
-        ag_solve_many(obj, pen, scheds, np.zeros(1), max_iter=50)
+        ag_traces(obj, pen, scheds, np.zeros(1), 50)
     assert str(many.value) == str(seq.value)
     assert str(seq.value).startswith("objective increased at iteration 1;")
 
 
-def test_ag_solve_many_checks_every_schedule_length():
+def test_ag_traces_checks_every_schedule_length():
     obj = _quad_obj()
     scheds = [schedule_optimal(obj.lipschitz, 50), schedule_optimal(obj.lipschitz, 5)]
     with pytest.raises(ValueError, match=r"^schedule has 5 steps, fewer than max_iter=50$"):
-        ag_solve_many(obj, PenaltySpec("l1", 0.0), scheds, np.zeros(1), max_iter=50)
+        ag_traces(obj, PenaltySpec("l1", 0.0), scheds, np.zeros(1), 50)
 
 
-def test_ag_solve_many_rejects_an_empty_schedule_list():
+def test_ag_traces_rejects_an_empty_schedule_list():
     # it used to fail in np.stack with "need at least one array to stack"
-    with pytest.raises(ValueError, match=r"^ag_solve_many needs at least one schedule$"):
-        ag_solve_many(_quad_obj(), PenaltySpec("l1", 0.0), [], np.zeros(1), max_iter=50)
+    with pytest.raises(ValueError, match=r"^ag_traces needs at least one schedule$"):
+        ag_traces(_quad_obj(), PenaltySpec("l1", 0.0), [], np.zeros(1), 50)
+
+
+def test_ag_traces_rejects_a_nan_response():
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(30, 5)), rng.normal(size=30)
+    y[4] = np.nan
+    obj, pen = make_linear_objective(X, y), PenaltySpec("l1", 0.1)
+    with pytest.raises(FloatingPointError, match=r"^non-finite objective at iteration 1$"):
+        ag_traces(obj, pen, _schedules(obj.lipschitz, 20), np.zeros(5), 20)
 
 
 def test_pg_solve_rejects_nan_response():
