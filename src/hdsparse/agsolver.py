@@ -16,11 +16,12 @@ x_ag and the next gradient's z, and the gradient's X' r is the other.  The
 damping schedule must satisfy alpha_k*delta_k <= omega_k < 1/L and
 alpha_k/(delta_k*Gamma_k) nonincreasing; two ready-made schedules are provided
 (the optimal one and the classical 2/(k+1) one) plus a checker and the
-theoretical complexity bound.  The plain proximal-gradient baseline, pg_solve,
-is the constant schedule alpha_k = 1, delta_k = omega_k = step: then x_md = x
-and the two prox steps are one.  ag_traces runs k schedules in lockstep on a
-(k, p) block, for the objective traces alone; it shares no loop with ag_solve,
-whose vector steps a one-row block would slow.
+theoretical complexity bound.  Every schedule stops once the prox step
+max|x_md - x_ag| = omega_k ||G(x_md)||_inf (Ghadimi & Lan's gradient mapping)
+falls below tol.  pg_solve, the proximal-gradient baseline, is the constant
+schedule alpha_k = 1, delta_k = omega_k = step: x_md = x, one prox step.
+ag_traces runs k schedules in lockstep on a (k, p) block, for the objective
+traces alone, in a loop of its own: a one-row block would slow ag_solve.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ def grad_mapping(x, y, c: float, penalty: PenaltySpec) -> np.ndarray:
 
 def ag_solve(obj: SmoothObjective, penalty: PenaltySpec, s: AGSchedule, x0, tol: float = 1e-4,
              max_iter: int = 2000, skip=()) -> SolveReport:
-    """Run the accelerated scheme from x0, shape (p,); stops when the sup-norm
-    step falls below tol.  The schedule must have at least max_iter steps.
+    """Run the accelerated scheme from x0, shape (p,), until the prox step
+    max|x_md - x_ag| < tol; the schedule needs at least max_iter steps.
 
     The method is not monotone, so it returns the best iterate seen.  A
     schedule with every alpha_k = 1 and delta_k = omega_k is proximal gradient,
@@ -281,7 +282,7 @@ def ag_solve(obj: SmoothObjective, penalty: PenaltySpec, s: AGSchedule, x0, tol:
         # non-finite; only then does g itself need a scan
         if not math.isfinite(gap2) and not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient at iteration {i + 1}")
-        stop = np.maximum.reduce(np.abs(x_new - x if two_prox[i] else gap)) < tol  # gap = x - x_new
+        stop = np.maximum.reduce(np.abs(gap)) < tol
         if i + 1 == max_iter or stop or not (mixed[i + 1] or two_prox[i]):
             x_md, z_md = x_ag, forward(x_ag)  # no next step, or its x_md is x_ag
             z_ag = z_md

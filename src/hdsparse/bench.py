@@ -282,7 +282,7 @@ def _rep_ag(spec: SimSpec, rng, penalty: PenaltySpec, threshold: float, max_iter
             for k, t in zip(("ag_opt", "ag_orig", "pg"), traces)}
 
 
-def _fit_path(make, X, y, penalty, lams, tol, max_iter):
+def _fit_path(make, X, y, penalty, lams, tol, max_iter, counts=None):
     # warm-started path, strongest penalty first, each lambda solved on a
     # strong set S (Tibshirani et al. 2012): the support so far and every
     # column whose loss gradient reaches 2 lambda_k - lambda_{k-1}.  ag_solve
@@ -290,6 +290,9 @@ def _fit_path(make, X, y, penalty, lams, tol, max_iter):
     # |grad_j loss| > lambda (SCAD's and MCP's slope at 0) breaks the KKT
     # conditions: it joins S and the lambda is solved again.  An empty S needs
     # no solve, as every |grad_j| < 2 lambda_k - lambda_{k-1} <= lambda_k.
+    # counts, if given, gains the solves, their iterations and the unconverged ones.
+    counts = {} if counts is None else counts
+    counts.update(path_solves=0, path_iterations=0, path_unconverged=0)
     full = make(X, y, penalty)
     x = np.zeros(X.shape[1])
     grad, fits = full.grad(x), []
@@ -300,6 +303,9 @@ def _fit_path(make, X, y, penalty, lams, tol, max_iter):
             obj = full if S.all() else make(X[:, S], y, penalty)  # S = all: the full path
             rep = ag_solve(obj, pen, schedule_optimal(obj.lipschitz, max_iter), x[S],
                            tol=tol, max_iter=max_iter)
+            counts["path_solves"] += 1
+            counts["path_iterations"] += rep.iterations
+            counts["path_unconverged"] += not rep.converged
             x = np.zeros(X.shape[1])
             x[S] = rep.estimate
             grad = full.grad(x)
@@ -316,7 +322,8 @@ def _rep_signal(spec: SimSpec, rng, penalty: PenaltySpec, path_len: int, max_ite
     yv = gen_outcome(spec, Xv, beta, rng)
     make = make_logistic_objective if spec.outcome == "logistic" else make_linear_objective
     lams = lambda_path(X.values, y.values, path_len)
-    fits = _fit_path(make, X.values, y.values, penalty, lams, 1e-4, max_iter)
+    counts = {}
+    fits = _fit_path(make, X.values, y.values, penalty, lams, 1e-4, max_iter, counts)
     # the validation loss alone: an objective would also compute a Lipschitz constant
     loss = logistic_loss if spec.outcome == "logistic" else least_squares_loss
     losses = [loss(Xv.values, yv.values, b) for b in fits]
@@ -328,6 +335,7 @@ def _rep_signal(spec: SimSpec, rng, penalty: PenaltySpec, path_len: int, max_ite
         "ppv": np.nan if ppv is None else ppv,
         "npv": np.nan if npv is None else npv,
         "scaled_error": scaled_estimation_error(beta, bhat),
+        **counts,
     }
 
 

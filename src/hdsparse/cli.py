@@ -34,7 +34,7 @@ from .agsolver import (
 )
 from .bench import E3, KINDS, OUTCOMES, SIGNALS, SimSpec, gen_dataset, run_benchmark
 from .data import read_table, write_table
-from .pcg import PCGConfig, pcg_solve
+from .pcg import PCGConfig, linearized_moreau_grad, pcg_solve
 from .penalty import PenaltySpec
 from .qgaussian import QGaussianFitConfig, fit as qfit_model
 from .screen import screen_all
@@ -104,6 +104,10 @@ def cmd_fit(args) -> int:
         sched_fn = schedule_original if args.solver == "ag-orig" else schedule_optimal
         report = ag_solve(obj, penalty, sched_fn(obj.lipschitz, args.max_iter),
                           x0, args.tol, args.max_iter)
+    if args.solver != "pcg":  # the certificate pcg reports: the Moreau map at the estimate
+        rho = 0.5 / obj.lipschitz
+        s = linearized_moreau_grad(make_composite(obj, penalty), report.estimate, rho)
+        extra.update(moreau_grad_norm=float(np.max(np.abs(s))), rho=rho)
     payload = {
         "estimate": report.estimate.tolist(),
         "iterations": report.iterations,
@@ -177,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--outcome", required=True)
     p.add_argument("--solver", choices=("ag", "ag-orig", "pg", "pcg"), default="ag")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=1e-4, help="ag, ag-orig, pg: stop once "
+                   "max|x_md - x_ag| < tol; pcg: once the Moreau map's sup-norm <= tol "
+                   "(default: %(default)s)")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=2000)
     _add_penalty(p)
     _add_common(p)

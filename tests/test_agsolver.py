@@ -24,6 +24,7 @@ from hdsparse.agsolver import (
     schedule_original,
     verify_schedule,
 )
+from hdsparse.pcg import linearized_moreau_grad
 from hdsparse.penalty import PenaltySpec, lipschitz_h, penalty_value
 
 
@@ -361,7 +362,7 @@ def _ag_reference(obj, penalty, s, x0, tol, max_iter, skip):
         x_new = p.h_prox(x - d * g, d)
         x_ag = p.h_prox(x_md - w * g, w)
         gap = x_md - x_ag
-        diff = np.abs(x_new - x).max()
+        diff = np.abs(gap).max()
         if k + 1 < max_iter and not diff < tol:
             a = s.alphas[k + 1]
             x_md = (1.0 - a) * x_ag + a * x_new
@@ -396,6 +397,23 @@ def test_ag_solve_is_the_plain_loop_bitwise(loss, kind, skip, tol):
     assert rep.objective_trace.tobytes() == objs.tobytes()
     assert rep.grad_map_trace.tobytes() == gms.tobytes()
     assert (rep.iterations, rep.converged) == (it, conv)
+
+
+@pytest.mark.parametrize("loss, kind", [("linear", "l1"), ("linear", "scad"),
+                                        ("linear", "mcp"), ("logistic", "l1")])
+def test_ag_and_pg_stop_at_one_stationarity(loss, kind):
+    # one tol, one stop rule: ag_solve stops on its prox step max|x_md - x_ag|,
+    # as pg_solve does, so their estimates' Moreau stationarity agrees to a
+    # factor of 10.  A stop on the plain sequence's step, whose scale delta_k
+    # grows like k omega / 2, solved 176 to 1527 times further here.
+    obj, pen = _regression(loss, kind)
+    L, x0, comp = obj.lipschitz, np.zeros(obj.dimension), make_composite(obj, pen)
+    ag = ag_solve(obj, pen, schedule_optimal(L, 20000), x0, 1e-6, 20000)
+    pg = pg_solve(obj, pen, 1 / L, x0, 1e-6, 20000)
+    assert ag.converged and pg.converged
+    s_ag, s_pg = (np.max(np.abs(linearized_moreau_grad(comp, r.estimate, 0.5 / L)))
+                  for r in (ag, pg))
+    assert s_pg / 10 <= s_ag <= 10 * s_pg, (s_ag, s_pg)
 
 
 @pytest.mark.parametrize("skip", [(), (0,)])

@@ -120,6 +120,33 @@ def test_fit_pcg_tol_zero_stops_where_the_map_underflows(tmp_path):
     assert payload["moreau_grad_norm"] == np.max(np.abs(s))
 
 
+def test_fit_certifies_every_solver_on_one_scale(tmp_path):
+    # ag, ag-orig and pg report pcg's certificate: the Moreau map's sup-norm at
+    # rho = 0.5/L on the estimate.  ag and pg stop on the same prox step, so at
+    # one tol their certificates agree to a factor of 10.
+    from hdsparse.agsolver import make_linear_objective
+    from hdsparse.data import read_table
+    from hdsparse.pcg import linearized_moreau_grad, make_composite
+    from hdsparse.penalty import PenaltySpec
+
+    main(["simulate", "--n", "100", "--p", "50", "--seed", "0", "--out-dir", str(tmp_path)])
+    X, y = read_table(tmp_path / "simulated.csv", outcome="y")
+    pen = PenaltySpec("scad", 0.5, a=3.7)
+    obj = make_linear_objective(X.values, y.values, pen)
+    norms = {}
+    for solver in ("ag", "ag-orig", "pg"):
+        out = tmp_path / solver
+        main(["fit", "--data", str(tmp_path / "simulated.csv"), "--outcome", "y",
+              "--solver", solver, "--tol", "1e-6", "--max-iter", "20000", "--out-dir", str(out)])
+        payload = json.loads((out / "fit.json").read_text())
+        s = linearized_moreau_grad(make_composite(obj, pen), payload["estimate"], payload["rho"])
+        assert payload["converged"] and payload["rho"] == 0.5 / obj.lipschitz
+        assert payload["moreau_grad_norm"] == np.max(np.abs(s))
+        norms[solver] = payload["moreau_grad_norm"]
+    assert norms["ag"] <= 1e-4 and norms["pg"] <= 1e-4
+    assert norms["pg"] / 10 <= norms["ag"] <= 10 * norms["pg"], norms
+
+
 @pytest.mark.parametrize("solver", ["ag", "pg", "pcg"])
 def test_fit_rejects_a_zero_design_under_l1(tmp_path, solver):
     # two all-zero features give L = 0 under l1; pg and pcg used to die with
