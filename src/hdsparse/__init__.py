@@ -41,7 +41,6 @@ from .data import (
     write_table,
 )
 from .pcg import (
-    PCGConfig,
     linear_cg,
     linearized_moreau_grad,
     pcg_solve,
@@ -52,7 +51,6 @@ from .penalty import (
     prox_scaled_l1,
 )
 from .qgaussian import (
-    QGaussianFitConfig,
     QGaussianModel,
     QGaussianParams,
     QShape,

@@ -340,7 +340,7 @@ def _rep_signal(spec: SimSpec, rng, penalty: PenaltySpec, path_len: int, max_ite
 
 
 def _rep_qgaussian(spec: SimSpec, rng) -> dict:
-    from .qgaussian import QGaussianFitConfig, fit
+    from .qgaussian import fit
 
     X, _, beta = gen_dataset(spec, rng)
     eta = X.values @ beta
@@ -348,8 +348,7 @@ def _rep_qgaussian(spec: SimSpec, rng) -> dict:
     y = eta + rng.normal(0.0, scale, size=spec.n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = fit(X.values, y, penalty=PenaltySpec("l1", 0.0),
-                    config=QGaussianFitConfig(solver="pcg", solver_tol=1e-5))
+        model = fit(X.values, y, penalty=PenaltySpec("l1", 0.0), solver="pcg", tol=1e-5)
     m_hat = 2.0 / (model.q_train - 1.0) - model.n_train
     return {"m_hat": m_hat, "sigma2_hat": model.sigma2, "q_hat": model.q_train}
 

@@ -34,9 +34,9 @@ from .agsolver import (
 )
 from .bench import E3, KINDS, OUTCOMES, SIGNALS, SimSpec, gen_dataset, run_benchmark
 from .data import read_table, write_table
-from .pcg import PCGConfig, linearized_moreau_grad, pcg_solve
+from .pcg import linearized_moreau_grad, pcg_solve
 from .penalty import PenaltySpec
-from .qgaussian import QGaussianFitConfig, fit as qfit_model
+from .qgaussian import fit as qfit_model
 from .screen import screen_all
 
 
@@ -91,23 +91,19 @@ def cmd_fit(args) -> int:
     X, y = read_table(args.data, outcome=args.outcome)
     make = make_logistic_objective if y.kind == "binary" else make_linear_objective
     obj = make(X.values, y.values, penalty)
+    comp = make_composite(obj, penalty)
     x0 = np.zeros(X.p)
-    extra = {"solver": args.solver}
     if args.solver == "pcg":
-        report, cert = pcg_solve(
-            make_composite(obj, penalty),
-            PCGConfig(tol=args.tol, max_iter=args.max_iter), x0)
-        extra.update(moreau_grad_norm=cert.moreau_grad_norm, rho=cert.rho_used)
+        report, _ = pcg_solve(comp, x0, args.tol, args.max_iter)
     elif args.solver == "pg":
         report = pg_solve(obj, penalty, 1.0 / obj.lipschitz, x0, args.tol, args.max_iter)
     else:
         sched_fn = schedule_original if args.solver == "ag-orig" else schedule_optimal
         report = ag_solve(obj, penalty, sched_fn(obj.lipschitz, args.max_iter),
                           x0, args.tol, args.max_iter)
-    if args.solver != "pcg":  # the certificate pcg reports: the Moreau map at the estimate
-        rho = 0.5 / obj.lipschitz
-        s = linearized_moreau_grad(make_composite(obj, penalty), report.estimate, rho)
-        extra.update(moreau_grad_norm=float(np.max(np.abs(s))), rho=rho)
+    # every solver's certificate: the Moreau map's sup-norm at the estimate
+    rho = 0.5 / obj.lipschitz
+    s = linearized_moreau_grad(comp, report.estimate, rho)
     payload = {
         "estimate": report.estimate.tolist(),
         "iterations": report.iterations,
@@ -115,7 +111,8 @@ def cmd_fit(args) -> int:
         "wall_time": report.wall_time,
         "objective_trace": report.objective_trace.tolist(),
         "grad_map_trace": report.grad_map_trace.tolist(),
-        **extra, "penalty": penalty.to_config(),
+        "solver": args.solver, "moreau_grad_norm": float(np.max(np.abs(s))), "rho": rho,
+        "penalty": penalty.to_config(),
     }
     out = _out_dir(args)
     (out / "fit.json").write_text(json.dumps(payload, indent=2))
@@ -127,7 +124,7 @@ def cmd_qfit(args) -> int:
     X, y = read_table(args.data, outcome=args.outcome)
     psi = None if args.psi == "identity" else read_table(args.psi)[0].values
     model = qfit_model(X.values, y.values, psi=psi, penalty=_penalty_from(args),
-                       config=QGaussianFitConfig(solver=args.solver))
+                       solver=args.solver)
     payload = model.to_config()
     payload["fit_trace"] = model.fit_trace.tolist()
     out = _out_dir(args)

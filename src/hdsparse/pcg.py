@@ -14,14 +14,15 @@ s as if it were a gradient, and each step is the exact Brent root of
 scipy's brentq that takes the same steps, so its roots are bitwise scipy's
 and importing pcg loads no scipy.  Each line search evaluates that
 derivative only at new points: its value at 0 is <s, d>, which the solver
-holds, and _brentq starts from the bracket's two known values.  The
-composite problem itself is the one the AG solver uses
-(agsolver.make_composite).  pcg forms the loss's forward product z and the
-loss gradient lg = p.obj.grad(x, z) once per iterate, values the iterate from
-that z for the trace, and calls g_grad(x, lg); the line search moves lg along
-d as lg + alpha * H d when the loss carries its curvature H (p.obj.curvature),
-so a quadratic loss costs no matvec per step.  A textbook linear CG for SPD
-systems (linear_cg) sits here too; no solver calls it.
+holds, and _brentq starts from the bracket's two known values.  pcg_solve
+takes the AG solver's composite problem (agsolver.make_composite) and, as
+ag_solve does, tol and max_iter as arguments.  pcg forms the loss's forward
+product z and the loss gradient lg = p.obj.grad(x, z) once per iterate,
+values the iterate from that z for the trace, and calls g_grad(x, lg); the
+line search moves lg along d as lg + alpha * H d when the loss carries its
+curvature H (p.obj.curvature), so a quadratic loss costs no matvec per step.
+A textbook linear CG for SPD systems (linear_cg) sits here too; no solver
+calls it.
 """
 
 from __future__ import annotations
@@ -32,26 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agsolver import CompositeProblem, SolveReport, make_composite
+from .agsolver import CompositeProblem, SolveReport
 from .penalty import prox_scaled_l1  # noqa: F401 - re-exported, looked up on this module
 
 __all__ = [
-    "CompositeProblem",
-    "PCGConfig",
     "StationarityCertificate",
-    "make_composite",
     "linearized_moreau_grad",
     "hz_direction",
     "line_search",
     "pcg_solve",
     "linear_cg",
 ]
-
-
-@dataclass(frozen=True)
-class PCGConfig:
-    tol: float = 1e-6
-    max_iter: int = 1000
 
 
 @dataclass(frozen=True)
@@ -180,19 +172,18 @@ def line_search(p: CompositeProblem, x, d, rho: float, loss_grad, slope: float) 
     raise RuntimeError(f"brent bracket not found; last derivative {f_hi:.3e}")
 
 
-def pcg_solve(
-    p: CompositeProblem,
-    config: PCGConfig | None = None,
-    x0=None,
-) -> tuple[SolveReport, StationarityCertificate]:
-    """Run proximal Hager-Zhang CG until ||s||_inf <= tol or max_iter.
+def pcg_solve(p: CompositeProblem, x0=None, tol: float = 1e-6,
+              max_iter: int = 1000) -> tuple[SolveReport, StationarityCertificate]:
+    """Run proximal Hager-Zhang CG from x0, shape (p,) (zeros if None), until
+    ||s||_inf <= tol or max_iter steps.
 
     A map s whose s @ s underflows to 0 is zero to working precision: no line
     search can descend along -s, so the solve stops there as converged, and
-    the certificate reports that map's sup-norm.  x0 must have shape (p,).
+    the certificate reports that map's sup-norm.
     """
+    if not tol >= 0:  # NaN included
+        raise ValueError(f"tol must be >= 0, got {tol}")
     t0 = time.perf_counter()
-    config = config or PCGConfig()
     obj = p.obj
     if not 0 < obj.lipschitz < np.inf:  # rho = 0.5/L is every prox step's scale
         raise ValueError(f"pcg needs a finite Lipschitz constant > 0, got {obj.lipschitz}")
@@ -210,14 +201,14 @@ def pcg_solve(
     obj_trace, gm_trace = [], []
     converged = False
     it = 0
-    for k in range(config.max_iter):
+    for k in range(max_iter):
         sn = np.max(np.abs(s))
         obj_trace.append(p.value(x, z))
         gn = float(np.linalg.norm(s))
         if gn == 0.0 and sn > 0.0:  # s @ s underflows: scale s by its sup-norm first
             gn = float(sn * np.linalg.norm(s / sn))
         gm_trace.append(gn)
-        if sn <= config.tol:
+        if sn <= tol:
             converged = True
             break
         # hard restart periodically and whenever d stops being a descent dir

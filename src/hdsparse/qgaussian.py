@@ -32,14 +32,13 @@ from .agsolver import (
     schedule_optimal,
 )
 # unused here; perfbench's tracer patches the name on this module
-from .pcg import PCGConfig, linear_cg, pcg_solve  # noqa: F401
+from .pcg import linear_cg, pcg_solve  # noqa: F401
 from .penalty import PenaltySpec, penalty_sum
 
 __all__ = [
     "QShape",
     "QGaussianParams",
     "QGaussianModel",
-    "QGaussianFitConfig",
     "q_exp",
     "q_log",
     "dof_from_q",
@@ -213,13 +212,6 @@ def covariance(params: QGaussianParams) -> np.ndarray | None:
 # penalized regression model
 
 
-@dataclass(frozen=True)
-class QGaussianFitConfig:
-    solver: str = "pcg"            # {"pcg", "ag"}
-    solver_tol: float = 1e-6
-    solver_max_iter: int = 5000
-
-
 @dataclass
 class QGaussianModel:
     theta: np.ndarray              # length p+1, intercept first
@@ -314,42 +306,37 @@ def _whitened_objective(X, y, C: np.ndarray | None, penalty: PenaltySpec) -> Smo
         _whiten(C, _design(X)), _whiten(C, np.asarray(y, float).ravel()), penalty)
 
 
-def theta_update(model: QGaussianModel, X, y,
-                 config: QGaussianFitConfig | None = None) -> np.ndarray:
-    """Solve the central-trend subproblem; independent of current q, sigma^2."""
-    config = config or QGaussianFitConfig()
+def theta_update(model: QGaussianModel, X, y, solver: str = "pcg", tol: float = 1e-6,
+                 max_iter: int = 5000) -> np.ndarray:
+    """Solve the central-trend subproblem (independent of q and sigma^2) from
+    model.theta by solver "pcg" or "ag", each with its own stop test at tol
+    and at most max_iter steps; RuntimeError if it does not converge."""
     obj = _whitened_objective(X, y, _model_cholesky(model), model.penalty)
     skip = (0,)    # the intercept is never penalized
-    if config.solver == "pcg":
-        comp = make_composite(obj, model.penalty, skip=skip)
-        report, cert = pcg_solve(
-            comp,
-            PCGConfig(tol=config.solver_tol, max_iter=config.solver_max_iter),
-            x0=model.theta,
-        )
+    if solver == "pcg":
+        report, cert = pcg_solve(make_composite(obj, model.penalty, skip=skip), model.theta,
+                                 tol=tol, max_iter=max_iter)
         detail = f"stationarity {cert.moreau_grad_norm:.3e}"
-    elif config.solver == "ag":
-        sched = schedule_optimal(obj.lipschitz, config.solver_max_iter)
-        report = ag_solve(obj, model.penalty, sched, model.theta,
-                          tol=config.solver_tol, max_iter=config.solver_max_iter,
-                          skip=skip)
+    elif solver == "ag":
+        report = ag_solve(obj, model.penalty, schedule_optimal(obj.lipschitz, max_iter),
+                          model.theta, tol=tol, max_iter=max_iter, skip=skip)
         detail = f"{report.iterations} iterations"
     else:
-        raise ValueError(f"unknown solver {config.solver!r}")
+        raise ValueError(f"unknown solver {solver!r}")
     if not report.converged:
         raise RuntimeError(f"theta subproblem did not converge; {detail}")
     return report.estimate
 
 
-def fit(X, y, psi=None, penalty: PenaltySpec | None = None,
-        config: QGaussianFitConfig | None = None) -> QGaussianModel:
-    """One blockwise pass: theta, then sigma^2 = Q/n, then the boundary q
-    (q_update warns once).  fit_trace holds the one final objective.
+def fit(X, y, psi=None, penalty: PenaltySpec | None = None, solver: str = "pcg",
+        tol: float = 1e-6, max_iter: int = 5000) -> QGaussianModel:
+    """One blockwise pass: theta (theta_update with solver, tol and
+    max_iter), then sigma^2 = Q/n, then the boundary q (q_update warns
+    once).  fit_trace holds the one final objective.
 
     A Psi that is not (n, n), not symmetric or not positive definite raises
     ValueError before any solve.
     """
-    config = config or QGaussianFitConfig()
     penalty = penalty or PenaltySpec("l1", 0.0)
     X = np.asarray(X, float)
     y = np.asarray(y, float).ravel()
@@ -364,7 +351,7 @@ def fit(X, y, psi=None, penalty: PenaltySpec | None = None,
             raise ValueError("psi must be symmetric")
         # positive definiteness: theta_update factors psi before any solve
     model = QGaussianModel(np.zeros(X.shape[1] + 1), 1.0, 1.0 + 1.0 / n, n, psi, penalty)
-    model.theta = theta_update(model, X, y, config)
+    model.theta = theta_update(model, X, y, solver, tol, max_iter)
     model.sigma2 = sigma2_update(model, X, y)
     model.q_train = q_update(model, X, y)
     model.fit_trace = np.array([neg_penalized_loglik(model, X, y)])

@@ -17,6 +17,7 @@ from hdsparse.agsolver import (
     ag_solve,
     damping_lower_bound,
     grad_mapping,
+    make_composite,
     make_linear_objective,
     make_logistic_objective,
     optimal_ab,
@@ -27,10 +28,9 @@ from hdsparse.agsolver import (
 )
 from hdsparse.bench import SimSpec, gen_dataset, lambda_path, run_benchmark
 from hdsparse.data import FeatureMatrix, ResponseVector
-from hdsparse.pcg import PCGConfig, linear_cg, make_composite, pcg_solve
+from hdsparse.pcg import linear_cg, pcg_solve
 from hdsparse.penalty import PenaltySpec, prox_scaled_l1
 from hdsparse.qgaussian import (
-    QGaussianFitConfig,
     QGaussianModel,
     QGaussianParams,
     QShape,
@@ -218,8 +218,7 @@ def test_c07_clarke_subdifferential_certificate():
         pen = PenaltySpec("l1", lam)
         obj = make_linear_objective(X, y)
         runs = []
-        rep_pcg, cert = pcg_solve(make_composite(obj, pen),
-                                  PCGConfig(tol=tol, max_iter=3000))
+        rep_pcg, cert = pcg_solve(make_composite(obj, pen), tol=tol, max_iter=3000)
         if rep_pcg.converged:
             runs.append(rep_pcg.estimate)
         rep_ag = ag_solve(obj, pen, schedule_optimal(obj.lipschitz, 30_000),
@@ -322,8 +321,7 @@ def _fit_m_hat(noise_df, seed):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = fit(X, y, penalty=PenaltySpec("l1", 0.0),
-                    config=QGaussianFitConfig(solver_tol=1e-5))
+        model = fit(X, y, penalty=PenaltySpec("l1", 0.0), tol=1e-5)
     return 2.0 / (model.q_train - 1.0) - n
 
 

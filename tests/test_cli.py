@@ -102,9 +102,9 @@ def test_fit_pcg_tol_zero_stops_where_the_map_underflows(tmp_path):
     # converged, and its certificate is the map at the estimate.  This data
     # reaches s = 0; test_pcg_trace_keeps_a_map_whose_square_underflows
     # builds an s that is not 0 while s @ s is.
-    from hdsparse.agsolver import make_linear_objective
+    from hdsparse.agsolver import make_composite, make_linear_objective
     from hdsparse.data import read_table
-    from hdsparse.pcg import linearized_moreau_grad, make_composite
+    from hdsparse.pcg import linearized_moreau_grad
     from hdsparse.penalty import PenaltySpec
 
     main(["simulate", "--n", "40", "--p", "60", "--seed", "0", "--out-dir", str(tmp_path)])
@@ -121,12 +121,12 @@ def test_fit_pcg_tol_zero_stops_where_the_map_underflows(tmp_path):
 
 
 def test_fit_certifies_every_solver_on_one_scale(tmp_path):
-    # ag, ag-orig and pg report pcg's certificate: the Moreau map's sup-norm at
+    # every solver reports one certificate: the Moreau map's sup-norm at
     # rho = 0.5/L on the estimate.  ag and pg stop on the same prox step, so at
     # one tol their certificates agree to a factor of 10.
-    from hdsparse.agsolver import make_linear_objective
+    from hdsparse.agsolver import make_composite, make_linear_objective
     from hdsparse.data import read_table
-    from hdsparse.pcg import linearized_moreau_grad, make_composite
+    from hdsparse.pcg import linearized_moreau_grad
     from hdsparse.penalty import PenaltySpec
 
     main(["simulate", "--n", "100", "--p", "50", "--seed", "0", "--out-dir", str(tmp_path)])
@@ -134,7 +134,7 @@ def test_fit_certifies_every_solver_on_one_scale(tmp_path):
     pen = PenaltySpec("scad", 0.5, a=3.7)
     obj = make_linear_objective(X.values, y.values, pen)
     norms = {}
-    for solver in ("ag", "ag-orig", "pg"):
+    for solver in ("ag", "ag-orig", "pg", "pcg"):
         out = tmp_path / solver
         main(["fit", "--data", str(tmp_path / "simulated.csv"), "--outcome", "y",
               "--solver", solver, "--tol", "1e-6", "--max-iter", "20000", "--out-dir", str(out)])

@@ -33,6 +33,14 @@ def test_every_name_in_all_resolves(module):
     assert [n for n in names if not hasattr(mod, n)] == []
 
 
+
+def test_no_public_name_has_two_homes():
+    homes = {}
+    for module in MODULES:
+        for name in importlib.import_module(f"hdsparse.{module}").__all__:
+            homes.setdefault(name, []).append(module)
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
+
 def test_package_imports_only_exported_names():
     # (module, name) for every `from .module import name` in hdsparse/__init__.py
     imports = [(node.module, alias.name) for node in ast.parse(inspect.getsource(hdsparse)).body

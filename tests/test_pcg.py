@@ -8,22 +8,22 @@ import pytest
 from hdsparse import pcg
 from hdsparse.agsolver import (
     SmoothObjective,
+    make_composite,
     make_linear_objective,
     make_logistic_objective,
     pg_solve,
 )
 from hdsparse.pcg import (
-    PCGConfig,
     _brentq,
     _phi_grad,
     hz_direction,
     line_search,
     linear_cg,
     linearized_moreau_grad,
-    make_composite,
     pcg_solve,
 )
 from hdsparse.penalty import PenaltySpec, prox_scaled_l1
+from hdsparse.qgaussian import fit
 
 
 def _quad_problem(A, b, h_lam=0.0):
@@ -155,7 +155,7 @@ def test_pcg_solve_rejects_a_lipschitz_constant_that_gives_no_step(L):
     obj = SmoothObjective(value=lambda x: float(x @ x), grad=lambda x: 2.0 * x,
                           lipschitz=L, dimension=3)
     with pytest.raises(ValueError, match="^pcg needs a finite Lipschitz constant > 0, got "):
-        pcg_solve(make_composite(obj, PenaltySpec("l1", 0.1)), PCGConfig(max_iter=5), np.ones(3))
+        pcg_solve(make_composite(obj, PenaltySpec("l1", 0.1)), np.ones(3), max_iter=5)
 
 
 @pytest.mark.parametrize("built", [False, True])
@@ -170,8 +170,20 @@ def test_pcg_solve_rejects_a_start_of_the_wrong_shape(built):
     comp = make_composite(obj, PenaltySpec("l1", 0.1))
     for x0, shape in ((np.ones(5), "(5,)"), (np.ones((1, 3)), "(1, 3)")):
         with pytest.raises(ValueError, match=re.escape(f"x0 has shape {shape}; need (3,)")):
-            pcg_solve(comp, PCGConfig(max_iter=5), x0)
+            pcg_solve(comp, x0, max_iter=5)
 
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+def test_pcg_solve_rejects_a_nan_or_negative_tol(tol):
+    # a NaN tol used to run to "converged" on a small problem, and fit's pcg
+    # path then raised RuntimeError where its ag path raised ValueError
+    obj = make_linear_objective(np.eye(3), np.ones(3))
+    msg = f"^tol must be >= 0, got {tol}$"
+    with pytest.raises(ValueError, match=msg):
+        pcg_solve(make_composite(obj, PenaltySpec("l1", 0.1)), tol=tol)
+    with pytest.raises(ValueError, match=msg):
+        fit(np.eye(3)[:, :2], np.ones(3), solver="pcg", tol=tol)
 
 def test_line_search_reports_a_missing_bracket():
     # a linear loss c.x with no penalty has no root of <s(x + a d), d> along
@@ -232,7 +244,7 @@ def test_pcg_solve_quadratic():
     A = _spd(rng, 5)
     b = rng.normal(size=5)
     p = _quad_problem(A, b)
-    rep, cert = pcg_solve(p, PCGConfig(tol=1e-10, max_iter=100))
+    rep, cert = pcg_solve(p, tol=1e-10, max_iter=100)
     assert rep.converged and rep.iterations <= 25
     assert np.max(np.abs(rep.estimate - np.linalg.solve(A, b))) <= 1e-8
     assert cert.moreau_grad_norm <= 1e-10
@@ -246,7 +258,7 @@ def test_pcg_converges_on_lasso():
     y = X @ beta + 0.3 * rng.normal(size=120)
     obj = make_linear_objective(X, y)
     comp = make_composite(obj, PenaltySpec("l1", 0.05))
-    rep, cert = pcg_solve(comp, PCGConfig(tol=1e-8, max_iter=500))
+    rep, cert = pcg_solve(comp, tol=1e-8, max_iter=500)
     assert rep.converged
     assert cert.moreau_grad_norm <= 1e-8
 
@@ -258,7 +270,7 @@ def test_pcg_matches_pg_on_lasso():
     obj = make_linear_objective(X, y)
     pen = PenaltySpec("l1", 0.2)
     comp = make_composite(obj, pen)
-    rep, _ = pcg_solve(comp, PCGConfig(tol=1e-10, max_iter=500))
+    rep, _ = pcg_solve(comp, tol=1e-10, max_iter=500)
     ref = pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(2), tol=1e-12,
                    max_iter=100_000)
     f = lambda bta: obj.value(bta) + pen.lam * np.abs(bta).sum()
@@ -275,7 +287,7 @@ def test_pcg_scad_clarke_certificate():
     pen = PenaltySpec("scad", 0.1, a=3.7)
     obj = make_linear_objective(X, y, pen)
     comp = make_composite(obj, pen)
-    rep, cert = pcg_solve(comp, PCGConfig(tol=1e-6, max_iter=2000))
+    rep, cert = pcg_solve(comp, tol=1e-6, max_iter=2000)
     assert rep.converged
     assert cert.moreau_grad_norm <= 1e-6
     xhat = rep.estimate
@@ -294,7 +306,7 @@ def test_pcg_trace_keeps_a_map_whose_square_underflows():
     obj = SmoothObjective(value=lambda x: c * 0.5 * float(x @ x), grad=lambda x: c * x,
                           lipschitz=c, dimension=3)
     p = make_composite(obj, PenaltySpec("l1", 0.0))
-    rep, cert = pcg_solve(p, PCGConfig(tol=0.0), x0=np.array([1.0, -2.0, 3.0]))
+    rep, cert = pcg_solve(p, np.array([1.0, -2.0, 3.0]), tol=0.0)
     s = linearized_moreau_grad(p, rep.estimate, cert.rho_used)
     assert rep.converged and rep.iterations == 0
     assert cert.moreau_grad_norm == np.max(np.abs(s)) and float(s @ s) == 0.0
@@ -392,7 +404,7 @@ def test_pcg_forms_each_loss_gradient_once():
     obj = make_linear_objective(X, y, pen)
     calls = []
     counted = replace(obj, grad=lambda b, z=None: calls.append(1) or obj.grad(b, z))
-    rep, _ = pcg_solve(make_composite(counted, pen), PCGConfig(tol=1e-8), np.zeros(30))
+    rep, _ = pcg_solve(make_composite(counted, pen), np.zeros(30), tol=1e-8)
     assert rep.converged and rep.iterations > 5
     assert len(calls) == rep.iterations + 1
 
@@ -407,7 +419,7 @@ def test_pcg_forms_x_times_each_iterate_once(design_products):
     pen = PenaltySpec("scad", 0.1, a=3.7)
     comp = make_composite(make_linear_objective(X, y, pen), pen)
     products = design_products(X)
-    rep, _ = pcg_solve(comp, PCGConfig(tol=1e-8), np.zeros(30))
+    rep, _ = pcg_solve(comp, np.zeros(30), tol=1e-8)
     assert rep.converged and rep.iterations > 5
     forward = [rows for kind, rows in products if kind == "fwd"]
     assert forward == [1] * (rep.iterations + 1) and len(rep.objective_trace) == len(forward)
@@ -432,7 +444,7 @@ def test_line_search_evaluates_each_step_once(loss, monkeypatch):
         return lambda alpha: steps.append(alpha) or phi(alpha)
 
     monkeypatch.setattr(pcg, "_phi_grad", recorded_phi_grad)
-    rep, _ = pcg_solve(make_composite(obj, pen), PCGConfig(tol=1e-8, max_iter=200))
+    rep, _ = pcg_solve(make_composite(obj, pen), tol=1e-8, max_iter=200)
     assert rep.iterations > 5 and len(searches) == rep.iterations
     for steps in searches:
         assert 0.0 not in steps and len(set(steps)) == len(steps)

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hdsparse.agsolver import ag_solve, make_linear_objective, schedule_optimal
+from hdsparse.agsolver import ag_solve, make_composite, make_linear_objective, schedule_optimal
 from hdsparse.data import FeatureMatrix, ResponseVector
-from hdsparse.pcg import PCGConfig, make_composite, pcg_solve
+from hdsparse.pcg import pcg_solve
 from hdsparse.penalty import PenaltySpec
 from hdsparse.screen import screen_all
 
@@ -41,7 +41,7 @@ def test_tracer_patches_exist_and_are_restored(monkeypatch):
         pen = PenaltySpec("scad", 0.1, a=3.7)
         obj = make_linear_objective(X, y, pen)
         ag_solve(obj, pen, schedule_optimal(obj.lipschitz, 20), np.zeros(6), max_iter=20)
-        pcg_solve(make_composite(obj, pen), PCGConfig(max_iter=5), np.zeros(6))
+        pcg_solve(make_composite(obj, pen), np.zeros(6), max_iter=5)
         # screen_all reaches every estimator and both kernels through the
         # dispatch table and the module names
         for method in ("fftkde", "binning", "knn", "pearson"):

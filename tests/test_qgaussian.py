@@ -6,7 +6,6 @@ from scipy.stats import multivariate_t
 
 from hdsparse.penalty import PenaltySpec, penalty_value
 from hdsparse.qgaussian import (
-    QGaussianFitConfig,
     QGaussianModel,
     QGaussianParams,
     QShape,
@@ -140,14 +139,12 @@ def test_theta_update_ols_recovery():
     X, y, _ = _toy_fit_data(rng, n=300)
     model = QGaussianModel(np.zeros(5), 1.0, 1 + 1 / 300, 300, None,
                            PenaltySpec("l1", 0.0))
-    theta = theta_update(model, X, y, QGaussianFitConfig(solver_tol=1e-9))
+    theta = theta_update(model, X, y, tol=1e-9)
     Xd = np.column_stack([np.ones(300), X])
     ols = np.linalg.lstsq(Xd, y, rcond=None)[0]
     assert np.max(np.abs(theta - ols)) <= 1e-5
     # ag solver path agrees
-    theta_ag = theta_update(model, X, y,
-                            QGaussianFitConfig(solver="ag", solver_tol=1e-9,
-                                               solver_max_iter=20_000))
+    theta_ag = theta_update(model, X, y, solver="ag", tol=1e-9, max_iter=20_000)
     assert np.max(np.abs(theta_ag - ols)) <= 1e-4
 
 
@@ -158,19 +155,17 @@ def test_theta_update_raises_when_unconverged(solver):
     model = QGaussianModel(np.zeros(5), 1.0, 1 + 1 / 300, 300, None,
                            PenaltySpec("l1", 0.0))
     with pytest.raises(RuntimeError, match="^theta subproblem did not converge; "):
-        theta_update(model, X, y, QGaussianFitConfig(
-            solver=solver, solver_tol=1e-9, solver_max_iter=3))
+        theta_update(model, X, y, solver=solver, tol=1e-9, max_iter=3)
 
 
 def test_theta_independent_of_q_sigma():
     rng = np.random.default_rng(3)
     X, y, _ = _toy_fit_data(rng)
     pen = PenaltySpec("l1", 0.05)
-    cfg = QGaussianFitConfig(solver_tol=1e-10)
     t1 = theta_update(QGaussianModel(np.zeros(5), 1.0, 1 + 1 / 60, 60, None, pen),
-                      X, y, cfg)
+                      X, y, tol=1e-10)
     t2 = theta_update(QGaussianModel(np.zeros(5), 9.0, 1 + 1.5 / 60, 60, None, pen),
-                      X, y, cfg)
+                      X, y, tol=1e-10)
     assert np.max(np.abs(t1 - t2)) <= 1e-6
 
 
@@ -272,8 +267,7 @@ def test_theta_update_with_psi_matches_gls():
     gls = np.linalg.solve(Xd.T @ np.linalg.solve(psi, Xd), Xd.T @ np.linalg.solve(psi, y))
     model = QGaussianModel(np.zeros(5), 1.0, 1 + 1 / n, n, psi, PenaltySpec("l1", 0.0))
     for solver in ("pcg", "ag"):
-        theta = theta_update(model, X, y, QGaussianFitConfig(
-            solver=solver, solver_tol=1e-9, solver_max_iter=20_000))
+        theta = theta_update(model, X, y, solver=solver, tol=1e-9, max_iter=20_000)
         assert np.max(np.abs(theta - gls)) <= 1e-6, solver
     with pytest.warns(UserWarning, match="boundary"):
         fitted = fit(X, y, psi=psi)
