@@ -2,8 +2,9 @@
 
 Minimizes Psi(x) + chi(x) where Psi = f + h is L-smooth (f the loss, h the
 concave part of a SCAD/MCP penalty) and chi = lambda*||.||_1.  That split, the
-loss with its penalized set, is built once by make_composite and shared by
-ag_solve, pg_solve, pcg_solve and the q-Gaussian theta step.  One iteration:
+loss with its penalty and penalized set, is one CompositeProblem, built by
+make_composite; ag_solve, pg_solve, ag_traces and pcg_solve each take it as
+their first argument and make the same entry checks.  One iteration:
 
     x_md = (1 - alpha_k) * x_ag + alpha_k * x
     x    = P(x,    grad Psi(x_md), delta_k)
@@ -46,7 +47,6 @@ __all__ = [
     "schedule_optimal",
     "schedule_original",
     "verify_schedule",
-    "grad_mapping",
     "ag_solve",
     "ag_traces",
     "pg_solve",
@@ -85,13 +85,15 @@ class SmoothObjective:
 class CompositeProblem:
     """f = g + h, g = loss + smooth penalty part, h convex with a prox; built
     by make_composite.  obj is the loss, with forward and (x, z)-taking value
-    and grad, and skip the unpenalized coordinates.  value(x, z=None) = g + h,
+    and grad, penalty the spec of g's concave part and of h = lambda*l1, and
+    skip the unpenalized coordinates.  value(x, z=None) = g + h,
     the loss plus sum_j p(x_j) over the penalized coordinates; g_grad(x, lg)
     takes a known lg = obj.grad(x), or forms it; h_prox(v, rho) returns
     argmin_u h(u) + ||u - v||^2 / (2 rho).
     """
 
     obj: SmoothObjective
+    penalty: PenaltySpec
     skip: np.ndarray
     value: Callable[..., float]
     g_grad: Callable[..., np.ndarray]
@@ -132,8 +134,21 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
         return hg
 
     # prox of lam*||.||_1 is the scaled soft threshold at a zero gradient
-    return CompositeProblem(obj, skip, value, g_grad,
+    return CompositeProblem(obj, penalty, skip, value, g_grad,
                             lambda v, rho: prox_scaled_l1(v, 0.0, rho, penalty.lam, skip))
+
+
+def _solver_start(p: CompositeProblem, x0, max_iter: int, tol: float = 0.0) -> np.ndarray:
+    """A fresh float copy of x0 after every solver's entry checks: tol >= 0,
+    max_iter >= 0 and x0 of shape (p,); ValueError if one fails."""
+    if not tol >= 0:  # NaN included
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if not max_iter >= 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    x = np.array(x0, dtype=float)
+    if x.shape != (p.obj.dimension,):
+        raise ValueError(f"x0 has shape {x.shape}; need ({p.obj.dimension},)")
+    return x
 
 
 @dataclass(frozen=True)
@@ -234,15 +249,10 @@ def verify_schedule(s: AGSchedule, L: float) -> tuple[bool, str | None]:
     return True, None
 
 
-def grad_mapping(x, y, c: float, penalty: PenaltySpec) -> np.ndarray:
-    """Composite gradient analogue G(x,y,c) = (x - P(x,y,c))/c, all coordinates penalized."""
-    return (np.asarray(x, float) - prox_scaled_l1(x, y, c, penalty.lam)) / c
-
-
-def ag_solve(obj: SmoothObjective, penalty: PenaltySpec, s: AGSchedule, x0, tol: float = 1e-4,
-             max_iter: int = 2000, skip=()) -> SolveReport:
-    """Run the accelerated scheme from x0, shape (p,), until the prox step
-    max|x_md - x_ag| < tol; the schedule needs at least max_iter steps.
+def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
+             max_iter: int = 2000) -> SolveReport:
+    """Run the accelerated scheme on p from x0, shape (p,), until the prox
+    step max|x_md - x_ag| < tol; the schedule needs at least max_iter steps.
 
     The method is not monotone, so it returns the best iterate seen.  A
     schedule with every alpha_k = 1 and delta_k = omega_k is proximal gradient,
@@ -251,16 +261,11 @@ def ag_solve(obj: SmoothObjective, penalty: PenaltySpec, s: AGSchedule, x0, tol:
     """
     if len(s) < max_iter:
         raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")
-    if not tol >= 0:  # NaN included
-        raise ValueError(f"tol must be >= 0, got {tol}")
     t0 = time.perf_counter()
-    x = np.array(x0, dtype=float)
-    if x.shape != (obj.dimension,):
-        raise ValueError(f"x0 has shape {x.shape}; need ({obj.dimension},)")
-    p = make_composite(obj, penalty, skip)
+    x = _solver_start(p, x0, max_iter, tol)
     forward, loss_grad, loss_value, skip = p.obj.forward, p.obj.grad, p.obj.value, p.skip
     # the soft threshold that prox_scaled_l1 runs behind its input checks
-    soft, lam = _penalty._soft, penalty.lam
+    soft, penalty, lam = _penalty._soft, p.penalty, p.penalty.lam
     alphas, deltas, omegas = s.alphas[:max_iter], s.deltas[:max_iter], s.omegas[:max_iter]
     # read step by step, so a solve that stops early pays nothing for the rest
     mixed = alphas != 1.0
@@ -307,10 +312,9 @@ def ag_solve(obj: SmoothObjective, penalty: PenaltySpec, s: AGSchedule, x0, tol:
                        np.sqrt(gap2_tr[:it]) / omegas[:it], converged, time.perf_counter() - t0)
 
 
-def ag_traces(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0,
-              max_iter: int) -> np.ndarray:
-    """The (k, max_iter) objective traces of k schedules run in lockstep from
-    one start x0, shape (p,): row i of a (k, p) block follows schedules[i].
+def ag_traces(p: CompositeProblem, schedules, x0, max_iter: int) -> np.ndarray:
+    """The (k, max_iter) objective traces of k schedules run in lockstep on p
+    from one start x0, shape (p,): row i of a (k, p) block follows schedules[i].
 
     Row i is ag_solve's trace at tol = 0 to rounding (block products round
     differently), and a proximal-gradient row keeps pg_solve's descent check.
@@ -322,12 +326,9 @@ def ag_traces(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0,
     for s in schedules:
         if len(s) < max_iter:
             raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (obj.dimension,):
-        raise ValueError(f"x0 has shape {x.shape}; need ({obj.dimension},)")
-    p = make_composite(obj, penalty)
+    x = _solver_start(p, x0, max_iter)
     forward, loss_grad, loss_value, skip = p.obj.forward, p.obj.grad, p.obj.value, p.skip
-    soft, lam, k = _penalty._soft, penalty.lam, len(schedules)
+    soft, penalty, lam, k = _penalty._soft, p.penalty, p.penalty.lam, len(schedules)
     # (alpha, delta, omega) x step x row x 1: a step's values scale the block's rows
     alphas, deltas, omegas = np.stack([[s.alphas[:max_iter], s.deltas[:max_iter],
                                         s.omegas[:max_iter]] for s in schedules], axis=2)[..., None]
@@ -362,18 +363,17 @@ def ag_traces(obj: SmoothObjective, penalty: PenaltySpec, schedules, x0,
     return traces
 
 
-def pg_solve(obj: SmoothObjective, penalty: PenaltySpec, step: float, x0, tol: float = 1e-4,
-             max_iter: int = 2000, skip=()) -> SolveReport:
-    """Plain proximal gradient with fixed step <= 1/L; monotone descent baseline.
+def pg_solve(p: CompositeProblem, step: float, x0, tol: float = 1e-4,
+             max_iter: int = 2000) -> SolveReport:
+    """Plain proximal gradient on p with fixed step <= 1/L; monotone descent baseline.
 
     This is ag_solve on the constant schedule alpha_k = 1, delta_k = omega_k =
     step; it descends for any step up to 1/L, where AG needs omega < 1/L.
     """
-    if not (step > 0 and step * obj.lipschitz <= 1 + 1e-12):  # NaN included
+    if not (step > 0 and step * p.obj.lipschitz <= 1 + 1e-12):  # NaN included
         raise ValueError(f"step must lie in (0, 1/L], got {step}")
     ones = np.ones(max(max_iter, 1))
-    return ag_solve(obj, penalty, AGSchedule(ones, ones * step, ones * step),
-                    x0, tol, max_iter, skip)
+    return ag_solve(p, AGSchedule(ones, ones * step, ones * step), x0, tol, max_iter)
 
 
 def damping_lower_bound(k, a: float, b: float):

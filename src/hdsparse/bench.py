@@ -32,6 +32,7 @@ from .agsolver import (  # noqa: F401 - pg_solve stays for perfbench's tracer to
     ag_traces,
     least_squares_loss,
     logistic_loss,
+    make_composite,
     make_linear_objective,
     make_logistic_objective,
     pg_solve,
@@ -273,10 +274,9 @@ def _rep_ag(spec: SimSpec, rng, penalty: PenaltySpec, threshold: float, max_iter
     make = make_logistic_objective if spec.outcome == "logistic" else make_linear_objective
     obj = make(X.values, y.values, penalty)
     L, ones = obj.lipschitz, np.ones(max_iter)  # pg is the constant schedule 1, 1/L, 1/L
-    traces = ag_traces(obj, penalty, [schedule_optimal(L, max_iter),
-                                      schedule_original(L, max_iter),
-                                      AGSchedule(ones, ones / L, ones / L)],
-                       np.zeros(spec.p), max_iter)
+    scheds = [schedule_optimal(L, max_iter), schedule_original(L, max_iter),
+              AGSchedule(ones, ones / L, ones / L)]
+    traces = ag_traces(make_composite(obj, penalty), scheds, np.zeros(spec.p), max_iter)
     gstar = traces.min()
     return {f"iters_{k}": _iters_to_threshold(t, gstar + threshold)
             for k, t in zip(("ag_opt", "ag_orig", "pg"), traces)}
@@ -301,8 +301,8 @@ def _fit_path(make, X, y, penalty, lams, tol, max_iter, counts=None):
         S = new = (x != 0) | (np.abs(grad) >= 2 * lam - lam_prev)
         while new.any():
             obj = full if S.all() else make(X[:, S], y, penalty)  # S = all: the full path
-            rep = ag_solve(obj, pen, schedule_optimal(obj.lipschitz, max_iter), x[S],
-                           tol=tol, max_iter=max_iter)
+            rep = ag_solve(make_composite(obj, pen), schedule_optimal(obj.lipschitz, max_iter),
+                           x[S], tol=tol, max_iter=max_iter)
             counts["path_solves"] += 1
             counts["path_iterations"] += rep.iterations
             counts["path_unconverged"] += not rep.converged

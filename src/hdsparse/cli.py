@@ -96,11 +96,11 @@ def cmd_fit(args) -> int:
     if args.solver == "pcg":
         report, _ = pcg_solve(comp, x0, args.tol, args.max_iter)
     elif args.solver == "pg":
-        report = pg_solve(obj, penalty, 1.0 / obj.lipschitz, x0, args.tol, args.max_iter)
+        report = pg_solve(comp, 1.0 / obj.lipschitz, x0, args.tol, args.max_iter)
     else:
         sched_fn = schedule_original if args.solver == "ag-orig" else schedule_optimal
-        report = ag_solve(obj, penalty, sched_fn(obj.lipschitz, args.max_iter),
-                          x0, args.tol, args.max_iter)
+        report = ag_solve(comp, sched_fn(obj.lipschitz, args.max_iter), x0, args.tol,
+                          args.max_iter)
     # every solver's certificate: the Moreau map's sup-norm at the estimate
     rho = 0.5 / obj.lipschitz
     s = linearized_moreau_grad(comp, report.estimate, rho)

@@ -15,12 +15,13 @@ scipy's brentq that takes the same steps, so its roots are bitwise scipy's
 and importing pcg loads no scipy.  Each line search evaluates that
 derivative only at new points: its value at 0 is <s, d>, which the solver
 holds, and _brentq starts from the bracket's two known values.  pcg_solve
-takes the AG solver's composite problem (agsolver.make_composite) and, as
-ag_solve does, tol and max_iter as arguments.  pcg forms the loss's forward
-product z and the loss gradient lg = p.obj.grad(x, z) once per iterate,
-values the iterate from that z for the trace, and calls g_grad(x, lg); the
-line search moves lg along d as lg + alpha * H d when the loss carries its
-curvature H (p.obj.curvature), so a quadratic loss costs no matvec per step.
+takes the composite problem (agsolver.make_composite) first, as ag_solve,
+pg_solve and ag_traces do, then x0, tol and max_iter.  pcg forms the loss's
+forward product z and the loss gradient lg = p.obj.grad(x, z) once per
+iterate, values the iterate from that z for the trace, and calls g_grad(x,
+lg); the line search moves lg along d as lg + alpha * H d when the loss
+carries its curvature H (p.obj.curvature), so a quadratic loss costs no
+matvec per step.
 A textbook linear CG for SPD systems (linear_cg) sits here too; no solver
 calls it.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agsolver import CompositeProblem, SolveReport
+from .agsolver import CompositeProblem, SolveReport, _solver_start
 from .penalty import prox_scaled_l1  # noqa: F401 - re-exported, looked up on this module
 
 __all__ = [
@@ -181,16 +182,12 @@ def pcg_solve(p: CompositeProblem, x0=None, tol: float = 1e-6,
     search can descend along -s, so the solve stops there as converged, and
     the certificate reports that map's sup-norm.
     """
-    if not tol >= 0:  # NaN included
-        raise ValueError(f"tol must be >= 0, got {tol}")
     t0 = time.perf_counter()
     obj = p.obj
+    x = _solver_start(p, np.zeros(obj.dimension) if x0 is None else x0, max_iter, tol)
     if not 0 < obj.lipschitz < np.inf:  # rho = 0.5/L is every prox step's scale
         raise ValueError(f"pcg needs a finite Lipschitz constant > 0, got {obj.lipschitz}")
     rho = 0.5 / obj.lipschitz
-    x = np.zeros(obj.dimension) if x0 is None else np.array(x0, float)
-    if x.shape != (obj.dimension,):
-        raise ValueError(f"x0 has shape {x.shape}; need ({obj.dimension},)")
     # the loss gradient at each iterate is formed once, for s, and handed on
     # to the line search that starts there; its forward product z also gives
     # the iterate's traced value

@@ -312,14 +312,13 @@ def theta_update(model: QGaussianModel, X, y, solver: str = "pcg", tol: float = 
     model.theta by solver "pcg" or "ag", each with its own stop test at tol
     and at most max_iter steps; RuntimeError if it does not converge."""
     obj = _whitened_objective(X, y, _model_cholesky(model), model.penalty)
-    skip = (0,)    # the intercept is never penalized
+    comp = make_composite(obj, model.penalty, skip=(0,))  # the intercept is never penalized
     if solver == "pcg":
-        report, cert = pcg_solve(make_composite(obj, model.penalty, skip=skip), model.theta,
-                                 tol=tol, max_iter=max_iter)
+        report, cert = pcg_solve(comp, model.theta, tol=tol, max_iter=max_iter)
         detail = f"stationarity {cert.moreau_grad_norm:.3e}"
     elif solver == "ag":
-        report = ag_solve(obj, model.penalty, schedule_optimal(obj.lipschitz, max_iter),
-                          model.theta, tol=tol, max_iter=max_iter, skip=skip)
+        report = ag_solve(comp, schedule_optimal(obj.lipschitz, max_iter), model.theta,
+                          tol=tol, max_iter=max_iter)
         detail = f"{report.iterations} iterations"
     else:
         raise ValueError(f"unknown solver {solver!r}")

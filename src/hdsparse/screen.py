@@ -51,11 +51,13 @@ __all__ = [
     "selection_auroc",
 ]
 
-# the KDE grid reaches this many bandwidths beyond the data on every side
+# the KDE grid's nodes per axis, and how many bandwidths beyond the data it
+# reaches on every side
+GRID_NODES = 256
 PAD_BANDWIDTHS = 3.0
 # mi_fftkde's estimator: a Gaussian product kernel with Silverman bandwidths on
-# make_grid's 256 x 256 grid, summing only the cells where the joint
-# and the product of the marginals exceed the floor
+# make_grid's GRID_NODES x GRID_NODES grid, summing only the cells where the
+# joint and the product of the marginals exceed the floor
 KDE_FLOOR = 1e-12
 # mi_knn's estimator: Kraskov's k neighbours
 KNN_K = 3
@@ -63,27 +65,24 @@ KNN_K = 3
 
 @dataclass(frozen=True)
 class Grid2D:
+    """GRID_NODES equally spaced nodes per axis over [x_min, x_max] x [y_min, y_max]."""
+
     x_min: float
     x_max: float
     y_min: float
     y_max: float
-    nx: int = 256
-    ny: int = 256
 
     def __post_init__(self):
-        for n in (self.nx, self.ny):
-            if n < 64 or (n & (n - 1)) != 0:
-                raise ValueError("grid sizes must be powers of two >= 64")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("grid bounds must be strictly ordered")
 
     @property
     def dx(self) -> float:
-        return (self.x_max - self.x_min) / (self.nx - 1)
+        return (self.x_max - self.x_min) / (GRID_NODES - 1)
 
     @property
     def dy(self) -> float:
-        return (self.y_max - self.y_min) / (self.ny - 1)
+        return (self.y_max - self.y_min) / (GRID_NODES - 1)
 
 
 @dataclass(frozen=True)
@@ -125,10 +124,10 @@ def _kernel_1d(offsets: np.ndarray, h: float) -> np.ndarray:
     return np.exp(-0.5 * u**2) / (np.sqrt(2 * np.pi) * h)
 
 
-def _kernel_half(h: float, step: float, nodes: int) -> np.ndarray:
+def _kernel_half(h: float, step: float) -> np.ndarray:
     # kernel at offsets 0, step, ..., reach*step: 8 sigma of the tail, capped
-    # at nodes-1 steps
-    reach = min(nodes - 1, int(np.ceil(8 * h / step)) + 1)
+    # at the grid's GRID_NODES - 1 steps
+    reach = min(GRID_NODES - 1, int(np.ceil(8 * h / step)) + 1)
     return _kernel_1d(np.arange(reach + 1) * step, h)
 
 
@@ -157,7 +156,7 @@ def next_fast_len(target: int) -> int:
 
 
 def make_grid(x, y, hx: float, hy: float) -> Grid2D:
-    """Grid2D's 256 x 256 nodes over the data plus PAD_BANDWIDTHS*max(h) per side."""
+    """Grid2D's nodes over the data plus PAD_BANDWIDTHS*max(h) per side."""
     pad = PAD_BANDWIDTHS * max(hx, hy)
     return Grid2D(
         float(np.min(x) - pad), float(np.max(x) + pad),
@@ -165,12 +164,12 @@ def make_grid(x, y, hx: float, hy: float) -> Grid2D:
     )
 
 
-def _cloud_in_cell(v, lo: float, step: float, nodes: int):
+def _cloud_in_cell(v, lo: float, step: float):
     # each value's left node, clipped so that its right node is on the grid,
     # and the share of its mass that goes to the right node; int32 nodes are
     # coo_matrix's own index type, so it keeps them without a copy
     f = (v - lo) / step
-    i = np.clip(f.astype(np.int32), 0, nodes - 2)
+    i = np.clip(f.astype(np.int32), 0, GRID_NODES - 2)
     return i, f - i
 
 
@@ -211,22 +210,21 @@ def fft_kde_2d(x, y, hx: float, hy: float, grid: Grid2D) -> np.ndarray:
     if (x.min() - px < grid.x_min or x.max() + px > grid.x_max
             or y.min() - py < grid.y_min or y.max() + py > grid.y_max):
         raise ValueError(f"grid does not cover the data plus {PAD_BANDWIDTHS:g} bandwidths")
-    kx = _kernel_half(hx, grid.dx, grid.nx)
-    ky = _kernel_half(hy, grid.dy, grid.ny)
-    ix, wx = _cloud_in_cell(x, grid.x_min, grid.dx, grid.nx)
-    iy, wy = _cloud_in_cell(y, grid.y_min, grid.dy, grid.ny)
+    kx, ky = _kernel_half(hx, grid.dx), _kernel_half(hy, grid.dy)
+    ix, wx = _cloud_in_cell(x, grid.x_min, grid.dx)
+    iy, wy = _cloud_in_cell(y, grid.y_min, grid.dy)
     # the window: the occupied nodes [min i, max i + 1] widened by the reach
     r0 = max(int(ix.min()) - (kx.size - 1), 0)
-    r1 = min(int(ix.max()) + 1 + kx.size, grid.nx)
+    r1 = min(int(ix.max()) + 1 + kx.size, GRID_NODES)
     c0 = max(int(iy.min()) - (ky.size - 1), 0)
-    c1 = min(int(iy.max()) + 1 + ky.size, grid.ny)
+    c1 = min(int(iy.max()) + 1 + ky.size, GRID_NODES)
     m = r1 - r0
     # y pass: row i of the product sums ky(y_node - y_j) over row i's weights;
     # it is stored transposed so that the x pass runs along contiguous rows
     # (an FFT along the strided axis does not scale across threads)
-    col = np.zeros(grid.ny)
+    col = np.zeros(GRID_NODES)
     col[:ky.size] = ky
-    binned = _linear_bin_2d(ix - r0, wx, iy, wy, (m, grid.ny))   # the window's rows
+    binned = _linear_bin_2d(ix - r0, wx, iy, wy, (m, GRID_NODES))   # the window's rows
     smooth_t = (binned @ toeplitz(col)[:, c0:c1]).T.copy()
     # x pass: a circular convolution of length >= m + reach, with the kernel
     # centred on index 0, equals the linear one on the first m nodes
@@ -241,7 +239,7 @@ def fft_kde_2d(x, y, hx: float, hy: float, grid: Grid2D) -> np.ndarray:
     total = dens.sum() * grid.dx * grid.dy
     if total <= 0:
         raise ValueError("degenerate density")
-    out = np.zeros((grid.nx, grid.ny))     # C order
+    out = np.zeros((GRID_NODES, GRID_NODES))  # C order
     np.divide(dens, total, out=out[r0:r1, c0:c1])
     return out
 
@@ -287,8 +285,7 @@ def _fftkde_column(x, prep) -> MIResult:
     ok = (pxy > KDE_FLOOR) & (outer > KDE_FLOOR)
     p = pxy[ok]
     mi = float(np.sum(p * np.log(p / outer[ok])) * grid.dx * grid.dy)
-    return MIResult(mi, "fftkde",
-                    {"hx": hx, "hy": hy, "nx": grid.nx, "ny": grid.ny, "kernel": "gaussian"})
+    return MIResult(mi, "fftkde", {"hx": hx, "hy": hy, "kernel": "gaussian"})
 
 
 def mi_fftkde(x, y) -> MIResult:

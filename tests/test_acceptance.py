@@ -16,7 +16,6 @@ from hdsparse.agsolver import (
     AGSchedule,
     ag_solve,
     damping_lower_bound,
-    grad_mapping,
     make_composite,
     make_linear_objective,
     make_logistic_objective,
@@ -183,7 +182,7 @@ def _path_estimates(X, y, penalty, lams, max_iter=800):
     fits = []
     x = np.zeros(X.shape[1])
     for lam in lams:
-        rep = ag_solve(obj, penalty.with_lambda(float(lam)),
+        rep = ag_solve(make_composite(obj, penalty.with_lambda(float(lam))),
                        schedule_optimal(obj.lipschitz, max_iter), x,
                        tol=1e-6, max_iter=max_iter)
         x = rep.estimate
@@ -217,11 +216,11 @@ def test_c07_clarke_subdifferential_certificate():
         lam = float(rng.uniform(0.02, 0.3))
         pen = PenaltySpec("l1", lam)
         obj = make_linear_objective(X, y)
-        runs = []
-        rep_pcg, cert = pcg_solve(make_composite(obj, pen), tol=tol, max_iter=3000)
+        runs, comp = [], make_composite(obj, pen)
+        rep_pcg, cert = pcg_solve(comp, tol=tol, max_iter=3000)
         if rep_pcg.converged:
             runs.append(rep_pcg.estimate)
-        rep_ag = ag_solve(obj, pen, schedule_optimal(obj.lipschitz, 30_000),
+        rep_ag = ag_solve(comp, schedule_optimal(obj.lipschitz, 30_000),
                           np.zeros(p), tol=tol / 10, max_iter=30_000)
         if rep_ag.converged:
             runs.append(rep_ag.estimate)

@@ -14,7 +14,6 @@ from hdsparse.agsolver import (
     ag_traces,
     complexity_bound,
     damping_lower_bound,
-    grad_mapping,
     make_composite,
     make_linear_objective,
     make_logistic_objective,
@@ -24,7 +23,7 @@ from hdsparse.agsolver import (
     schedule_original,
     verify_schedule,
 )
-from hdsparse.pcg import linearized_moreau_grad
+from hdsparse.pcg import linearized_moreau_grad, pcg_solve
 from hdsparse.penalty import PenaltySpec, lipschitz_h, penalty_value
 
 
@@ -107,13 +106,16 @@ def test_gamma_recursion():
 
 
 def test_grad_mapping():
-    pen = PenaltySpec("l1", 0.0)
+    # Ghadimi and Lan's G(x, y, c) = (x - P(x, y, c))/c is the linearized
+    # Moreau map at rho = c with y as the gradient
+    obj = make_linear_objective(np.eye(2), np.zeros(2))
     x, y = np.array([1.0, -2.0]), np.array([0.3, 0.4])
-    assert np.allclose(grad_mapping(x, y, 0.7, pen), y)
-    pen1 = PenaltySpec("l1", 1.0)
+    assert np.allclose(linearized_moreau_grad(make_composite(obj, PenaltySpec("l1", 0.0)),
+                                              x, 0.7, y), y)
     # fixed point of the prox has zero mapping
-    xf = prox = np.zeros(2)
-    assert np.allclose(grad_mapping(xf, np.zeros(2), 1.0, pen1), 0.0)
+    xf = np.zeros(2)
+    assert np.allclose(linearized_moreau_grad(make_composite(obj, PenaltySpec("l1", 1.0)),
+                                              xf, 1.0, np.zeros(2)), 0.0)
 
 
 def _quad_obj(L=2.0, target=3.0):
@@ -127,7 +129,7 @@ def _quad_obj(L=2.0, target=3.0):
 
 def test_ag_solve_quadratic():
     obj = _quad_obj()
-    rep = ag_solve(obj, PenaltySpec("l1", 0.0), schedule_optimal(2.0, 1000),
+    rep = ag_solve(make_composite(obj, PenaltySpec("l1", 0.0)), schedule_optimal(2.0, 1000),
                    np.zeros(1), tol=1e-8, max_iter=1000)
     assert rep.converged
     assert abs(rep.estimate[0] - 3.0) <= 1e-6
@@ -141,8 +143,8 @@ def test_ag_solve_lambda_max_dead_zone():
     y = rng.normal(size=50)
     lam = float(np.max(np.abs(X.T @ y / 50))) * 1.001
     obj = make_linear_objective(X, y)
-    rep = ag_solve(obj, PenaltySpec("l1", lam), schedule_optimal(obj.lipschitz, 500),
-                   np.zeros(10), tol=1e-10, max_iter=500)
+    rep = ag_solve(make_composite(obj, PenaltySpec("l1", lam)),
+                   schedule_optimal(obj.lipschitz, 500), np.zeros(10), tol=1e-10, max_iter=500)
     assert np.all(rep.estimate == 0.0)
 
 
@@ -175,7 +177,7 @@ def test_momentum_identity_smooth():
 
 def test_pg_solve_monotone_and_quadratic():
     obj = _quad_obj()
-    rep = pg_solve(obj, PenaltySpec("l1", 0.0), 1 / 2.0, np.zeros(1),
+    rep = pg_solve(make_composite(obj, PenaltySpec("l1", 0.0)), 1 / 2.0, np.zeros(1),
                    tol=1e-10, max_iter=200)
     assert abs(rep.estimate[0] - 3.0) <= 1e-8
     assert np.all(np.diff(rep.objective_trace) <= 1e-10)
@@ -187,7 +189,7 @@ def test_pg_solve_lambda_max_one_step():
     y = rng.normal(size=40)
     lam = float(np.max(np.abs(X.T @ y / 40))) * 1.01
     obj = make_linear_objective(X, y)
-    rep = pg_solve(obj, PenaltySpec("l1", lam), 1 / obj.lipschitz, np.zeros(8),
+    rep = pg_solve(make_composite(obj, PenaltySpec("l1", lam)), 1 / obj.lipschitz, np.zeros(8),
                    tol=1e-12, max_iter=10)
     assert np.all(rep.estimate == 0.0)
     assert rep.iterations == 1
@@ -197,9 +199,9 @@ def test_ag_solve_rejects_a_schedule_shorter_than_max_iter():
     # it used to stop silently at the end of the schedule, unconverged
     obj = _quad_obj()
     with pytest.raises(ValueError, match=r"^schedule has 5 steps, fewer than max_iter=2000$"):
-        ag_solve(obj, PenaltySpec("l1", 0.0), schedule_optimal(obj.lipschitz, 5),
+        ag_solve(make_composite(obj, PenaltySpec("l1", 0.0)), schedule_optimal(obj.lipschitz, 5),
                  np.zeros(1), tol=1e-8, max_iter=2000)
-    rep = ag_solve(obj, PenaltySpec("l1", 0.0), schedule_optimal(obj.lipschitz, 5),
+    rep = ag_solve(make_composite(obj, PenaltySpec("l1", 0.0)), schedule_optimal(obj.lipschitz, 5),
                    np.zeros(1), tol=0.0, max_iter=5)
     assert rep.iterations == 5
 
@@ -207,17 +209,18 @@ def test_ag_solve_rejects_a_schedule_shorter_than_max_iter():
 def test_pg_step_validation():
     obj = _quad_obj()
     with pytest.raises(ValueError):
-        pg_solve(obj, PenaltySpec("l1", 0.0), 1.0, np.zeros(1))
+        pg_solve(make_composite(obj, PenaltySpec("l1", 0.0)), 1.0, np.zeros(1))
 
 
 def test_pg_step_bound_is_relative_to_one_over_l():
     # an absolute slack of 1e-15 on 1/L let any step through once 1/L was
     # far below it: here L is about 1.5e16, and 3/L passed
     X = np.random.default_rng(0).normal(size=(50, 5)) * 1e8
-    obj, pen = make_linear_objective(X, X[:, 0]), PenaltySpec("l1", 0.0)
+    obj = make_linear_objective(X, X[:, 0])
+    comp = make_composite(obj, PenaltySpec("l1", 0.0))
     with pytest.raises(ValueError, match=r"^step must lie in \(0, 1/L\], got "):
-        pg_solve(obj, pen, 3 / obj.lipschitz, np.zeros(5), max_iter=5)
-    assert pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(5), max_iter=5).iterations >= 1
+        pg_solve(comp, 3 / obj.lipschitz, np.zeros(5), max_iter=5)
+    assert pg_solve(comp, 1 / obj.lipschitz, np.zeros(5), max_iter=5).iterations >= 1
 
 
 @pytest.mark.parametrize("step", [np.nan, 0.0, -0.1])
@@ -225,7 +228,7 @@ def test_pg_solve_rejects_a_step_that_is_not_positive(step):
     # a NaN step used to pass `step > 1/L` and die as a non-finite objective;
     # zero and negative steps failed only inside the first prox call
     with pytest.raises(ValueError, match=r"^step must lie in \(0, 1/L\], got "):
-        pg_solve(_quad_obj(), PenaltySpec("l1", 0.0), step, np.zeros(1), max_iter=5)
+        pg_solve(make_composite(_quad_obj(), PenaltySpec("l1", 0.0)), step, np.zeros(1), max_iter=5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -254,36 +257,87 @@ def test_ag_solve_and_ag_traces_reject_a_mis_shaped_start():
     # a wrong length used to surface as numpy's matmul error; both take one
     # (p,) start, the lockstep too, and ag_solve no longer a (1, p) block
     obj, pen = _regression("linear", "scad")
+    comp = make_composite(obj, pen)
     p, s = obj.dimension, schedule_optimal(obj.lipschitz, 10)
     for x0 in (np.zeros(p + 1), np.zeros((1, p)), np.zeros((3, p)), np.zeros((p, 1))):
         msg = f"x0 has shape {x0.shape}; need ({p},)"
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            ag_traces(obj, pen, [s, s, s], x0, max_iter=10)
+            ag_traces(comp, [s, s, s], x0, max_iter=10)
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            ag_solve(obj, pen, s, x0, max_iter=10)
+            ag_solve(comp, s, x0, max_iter=10)
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1e-6])
 def test_ag_solve_rejects_a_tol_that_is_nan_or_negative(tol):
     # a NaN tol used to run every iteration and report not converged
     obj, pen = _regression("linear", "scad")
-    s = schedule_optimal(obj.lipschitz, 10)
+    comp, s = make_composite(obj, pen), schedule_optimal(obj.lipschitz, 10)
     with pytest.raises(ValueError, match=r"^tol must be >= 0, got "):
-        ag_solve(obj, pen, s, np.zeros(obj.dimension), tol=tol, max_iter=10)
+        ag_solve(comp, s, np.zeros(obj.dimension), tol=tol, max_iter=10)
     with pytest.raises(ValueError, match=r"^tol must be >= 0, got "):
-        pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(obj.dimension), tol=tol, max_iter=10)
+        pg_solve(comp, 1 / obj.lipschitz, np.zeros(obj.dimension), tol=tol, max_iter=10)
 
 
-@pytest.mark.parametrize("solver", ["ag", "pg"])
+def _solve(solver, comp, x0, max_iter):
+    # one solver on comp from x0: ag, pg and pcg give their report, the lockstep its traces
+    L = comp.obj.lipschitz
+    if solver == "ag":
+        return ag_solve(comp, schedule_optimal(L, max(max_iter, 1)), x0, max_iter=max_iter)
+    if solver == "pg":
+        return pg_solve(comp, 1 / L, x0, max_iter=max_iter)
+    if solver == "pcg":
+        return pcg_solve(comp, x0, max_iter=max_iter)[0]
+    return ag_traces(comp, _schedules(L, max(max_iter, 1)), x0, max_iter)
+
+
+@pytest.mark.parametrize("solver", ["ag", "pg", "pcg", "traces"])
 def test_a_solve_of_no_steps_returns_the_start(solver):
-    # the estimate is bound before the first step, to a copy of the start
+    # the estimate is bound before the first step, to a copy of the start;
+    # the lockstep gives one empty trace per schedule
     obj, pen = _regression("linear", "scad")
-    x0, L = np.linspace(-1.0, 1.0, obj.dimension), obj.lipschitz
-    rep = (ag_solve(obj, pen, schedule_optimal(L, 1), x0, max_iter=0) if solver == "ag"
-           else pg_solve(obj, pen, 1 / L, x0, max_iter=0))
+    x0 = np.linspace(-1.0, 1.0, obj.dimension)
+    rep = _solve(solver, make_composite(obj, pen), x0, 0)
+    if solver == "traces":
+        assert rep.shape == (3, 0)
+        return
     assert rep.estimate.tobytes() == x0.tobytes() and rep.estimate is not x0
     assert (rep.iterations, rep.converged) == (0, False)
     assert rep.objective_trace.size == rep.grad_map_trace.size == 0
+
+
+@pytest.mark.parametrize("solver", ["ag", "pg", "pcg", "traces"])
+def test_every_solver_rejects_a_negative_max_iter(solver):
+    # -1 used to die in ag, pg and the lockstep with numpy's "negative
+    # dimensions are not allowed", and pcg returned the start unconverged
+    obj, pen = _regression("linear", "scad")
+    with pytest.raises(ValueError, match=r"^max_iter must be >= 0, got -1$"):
+        _solve(solver, make_composite(obj, pen), np.zeros(obj.dimension), -1)
+
+
+def test_one_problem_serves_every_solver():
+    # one composite with an unpenalized intercept, handed to all four solvers
+    rng = np.random.default_rng(21)
+    n, p, tol = 200, 20, 1e-6
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    y = 0.05 + X[:, 1:4] @ np.array([1.5, -1.0, 0.8]) + 0.5 * rng.normal(size=n)
+    pen = PenaltySpec("scad", 0.1, a=3.7)
+    obj = make_linear_objective(X, y, pen)
+    comp, L, x0 = make_composite(obj, pen, skip=(0,)), obj.lipschitz, np.zeros(p)
+    reps = {"ag": ag_solve(comp, schedule_optimal(L, 20000), x0, tol, 20000),
+            "pg": pg_solve(comp, 1 / L, x0, tol, 20000),
+            "pcg": pcg_solve(comp, x0, tol, 20000)[0]}
+    for name, rep in reps.items():
+        assert rep.converged, name
+        est = rep.estimate
+        s = np.max(np.abs(linearized_moreau_grad(comp, est, 0.5 / L)))
+        assert s <= 10 * tol, (name, s)
+        # the intercept sits inside SCAD's linear piece (0 < |b| < lambda),
+        # where a penalized coordinate would need |grad| = lambda: it is not
+        assert 0 < abs(est[0]) < pen.lam, (name, est[0])
+        assert abs(obj.grad(est)[0]) <= 10 * tol, name
+    traces = ag_traces(comp, _schedules(L, 300), x0, 300)
+    np.testing.assert_allclose(traces[0], ag_solve(comp, schedule_optimal(L, 300), x0, 0.0,
+                                                   300).objective_trace, rtol=1e-12)
 
 
 def _regression(loss, kind):
@@ -333,7 +387,7 @@ def test_pg_solve_is_the_plain_loop_bitwise(loss, kind, skip, tol):
     obj, pen = _regression(loss, kind)
     p = obj.dimension
     max_iter = 300 if tol == 0.0 else 2000
-    rep = pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(p), tol, max_iter, skip)
+    rep = pg_solve(make_composite(obj, pen, skip), 1 / obj.lipschitz, np.zeros(p), tol, max_iter)
     est, it, objs, gms, conv = _pg_reference(obj, pen, 1 / obj.lipschitz, np.zeros(p),
                                              tol, max_iter, skip)
     assert rep.estimate.tobytes() == est.tobytes()
@@ -391,7 +445,7 @@ def test_ag_solve_is_the_plain_loop_bitwise(loss, kind, skip, tol):
     max_iter = 300 if tol == 0.0 else 2000
     s = schedule_optimal(obj.lipschitz, max_iter)
     x0 = np.zeros(obj.dimension)
-    rep = ag_solve(obj, pen, s, x0, tol, max_iter, skip)
+    rep = ag_solve(make_composite(obj, pen, skip), s, x0, tol, max_iter)
     est, it, objs, gms, conv = _ag_reference(obj, pen, s, x0, tol, max_iter, skip)
     assert rep.estimate.tobytes() == est.tobytes()
     assert rep.objective_trace.tobytes() == objs.tobytes()
@@ -408,8 +462,8 @@ def test_ag_and_pg_stop_at_one_stationarity(loss, kind):
     # grows like k omega / 2, solved 176 to 1527 times further here.
     obj, pen = _regression(loss, kind)
     L, x0, comp = obj.lipschitz, np.zeros(obj.dimension), make_composite(obj, pen)
-    ag = ag_solve(obj, pen, schedule_optimal(L, 20000), x0, 1e-6, 20000)
-    pg = pg_solve(obj, pen, 1 / L, x0, 1e-6, 20000)
+    ag = ag_solve(comp, schedule_optimal(L, 20000), x0, 1e-6, 20000)
+    pg = pg_solve(comp, 1 / L, x0, 1e-6, 20000)
     assert ag.converged and pg.converged
     s_ag, s_pg = (np.max(np.abs(linearized_moreau_grad(comp, r.estimate, 0.5 / L)))
                   for r in (ag, pg))
@@ -424,13 +478,14 @@ def test_a_value_and_grad_objective_runs_the_same_loop(skip):
     bare = SmoothObjective(value=lambda b: obj.value(b), grad=lambda b: obj.grad(b),
                            lipschitz=obj.lipschitz, dimension=obj.dimension)
     s, x0 = schedule_optimal(obj.lipschitz, 300), np.zeros(obj.dimension)
-    rep = ag_solve(bare, pen, s, x0, 1e-6, 300, skip)
+    comp = make_composite(bare, pen, skip)
+    rep = ag_solve(comp, s, x0, 1e-6, 300)
     est, it, objs, gms, conv = _ag_reference(bare, pen, s, x0, 1e-6, 300, skip)
     assert rep.estimate.tobytes() == est.tobytes()
     assert rep.objective_trace.tobytes() == objs.tobytes()
     assert rep.grad_map_trace.tobytes() == gms.tobytes()
     assert (rep.iterations, rep.converged) == (it, conv)
-    rep = pg_solve(bare, pen, 1 / obj.lipschitz, x0, 1e-6, 300, skip)
+    rep = pg_solve(comp, 1 / obj.lipschitz, x0, 1e-6, 300)
     est, it, objs, gms, conv = _pg_reference(bare, pen, 1 / obj.lipschitz, x0, 1e-6, 300, skip)
     assert rep.estimate.tobytes() == est.tobytes()
     assert rep.objective_trace.tobytes() == objs.tobytes()
@@ -465,13 +520,8 @@ def test_skip_indices_outside_the_columns_raise(skip):
     obj = SmoothObjective(value=lambda x: float(x @ x), grad=lambda x: 2.0 * x,
                           lipschitz=2.0, dimension=3)
     pen, x0 = PenaltySpec("l1", 1.0), np.array([1.0, -2.0, 1.5])
-    match = r"^skip indices must lie in \[0, 3\), got "
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=r"^skip indices must lie in \[0, 3\), got "):
         make_composite(obj, pen, skip)
-    with pytest.raises(ValueError, match=match):
-        ag_solve(obj, pen, schedule_optimal(2.0, 5), x0, max_iter=5, skip=skip)
-    with pytest.raises(ValueError, match=match):
-        pg_solve(obj, pen, 0.5, x0, max_iter=5, skip=skip)
     # the last coordinate skipped by its own index: value and prox agree
     comp = make_composite(obj, pen, (2,))
     assert comp.value(x0) == 7.25 + 3.0
@@ -512,8 +562,9 @@ def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch, design_products):
         assert solve(n).iterations == n
         return dict(calls), products
 
-    ag_run = lambda n: ag_solve(obj, pen, schedule_optimal(L, 40), x0, tol=0.0, max_iter=n)
-    pg_run = lambda n: pg_solve(obj, pen, 1 / L, x0, tol=0.0, max_iter=n)
+    comp = make_composite(obj, pen)
+    ag_run = lambda n: ag_solve(comp, schedule_optimal(L, 40), x0, tol=0.0, max_iter=n)
+    pg_run = lambda n: pg_solve(comp, 1 / L, x0, tol=0.0, max_iter=n)
     # the optimal schedule's first step is a pg step, then every step mixes
     # (so n starts at 2)
     for n in (2, 7, 40):
@@ -526,7 +577,7 @@ def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch, design_products):
     for n in (1, 2, 7, 40):
         calls.clear()
         products.clear()
-        assert ag_traces(obj, pen, _schedules(L, n), x0, n).shape == (3, n)
+        assert ag_traces(comp, _schedules(L, n), x0, n).shape == (3, n)
         assert (dict(calls), products) == (
             dict(value=n + 1, grad=n, h_grad=n),
             [("fwd", 3)] + [("t", 1), ("fwd", 6)] * (n - 1) + [("t", 1), ("fwd", 3)])
@@ -542,11 +593,11 @@ def _schedules(L, max_iter):
 @pytest.mark.parametrize("loss", ["linear", "logistic"])
 def test_ag_traces_equals_sequential_solves(loss):
     obj, pen = _regression(loss, "scad")
-    L, x0 = obj.lipschitz, np.zeros(obj.dimension)
+    L, x0, comp = obj.lipschitz, np.zeros(obj.dimension), make_composite(obj, pen)
     ag_opt, ag_orig, _ = scheds = _schedules(L, 400)
-    seq = [ag_solve(obj, pen, ag_opt, x0, 0.0, 400), ag_solve(obj, pen, ag_orig, x0, 0.0, 400),
-           pg_solve(obj, pen, 1 / L, x0, 0.0, 400)]
-    traces = ag_traces(obj, pen, scheds, x0, 400)
+    seq = [ag_solve(comp, ag_opt, x0, 0.0, 400), ag_solve(comp, ag_orig, x0, 0.0, 400),
+           pg_solve(comp, 1 / L, x0, 0.0, 400)]
+    traces = ag_traces(comp, scheds, x0, 400)
     assert traces.shape == (3, 400)
     for t, r in zip(traces, seq):
         assert r.iterations == 400
@@ -555,14 +606,13 @@ def test_ag_traces_equals_sequential_solves(loss):
 
 def test_ag_traces_pg_row_raises_like_pg_solve():
     # with L understated 4x the PG row's first step overshoots 3 to 12
-    obj = replace(_quad_obj(L=2.0), lipschitz=0.5)
-    pen = PenaltySpec("l1", 0.0)
+    comp = make_composite(replace(_quad_obj(L=2.0), lipschitz=0.5), PenaltySpec("l1", 0.0))
     with pytest.raises(FloatingPointError) as seq:
-        pg_solve(obj, pen, 2.0, np.zeros(1), max_iter=50)
+        pg_solve(comp, 2.0, np.zeros(1), max_iter=50)
     steps = np.full(50, 2.0)
     scheds = [schedule_optimal(2.0, 50), AGSchedule(np.ones(50), steps, steps)]
     with pytest.raises(FloatingPointError) as many:
-        ag_traces(obj, pen, scheds, np.zeros(1), 50)
+        ag_traces(comp, scheds, np.zeros(1), 50)
     assert str(many.value) == str(seq.value)
     assert str(seq.value).startswith("objective increased at iteration 1;")
 
@@ -571,13 +621,13 @@ def test_ag_traces_checks_every_schedule_length():
     obj = _quad_obj()
     scheds = [schedule_optimal(obj.lipschitz, 50), schedule_optimal(obj.lipschitz, 5)]
     with pytest.raises(ValueError, match=r"^schedule has 5 steps, fewer than max_iter=50$"):
-        ag_traces(obj, PenaltySpec("l1", 0.0), scheds, np.zeros(1), 50)
+        ag_traces(make_composite(obj, PenaltySpec("l1", 0.0)), scheds, np.zeros(1), 50)
 
 
 def test_ag_traces_rejects_an_empty_schedule_list():
     # it used to fail in np.stack with "need at least one array to stack"
     with pytest.raises(ValueError, match=r"^ag_traces needs at least one schedule$"):
-        ag_traces(_quad_obj(), PenaltySpec("l1", 0.0), [], np.zeros(1), 50)
+        ag_traces(make_composite(_quad_obj(), PenaltySpec("l1", 0.0)), [], np.zeros(1), 50)
 
 
 def test_ag_traces_rejects_a_nan_response():
@@ -586,7 +636,7 @@ def test_ag_traces_rejects_a_nan_response():
     y[4] = np.nan
     obj, pen = make_linear_objective(X, y), PenaltySpec("l1", 0.1)
     with pytest.raises(FloatingPointError, match=r"^non-finite objective at iteration 1$"):
-        ag_traces(obj, pen, _schedules(obj.lipschitz, 20), np.zeros(5), 20)
+        ag_traces(make_composite(obj, pen), _schedules(obj.lipschitz, 20), np.zeros(5), 20)
 
 
 def test_pg_solve_rejects_nan_response():
@@ -596,7 +646,8 @@ def test_pg_solve_rejects_nan_response():
     y[4] = np.nan
     obj = make_linear_objective(X, y)
     with pytest.raises(FloatingPointError, match="non-finite gradient at iteration 1"):
-        pg_solve(obj, PenaltySpec("l1", 0.1), 1 / obj.lipschitz, np.zeros(5), max_iter=300)
+        pg_solve(make_composite(obj, PenaltySpec("l1", 0.1)), 1 / obj.lipschitz, np.zeros(5),
+                 max_iter=300)
 
 
 @pytest.mark.parametrize("max_iter", [50, 2000])
@@ -604,7 +655,7 @@ def test_pg_solve_raises_at_first_rise_with_understated_lipschitz(max_iter):
     # with L understated 4x the first step overshoots 3 to 12
     obj = replace(_quad_obj(L=2.0), lipschitz=0.5)
     with pytest.raises(FloatingPointError, match="objective increased at iteration 1;"):
-        pg_solve(obj, PenaltySpec("l1", 0.0), 2.0, np.zeros(1), max_iter=max_iter)
+        pg_solve(make_composite(obj, PenaltySpec("l1", 0.0)), 2.0, np.zeros(1), max_iter=max_iter)
 
 
 def test_damping_bounds_and_optimal_ab():
@@ -651,8 +702,9 @@ def test_complexity_bound_dominates_observed():
     pen = PenaltySpec("l1", 0.05)
     N = 200
     s = schedule_optimal(obj.lipschitz, N)
-    rep = ag_solve(obj, pen, s, np.zeros(5), tol=0.0, max_iter=N)
-    xs = pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(5), tol=1e-12,
+    comp = make_composite(obj, pen)
+    rep = ag_solve(comp, s, np.zeros(5), tol=0.0, max_iter=N)
+    xs = pg_solve(comp, 1 / obj.lipschitz, np.zeros(5), tol=1e-12,
                   max_iter=20_000).estimate
     M = float(np.linalg.norm(rep.estimate)) + 1.0
     bound = complexity_bound(s, obj.lipschitz, 0.0, np.zeros(5), xs, M)
@@ -705,7 +757,8 @@ def test_converged_point_has_small_mapping():
     obj = make_linear_objective(X, y)
     pen = PenaltySpec("l1", 0.1)
     tol = 1e-7
-    rep = pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(6), tol=tol, max_iter=50_000)
+    comp = make_composite(obj, pen)
+    rep = pg_solve(comp, 1 / obj.lipschitz, np.zeros(6), tol=tol, max_iter=50_000)
     assert rep.converged
-    g = grad_mapping(rep.estimate, obj.grad(rep.estimate), 1 / obj.lipschitz, pen)
+    g = linearized_moreau_grad(comp, rep.estimate, 1 / obj.lipschitz, obj.grad(rep.estimate))
     assert np.max(np.abs(g)) <= 10 * tol * max(1.0, obj.lipschitz)

@@ -301,7 +301,7 @@ def test_run_benchmark_rejects_a_meaningless_threshold_or_size(tmp_path, monkeyp
 
 def test_rep_ag_rows_are_the_sequential_solves():
     # the lockstep solve counts what ag_opt, ag_orig and pg counted one by one
-    from hdsparse.agsolver import (ag_solve, make_linear_objective, pg_solve,
+    from hdsparse.agsolver import (ag_solve, make_composite, make_linear_objective, pg_solve,
                                    schedule_optimal, schedule_original)
 
     spec = SimSpec(n=60, p=80, tau=0.5, signal="five_blocks", outcome="linear", seed=3)
@@ -312,10 +312,10 @@ def test_rep_ag_rows_are_the_sequential_solves():
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))
         X, y, _ = gen_dataset(spec, rng)
         obj = make_linear_objective(X.values, y.values, penalty)
-        L, x0 = obj.lipschitz, np.zeros(spec.p)
-        runs = {"ag_opt": ag_solve(obj, penalty, schedule_optimal(L, 400), x0, 0.0, 400),
-                "ag_orig": ag_solve(obj, penalty, schedule_original(L, 400), x0, 0.0, 400),
-                "pg": pg_solve(obj, penalty, 1 / L, x0, 0.0, 400)}
+        L, x0, comp = obj.lipschitz, np.zeros(spec.p), make_composite(obj, penalty)
+        runs = {"ag_opt": ag_solve(comp, schedule_optimal(L, 400), x0, 0.0, 400),
+                "ag_orig": ag_solve(comp, schedule_original(L, 400), x0, 0.0, 400),
+                "pg": pg_solve(comp, 1 / L, x0, 0.0, 400)}
         gstar = min(r.objective_trace.min() for r in runs.values())
         assert row == {f"iters_{k}": bench._iters_to_threshold(r.objective_trace, gstar + bench.E3)
                        for k, r in runs.items()}
@@ -404,7 +404,7 @@ def test_fit_path_points_pass_the_full_kkt_check(outcome, penalty):
 
 def test_fit_path_matches_the_full_warm_started_path():
     # the old path: every lambda solved on all p columns from the last fit
-    from hdsparse.agsolver import ag_solve, schedule_optimal
+    from hdsparse.agsolver import ag_solve, make_composite, schedule_optimal
 
     # A stop on the prox step leaves an estimate up to about 100 tol from the
     # exact point here (the paths differ by 5.5e-3 at tol 1e-4), so both
@@ -415,7 +415,7 @@ def test_fit_path_matches_the_full_warm_started_path():
     obj = make(X, y, pen)
     sched, x = schedule_optimal(obj.lipschitz, 2000), np.zeros(X.shape[1])
     for lam, b in zip(lams[:-1], fits):
-        x = ag_solve(obj, pen.with_lambda(float(lam)), sched, x, tol, 2000).estimate
+        x = ag_solve(make_composite(obj, pen.with_lambda(float(lam))), sched, x, tol, 2000).estimate
         assert np.max(np.abs(x - b)) <= bound
 
 
@@ -429,11 +429,12 @@ def test_fit_path_adds_a_kkt_violator_and_solves_again(monkeypatch):
     dims = []
     orig = bench.ag_solve
     monkeypatch.setattr(bench, "ag_solve",
-                        lambda obj, *a, **k: dims.append(obj.dimension) or orig(obj, *a, **k))
+                        lambda p, *a, **k: dims.append(p.obj.dimension) or orig(p, *a, **k))
     pen = PenaltySpec("scad", 0.5, a=3.7)
     (b,) = bench._fit_path(bench.make_linear_objective, X, y, pen, np.array([0.5]), 1e-8, 5000)
     assert dims == [1, 2]
     assert b[1] != 0
     full = bench.make_linear_objective(X, y, pen)
-    ref = orig(full, pen, bench.schedule_optimal(full.lipschitz, 5000), np.zeros(2), 1e-8, 5000)
+    ref = orig(bench.make_composite(full, pen), bench.schedule_optimal(full.lipschitz, 5000),
+               np.zeros(2), 1e-8, 5000)
     np.testing.assert_allclose(b, ref.estimate, atol=1e-6)

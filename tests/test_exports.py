@@ -12,7 +12,7 @@ import hdsparse
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hdsparse.__path__) if m.name != "cli")
 
 # public names that no program code calls, only tests: the paper's results,
-# checked against oracles (agsolver's bounds and schedules, the q-Gaussian
+# checked against oracles (agsolver's damping and complexity bounds, the q-Gaussian
 # density, covariance and q-functions, predict), the per-pair MI estimators
 # behind screen_all, linear_cg, which acceptance test c14 pins, and
 # penalty.h_value, the elementwise concave part; perfbench's tracer patches
@@ -20,9 +20,9 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(hdsparse.__path__) if m.na
 # pinned by c02, and penalty_value the elementwise penalty that the summed
 # kernels are tested against
 TEST_ONLY = ("admissible_ab", "complexity_bound", "damping_lower_bound", "optimal_ab",
-             "grad_mapping", "logpdf", "q_covariance", "covariance", "q_exp", "q_log",
-             "predict", "mi_fftkde", "mi_binning", "mi_knn", "pearson_abs", "linear_cg",
-             "h_value", "verify_schedule", "penalty_value")
+             "logpdf", "q_covariance", "covariance", "q_exp", "q_log", "predict",
+             "mi_fftkde", "mi_binning", "mi_knn", "pearson_abs", "linear_cg", "h_value",
+             "verify_schedule", "penalty_value")
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -271,8 +271,7 @@ def test_pcg_matches_pg_on_lasso():
     pen = PenaltySpec("l1", 0.2)
     comp = make_composite(obj, pen)
     rep, _ = pcg_solve(comp, tol=1e-10, max_iter=500)
-    ref = pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(2), tol=1e-12,
-                   max_iter=100_000)
+    ref = pg_solve(comp, 1 / obj.lipschitz, np.zeros(2), tol=1e-12, max_iter=100_000)
     f = lambda bta: obj.value(bta) + pen.lam * np.abs(bta).sum()
     assert abs(f(rep.estimate) - f(ref.estimate)) <= 1e-6
 

@@ -40,8 +40,9 @@ def test_tracer_patches_exist_and_are_restored(monkeypatch):
         y = rng.normal(size=30)
         pen = PenaltySpec("scad", 0.1, a=3.7)
         obj = make_linear_objective(X, y, pen)
-        ag_solve(obj, pen, schedule_optimal(obj.lipschitz, 20), np.zeros(6), max_iter=20)
-        pcg_solve(make_composite(obj, pen), np.zeros(6), max_iter=5)
+        comp = make_composite(obj, pen)
+        ag_solve(comp, schedule_optimal(obj.lipschitz, 20), np.zeros(6), max_iter=20)
+        pcg_solve(comp, np.zeros(6), max_iter=5)
         # screen_all reaches every estimator and both kernels through the
         # dispatch table and the module names
         for method in ("fftkde", "binning", "knn", "pearson"):
@@ -75,7 +76,8 @@ def test_pg_solve_counts_only_as_pg_under_the_tracer(monkeypatch):
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        rep = hdsparse.bench.pg_solve(obj, pen, 1 / obj.lipschitz, np.zeros(6), max_iter=40)
+        rep = hdsparse.bench.pg_solve(make_composite(obj, pen), 1 / obj.lipschitz, np.zeros(6),
+                                      max_iter=40)
         metrics = tracer.layer_metrics()
     finally:
         tracer.uninstall()

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from hdsparse.data import FeatureMatrix, ResponseVector
 from hdsparse.screen import (
+    GRID_NODES,
     KDE_FLOOR,
     Grid2D,
     _dedupe_jitter,
@@ -56,14 +56,10 @@ def test_silverman_bandwidth():
 
 
 def test_grid2d_validation():
-    with pytest.raises(ValueError, match="powers of two"):
-        Grid2D(0, 1, 0, 1, nx=100, ny=128)
-    with pytest.raises(ValueError, match="powers of two"):
-        Grid2D(0, 1, 0, 1, nx=32, ny=128)
     with pytest.raises(ValueError, match="ordered"):
         Grid2D(1, 0, 0, 1)
-    g = Grid2D(0.0, 2.0, 0.0, 1.0, nx=128, ny=64)
-    assert g.dx == pytest.approx(2.0 / 127)
+    g = Grid2D(0.0, 2.0, 0.0, 1.0)
+    assert g.dx == pytest.approx(2.0 / (GRID_NODES - 1))
 
 
 def test_make_grid_padding():
@@ -78,10 +74,10 @@ def test_fft_kde_matches_direct_sum():
     # points exactly on grid nodes: linear binning is exact, so the FFT-KDE
     # must agree with the brute-force kernel sum to roundoff
     rng = np.random.default_rng(1)
-    g = Grid2D(-4.0, 4.0, -4.0, 4.0, nx=128, ny=128)
-    ii = rng.integers(30, 98, size=40)
-    jj = rng.integers(30, 98, size=40)
-    xs, ys = np.linspace(g.x_min, g.x_max, g.nx), np.linspace(g.y_min, g.y_max, g.ny)
+    g = Grid2D(-4.0, 4.0, -4.0, 4.0)
+    ii = rng.integers(60, 196, size=40)
+    jj = rng.integers(60, 196, size=40)
+    xs, ys = np.linspace(g.x_min, g.x_max, GRID_NODES), np.linspace(g.y_min, g.y_max, GRID_NODES)
     x = xs[ii]
     y = ys[jj]
     h = 0.35
@@ -123,11 +119,11 @@ def test_fft_kde_matches_2d_fftconvolve():
     x, y = _bvn(rng, 300, 0.6)
     y = y**3 + 0.1 * rng.normal(size=300)
     hx, hy = silverman_bandwidth(x), silverman_bandwidth(y)
-    g = dataclasses.replace(make_grid(x, y, hx, hy), nx=128)
+    g = make_grid(x, y, hx, hy)
     fx, fy = (x - g.x_min) / g.dx, (y - g.y_min) / g.dy
     ix, iy = fx.astype(int), fy.astype(int)
     wx, wy = fx - ix, fy - iy
-    w = np.zeros((g.nx, g.ny))
+    w = np.zeros((GRID_NODES, GRID_NODES))
     np.add.at(w, (ix, iy), (1 - wx) * (1 - wy))
     np.add.at(w, (ix + 1, iy), wx * (1 - wy))
     np.add.at(w, (ix, iy + 1), (1 - wx) * wy)
@@ -151,7 +147,7 @@ def test_fft_kde_properties():
     assert np.all(dens >= 0)
     assert dens.sum() * g.dx * g.dy == pytest.approx(1.0)
     # swapping the roles of x and y transposes the density
-    gt = Grid2D(g.y_min, g.y_max, g.x_min, g.x_max, g.ny, g.nx)
+    gt = Grid2D(g.y_min, g.y_max, g.x_min, g.x_max)
     assert np.allclose(fft_kde_2d(y, x, h, h, gt),
                        fft_kde_2d(x, y, h, h, g).T, atol=1e-12)
     # a grid that fails to cover data + 3h is rejected
@@ -181,38 +177,36 @@ def _full_grid_fft_kde_2d(x, y, hx, hy, grid):
     from scipy.sparse import coo_matrix
 
     fx, fy = (x - grid.x_min) / grid.dx, (y - grid.y_min) / grid.dy
-    ix = np.clip(fx.astype(int), 0, grid.nx - 2)
-    iy = np.clip(fy.astype(int), 0, grid.ny - 2)
+    ix = np.clip(fx.astype(int), 0, GRID_NODES - 2)
+    iy = np.clip(fy.astype(int), 0, GRID_NODES - 2)
     wx, wy = fx - ix, fy - iy
     rows = np.concatenate((ix, ix + 1, ix, ix + 1))
     cols = np.concatenate((iy, iy, iy + 1, iy + 1))
     mass = np.concatenate(((1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy))
-    binned = coo_matrix((mass / x.size, (rows, cols)), shape=(grid.nx, grid.ny))
-    kx = _kernel_half(hx, grid.dx, grid.nx)
-    ky = _kernel_half(hy, grid.dy, grid.ny)
-    col = np.zeros(grid.ny)
+    binned = coo_matrix((mass / x.size, (rows, cols)), shape=(GRID_NODES, GRID_NODES))
+    kx, ky = _kernel_half(hx, grid.dx), _kernel_half(hy, grid.dy)
+    col = np.zeros(GRID_NODES)
     col[:ky.size] = ky
     smooth_t = (binned @ toeplitz(col)).T.copy()
-    size = next_fast_len(grid.nx + kx.size - 1)
+    size = next_fast_len(GRID_NODES + kx.size - 1)
     kc = np.zeros(size)
     kc[:kx.size] = kx
     kc[size - kx.size + 1:] = kx[:0:-1]
     spec = np.fft.rfft(smooth_t, size)
     spec *= np.fft.rfft(kc).real
-    dens = np.fft.irfft(spec, size)[:, :grid.nx].T
+    dens = np.fft.irfft(spec, size)[:, :GRID_NODES].T
     np.clip(dens, 0.0, None, out=dens)
     total = dens.sum() * grid.dx * grid.dy
-    return np.divide(dens, total, out=np.empty((grid.nx, grid.ny)))
+    return np.divide(dens, total, out=np.empty((GRID_NODES, GRID_NODES)))
 
 
 def _reach_window(x, y, hx, hy, grid):
     """The rows and columns within the kernels' reach of the binned data."""
-    def span(v, lo, step, nodes, h):
-        i = np.clip(((v - lo) / step).astype(int), 0, nodes - 2)
-        reach = _kernel_half(h, step, nodes).size - 1
-        return slice(max(i.min() - reach, 0), min(i.max() + 2 + reach, nodes))
-    return (span(x, grid.x_min, grid.dx, grid.nx, hx),
-            span(y, grid.y_min, grid.dy, grid.ny, hy))
+    def span(v, lo, step, h):
+        i = np.clip(((v - lo) / step).astype(int), 0, GRID_NODES - 2)
+        reach = _kernel_half(h, step).size - 1
+        return slice(max(i.min() - reach, 0), min(i.max() + 2 + reach, GRID_NODES))
+    return span(x, grid.x_min, grid.dx, hx), span(y, grid.y_min, grid.dy, hy)
 
 
 def _scaled_pair(case):
@@ -247,16 +241,16 @@ def test_fft_kde_window_matches_the_full_grid(case, whole):
     x, y, hx, hy, grid = _scaled_pair(case)
     got = fft_kde_2d(x, y, hx, hy, grid)
     ref = _full_grid_fft_kde_2d(x, y, hx, hy, grid)
-    assert got.shape == (grid.nx, grid.ny) and got.flags.c_contiguous
+    assert got.shape == (GRID_NODES, GRID_NODES) and got.flags.c_contiguous
     assert got.sum() * grid.dx * grid.dy == pytest.approx(1.0, abs=1e-12)
     rows, cols = _reach_window(x, y, hx, hy, grid)
-    assert (rows == slice(0, grid.nx) and cols == slice(0, grid.ny)) == whole
+    assert (rows == slice(0, GRID_NODES) and cols == slice(0, GRID_NODES)) == whole
     if whole:
         assert got.tobytes() == ref.tobytes()
     else:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
     if case == "left edge":             # clipped at the left edge only
-        assert rows.start == 0 and rows.stop < grid.nx
+        assert rows.start == 0 and rows.stop < GRID_NODES
 
 
 @pytest.mark.parametrize("case", ["hy=40hx", "left edge"])
@@ -264,7 +258,7 @@ def test_fft_kde_is_zero_beyond_the_kernels_reach(case):
     # rows beyond the x kernel's reach: the full-grid x pass is an FFT over
     # every row, which leaves round-off there
     x, y, hx, hy, grid = _scaled_pair(case)
-    outside = np.ones((grid.nx, grid.ny), bool)
+    outside = np.ones((GRID_NODES, GRID_NODES), bool)
     outside[_reach_window(x, y, hx, hy, grid)] = False
     assert outside.mean() > 0.5
     assert np.all(fft_kde_2d(x, y, hx, hy, grid)[outside] == 0.0)
