@@ -12,9 +12,11 @@ their first argument and make the same entry checks.  One iteration:
 
 with P the scaled soft-threshold prox, and the traced objective the loss plus
 the penalty's sum at x_ag.  The loss sees x only through z = x X', so a step
-streams X twice: one forward product [x_ag; next x_md] X' gives the value at
-x_ag and the next gradient's z, and the gradient's X' r is the other.  The
-damping schedule must satisfy alpha_k*delta_k <= omega_k < 1/L and
+streams X twice: one forward product [x_ag; next x_md] X' gives x_ag's z and
+the next gradient's, and the gradient's X' r is the other.  A step buffers
+x_ag's z and |x_ag| (the prox's magnitude); one loss call values a chunk of
+up to 64 steps, and its checks name the step that failed.  The damping
+schedule must satisfy alpha_k*delta_k <= omega_k < 1/L and
 alpha_k/(delta_k*Gamma_k) nonincreasing; two ready-made schedules are provided
 (the optimal one and the classical 2/(k+1) one) plus a checker and the
 theoretical complexity bound.  Every schedule stops once the prox step
@@ -66,8 +68,8 @@ class SmoothObjective:
     """Smooth part of the composite objective: value, gradient, Lipschitz L.
 
     forward, when given, is the linear predictor z = b X' (a row per row of a
-    block b); value(b, z) and grad(b, z) then read a known z, and form it when
-    z is None.  Without it value(b) and grad(b) see b as its own predictor.
+    block b); value(b, z) and grad(b, z) read a known z, b then unused, and
+    form it when z is None.  Without it value(b) and grad(b) see b as z.
     curvature, when given, is the constant Hessian-vector product d -> H d of
     a quadratic loss; it lets a line search move the gradient along d without
     a matvec per step.
@@ -114,9 +116,10 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
     if skip.size and not (0 <= skip.min() and skip.max() < obj.dimension):
         raise ValueError(f"skip indices must lie in [0, {obj.dimension}), got {skip.tolist()}")
     if obj.forward is None:  # value(b) and grad(b) only: the point is its own predictor
-        v, g = obj.value, obj.grad
-        obj = replace(obj, forward=lambda b: b, value=lambda b, z=None: v(b if z is None else z),
-                      grad=lambda b, z=None: g(b if z is None else z))
+        def rows(f):  # f on a (k, p) block's rows one by one, as it knows only vectors
+            return lambda b, z=None: (f(u) if (u := b if z is None else z).ndim == 1
+                                      else np.array([f(r) for r in u]))
+        obj = replace(obj, forward=lambda b: b, value=rows(obj.value), grad=rows(obj.grad))
     loss_value, loss_grad = obj.value, obj.grad
 
     def value(x, z=None):
@@ -249,6 +252,35 @@ def verify_schedule(s: AGSchedule, L: float) -> tuple[bool, str | None]:
     return True, None
 
 
+_CHUNK_STEPS, _CHUNK_BYTES = 64, 1 << 21  # a chunk's steps at most, and its buffers' size
+
+
+def _chunk_buffers(*rows) -> list[np.ndarray]:
+    """Empty buffers, one per row shape, for a chunk of steps: at most
+    _CHUNK_STEPS and about _CHUNK_BYTES in all, but at least one step."""
+    steps = _CHUNK_BYTES // (8 * sum(math.prod(r) for r in rows))
+    return [np.empty((max(1, min(_CHUNK_STEPS, steps)), *r)) for r in rows]
+
+
+def _chunk_values(p: CompositeProblem, Z, M, m: int, start: int, prev, descent) -> np.ndarray:
+    """The objective at the x_ag of steps start+1 .. start+m, from their rows
+    Z[:m] (predictors) and M[:m] (|x_ag|), each bit for bit as valued alone.
+    FloatingPointError names the first step with a value not finite or, in a
+    descent row, above the step before's (prev before the chunk) + 1e-10."""
+    z, mag = Z[:m], M[:m]
+    val = (p.obj.value(None, z.reshape(-1, z.shape[-1]))  # value reads the known z
+           + _penalty._sum_abs(p.penalty, mag.reshape(-1, mag.shape[-1]))).reshape(z.shape[:-1])
+    bad = ~np.isfinite(val)
+    rise = (val > np.concatenate(([prev], val))[:-1] + 1e-10) & descent
+    if (steps := (bad | rise).reshape(m, -1).any(axis=1)).any():
+        j = steps.argmax()
+        if bad[j].any():
+            raise FloatingPointError(f"non-finite objective at iteration {start + j + 1}")
+        raise FloatingPointError(f"objective increased at iteration {start + j + 1}; "
+                                 "Lipschitz constant too small?")
+    return val
+
+
 def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
              max_iter: int = 2000) -> SolveReport:
     """Run the accelerated scheme on p from x0, shape (p,), until the prox
@@ -258,14 +290,16 @@ def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
     schedule with every alpha_k = 1 and delta_k = omega_k is proximal gradient,
     a descent method for steps up to 1/L: there every step must not raise the
     objective (else FloatingPointError) and the last iterate is returned.
+    The objective is valued by chunks of steps (_chunk_values) when one fills,
+    on the stop, on the last step and before a non-finite gradient raises.
     """
     if len(s) < max_iter:
         raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")
     t0 = time.perf_counter()
     x = _solver_start(p, x0, max_iter, tol)
-    forward, loss_grad, loss_value, skip = p.obj.forward, p.obj.grad, p.obj.value, p.skip
+    forward, loss_grad, skip = p.obj.forward, p.obj.grad, p.skip
     # the soft threshold that prox_scaled_l1 runs behind its input checks
-    soft, penalty, lam = _penalty._soft, p.penalty, p.penalty.lam
+    soft, lam = _penalty._soft, p.penalty.lam
     alphas, deltas, omegas = s.alphas[:max_iter], s.deltas[:max_iter], s.omegas[:max_iter]
     # read step by step, so a solve that stops early pays nothing for the rest
     mixed = alphas != 1.0
@@ -273,8 +307,10 @@ def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
     descent = not two_prox.any()  # proximal gradient: no step may raise the objective
     x_ag = best_x = x_md = x  # the first x_md is the start, as x_ag = x there
     best_val, it, converged, z_md = math.inf, 0, False, forward(x)
-    prev = p.value(x_md, z_md) if descent else None
+    prev = p.value(x_md, z_md) if descent else math.inf
     obj_tr, gap2_tr = np.empty((2, max_iter))
+    Z, M = _chunk_buffers(z_md.shape, x.shape)
+    xs, m = [None] * len(Z), 0  # the chunk's x_ag, fresh arrays that no later step writes to
     for i in range(max_iter):
         d, w = deltas.item(i), omegas.item(i)  # Python floats: cheaper, the same bits
         g = p.g_grad(x_md, loss_grad(x_md, z_md))
@@ -286,6 +322,8 @@ def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
         # a non-finite entry of g makes that entry of x_ag, and so gap2,
         # non-finite; only then does g itself need a scan
         if not math.isfinite(gap2) and not np.isfinite(g).all():
+            if m:  # an earlier step's fault comes first
+                _chunk_values(p, Z, M, m, i - m, prev, descent)
             raise FloatingPointError(f"non-finite gradient at iteration {i + 1}")
         stop = np.maximum.reduce(np.abs(gap)) < tol
         if i + 1 == max_iter or stop or not (mixed[i + 1] or two_prox[i]):
@@ -295,16 +333,14 @@ def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
             a = alphas.item(i + 1)
             x_md = (1.0 - a) * x_ag + a * x_new if mixed[i + 1] else x_new
             z_ag, z_md = forward(np.array((x_ag, x_md)))
-        val = loss_value(x_ag, z_ag) + _penalty._sum_abs(penalty, mag)
-        if not math.isfinite(val):
-            raise FloatingPointError(f"non-finite objective at iteration {i + 1}")
-        if descent and val > prev + 1e-10:
-            raise FloatingPointError(f"objective increased at iteration {i + 1}; "
-                                     "Lipschitz constant too small?")
-        obj_tr[i], gap2_tr[i], prev = val, gap2, val
-        if val < best_val:  # x_ag is a fresh array that no later step writes to
-            best_val, best_x = val, x_ag
-        x, it = x_new, i + 1
+        Z[m], M[m], xs[m], gap2_tr[i] = z_ag, mag, x_ag, gap2
+        x, it, m = x_new, i + 1, m + 1
+        if m == len(Z) or stop or it == max_iter:
+            val = obj_tr[it - m:it] = _chunk_values(p, Z, M, m, it - m, prev, descent)
+            j = val.argmin()  # the chunk's first least value: the first to beat best_val
+            if val[j] < best_val:
+                best_val, best_x = val[j], xs[j]
+            prev, m = val[-1], 0
         if stop:
             converged = True
             break
@@ -319,7 +355,7 @@ def ag_traces(p: CompositeProblem, schedules, x0, max_iter: int) -> np.ndarray:
     Row i is ag_solve's trace at tol = 0 to rounding (block products round
     differently), and a proximal-gradient row keeps pg_solve's descent check.
     A step's forward product [x_ag; next x_md] X' has 2k rows (k when no row
-    mixes, and on the last step).
+    mixes, and on the last step).  The traces are valued by chunks of steps.
     """
     if not schedules:
         raise ValueError("ag_traces needs at least one schedule")
@@ -327,8 +363,8 @@ def ag_traces(p: CompositeProblem, schedules, x0, max_iter: int) -> np.ndarray:
         if len(s) < max_iter:
             raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")
     x = _solver_start(p, x0, max_iter)
-    forward, loss_grad, loss_value, skip = p.obj.forward, p.obj.grad, p.obj.value, p.skip
-    soft, penalty, lam, k = _penalty._soft, p.penalty, p.penalty.lam, len(schedules)
+    forward, loss_grad, skip = p.obj.forward, p.obj.grad, p.skip
+    soft, lam, k = _penalty._soft, p.penalty.lam, len(schedules)
     # (alpha, delta, omega) x step x row x 1: a step's values scale the block's rows
     alphas, deltas, omegas = np.stack([[s.alphas[:max_iter], s.deltas[:max_iter],
                                         s.omegas[:max_iter]] for s in schedules], axis=2)[..., None]
@@ -339,6 +375,7 @@ def ag_traces(p: CompositeProblem, schedules, x0, max_iter: int) -> np.ndarray:
     z_md = forward(x)
     prev = p.value(x, z_md)
     traces = np.empty((k, max_iter))
+    (Z, M), m = _chunk_buffers(z_md.shape, x.shape), 0
     for i in range(max_iter):
         d, w = deltas[i], omegas[i]
         g = p.g_grad(x_md, loss_grad(x_md, z_md))
@@ -352,14 +389,11 @@ def ag_traces(p: CompositeProblem, schedules, x0, max_iter: int) -> np.ndarray:
             x_md = (1.0 - a) * x_ag + a * x_new if mixed[i + 1] else x_new
             z = forward(np.concatenate((x_ag, x_md)))
             z_ag, z_md = z.reshape(2, k, z.shape[-1])
-        val = loss_value(x_ag, z_ag) + _penalty._sum_abs(penalty, mag)
-        if not np.isfinite(val).all():
-            raise FloatingPointError(f"non-finite objective at iteration {i + 1}")
-        if ((val > prev + 1e-10) & descent).any():
-            raise FloatingPointError(f"objective increased at iteration {i + 1}; "
-                                     "Lipschitz constant too small?")
-        traces[:, i] = prev = val
-        x = x_new
+        Z[m], M[m] = z_ag, mag
+        x, m = x_new, m + 1
+        if m == len(Z) or i + 1 == max_iter:
+            val = _chunk_values(p, Z, M, m, i + 1 - m, prev, descent)
+            traces[:, i + 1 - m:i + 1], prev, m = val.T, val[-1], 0
     return traces
 
 
@@ -430,7 +464,7 @@ def least_squares_loss(X: np.ndarray, y: np.ndarray, b: np.ndarray, z=None) -> f
     """1/(2n)||Xb - y||^2, the value of make_linear_objective; one per row of
     a (k, p) block b.  z = b X', if known."""
     r = (np.dot(b, X.T) if z is None else z) - y
-    return (np.dot(r, r) if r.ndim == 1 else np.einsum("ij,ij->i", r, r)) * (0.5 / X.shape[0])
+    return np.add.reduce(r * r, axis=-1) * (0.5 / X.shape[0])  # a block's row as the vector
 
 
 def logistic_loss(X: np.ndarray, y: np.ndarray, b: np.ndarray, z=None) -> float | np.ndarray:

@@ -109,6 +109,7 @@ class BenchReport:
     summary: dict       # metric -> {"mean": ..., "se": ...}
     config: dict
     wall_time: float
+    warnings: list      # {"rep", "category", "message"}: each a replication raised
 
 
 def _toeplitz_chol(tau: float, p: int) -> np.ndarray | None:
@@ -346,9 +347,7 @@ def _rep_qgaussian(spec: SimSpec, rng) -> dict:
     eta = X.values @ beta
     scale = max(float(np.std(eta)), 1.0) / spec.snr
     y = eta + rng.normal(0.0, scale, size=spec.n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = fit(X.values, y, penalty=PenaltySpec("l1", 0.0), solver="pcg", tol=1e-5)
+    model = fit(X.values, y, penalty=PenaltySpec("l1", 0.0), solver="pcg", tol=1e-5)
     m_hat = 2.0 / (model.q_train - 1.0) - model.n_train
     return {"m_hat": m_hat, "sigma2_hat": model.sigma2, "q_hat": model.q_train}
 
@@ -370,7 +369,8 @@ def run_benchmark(
     number of column threads screen_all uses in screening_auroc; the solver
     kinds run in one thread whatever it is.  Bad arguments raise ValueError
     before any replication runs.  A replication that raises becomes an error
-    row; the summary is built from the rows that succeeded.
+    row; the summary is built from the rows that succeeded.  Every warning a
+    replication raises is recorded in the report, none reaches the caller.
     """
     t0 = time.perf_counter()
     penalty = penalty or PenaltySpec("scad", 0.5, a=3.7)
@@ -390,13 +390,17 @@ def run_benchmark(
     if not 0 <= threshold < np.inf:  # NaN included
         raise ValueError(f"threshold must be finite and at least 0, got {threshold}")
 
-    rows = []
+    rows, caught = [], []
     for rep in range(replications):
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))
-        try:
-            rows.append({"rep": rep, **protocol(rng)})
-        except Exception as exc:  # noqa: BLE001 - keep the run going
-            rows.append({"rep": rep, "error": str(exc)})
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            try:
+                rows.append({"rep": rep, **protocol(rng)})
+            except Exception as exc:  # noqa: BLE001 - keep the run going
+                rows.append({"rep": rep, "error": str(exc)})
+        caught += [{"rep": rep, "category": w.category.__name__, "message": str(w.message)}
+                   for w in seen]
 
     ok = [r for r in rows if "error" not in r]
     keys = list(dict.fromkeys(k for r in ok for k in r if k != "rep"))
@@ -416,6 +420,7 @@ def run_benchmark(
                 "penalty": penalty.to_config(), "threshold": threshold,
                 "max_iter": max_iter, "path_len": path_len},
         wall_time=time.perf_counter() - t0,
+        warnings=caught,
     )
     if out_dir is not None:
         write_report(report, out_dir)
@@ -437,6 +442,7 @@ def write_report(report: BenchReport, out_dir) -> None:
         "summary": report.summary,
         "config": report.config,
         "wall_time": report.wall_time,
+        "warnings": report.warnings,
     }
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)

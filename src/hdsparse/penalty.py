@@ -104,12 +104,12 @@ def penalty_sum(spec: PenaltySpec, beta):
 
 
 def _sum_abs(spec: PenaltySpec, b):
-    """penalty_sum's kernel, from b = |beta|."""
+    """penalty_sum's kernel, from b = |beta|.  Its sums are add.reduce's
+    over the last axis, so a block's row sums as that vector alone, bit for bit."""
     if spec.kind == "l1":
         return spec.lam * np.add.reduce(b, axis=-1)
     t, u, c = _clip(spec, b)
-    uu = u @ u if u.ndim == 1 else np.einsum("ij,ij->i", u, u)
-    return spec.lam * np.add.reduce(t, axis=-1) - uu / c
+    return spec.lam * np.add.reduce(t, axis=-1) - np.add.reduce(u * u, axis=-1) / c
 
 
 def h_value(spec: PenaltySpec, beta):

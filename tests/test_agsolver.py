@@ -1,5 +1,7 @@
+import functools
 import math
 import re
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -14,6 +16,8 @@ from hdsparse.agsolver import (
     ag_traces,
     complexity_bound,
     damping_lower_bound,
+    least_squares_loss,
+    logistic_loss,
     make_composite,
     make_linear_objective,
     make_logistic_objective,
@@ -512,6 +516,27 @@ def test_composite_value_is_the_loss_plus_the_penalty_sum(loss, kind, skip):
     np.testing.assert_allclose(rows, [comp.value(x) for x in B], rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+def test_a_blocks_values_are_each_rows_bitwise(loss):
+    # ag_solve values a chunk of up to 64 steps in one call from their known
+    # predictors, so each row of a (64, p) block must take the bits of that
+    # vector alone: the loss, and the composite for every penalty, with and
+    # without skip (a block's product z = B X' rounds unlike a row's)
+    obj, pen = _regression(loss, "scad")
+    X, y = obj.value.args
+    B = np.random.default_rng(8).normal(scale=0.5, size=(64, obj.dimension))
+    Z = np.dot(B, X.T)
+    calls = [functools.partial(least_squares_loss if loss == "linear" else logistic_loss, X, y)]
+    for kind in ("l1", "scad", "mcp"):
+        spec = replace(pen, kind=kind, a=3.7 if kind == "scad" else None,
+                       gamma=3.0 if kind == "mcp" else None)
+        calls += [make_composite(obj, spec, skip).value for skip in ((), (0,))]
+    for call in calls:
+        rows = call(B, Z)
+        assert rows.shape == (64,)
+        assert rows.tobytes() == np.array([call(b, z) for b, z in zip(B, Z)]).tobytes()
+
+
 @pytest.mark.parametrize("skip", [(-1,), (3,), (0, 3)])
 def test_skip_indices_outside_the_columns_raise(skip):
     # a negative index used to be half-applied (the prox skipped the last
@@ -532,9 +557,10 @@ def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch, design_products):
     # X is streamed twice a step: one transpose product for the gradient and
     # one forward product [x_ag; next x_md] X', 2 rows on a mixed step, 1 on
     # a pg step and on the last step.  The start's product serves the first
-    # gradient and pg's descent check.  Each step makes one loss value, one
-    # loss gradient and one h_grad; the public prox and h_value are not called.
-    # The lockstep of k rows does the same with k rows where a solve has one.
+    # gradient and pg's descent check.  Each step makes one loss gradient and
+    # one h_grad, and each chunk of up to 64 steps one loss value, plus one at
+    # pg's start; the public prox and h_value are not called.  The lockstep of
+    # k rows does the same with k rows where a solve has one.
     import hdsparse.agsolver as ag
     import hdsparse.penalty as pen_mod
 
@@ -563,23 +589,24 @@ def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch, design_products):
         return dict(calls), products
 
     comp = make_composite(obj, pen)
-    ag_run = lambda n: ag_solve(comp, schedule_optimal(L, 40), x0, tol=0.0, max_iter=n)
+    ag_run = lambda n: ag_solve(comp, schedule_optimal(L, 150), x0, tol=0.0, max_iter=n)
     pg_run = lambda n: pg_solve(comp, 1 / L, x0, tol=0.0, max_iter=n)
     # the optimal schedule's first step is a pg step, then every step mixes
     # (so n starts at 2)
-    for n in (2, 7, 40):
+    for n in (2, 7, 40, 150):
+        chunks = -(-n // 64)
         assert count(ag_run, n) == (
-            dict(value=n, grad=n, h_grad=n),
+            dict(value=chunks, grad=n, h_grad=n),
             [("fwd", 1)] + [("t", 1), ("fwd", 2)] * (n - 1) + [("t", 1), ("fwd", 1)])
         assert count(pg_run, n) == (
-            dict(value=n + 1, grad=n, h_grad=n), [("fwd", 1)] + [("t", 1), ("fwd", 1)] * n)
+            dict(value=chunks + 1, grad=n, h_grad=n), [("fwd", 1)] + [("t", 1), ("fwd", 1)] * n)
     # ag_convergence's three rows: after the pg step every step has a mixing row
-    for n in (1, 2, 7, 40):
+    for n in (1, 2, 7, 40, 150):
         calls.clear()
         products.clear()
         assert ag_traces(comp, _schedules(L, n), x0, n).shape == (3, n)
         assert (dict(calls), products) == (
-            dict(value=n + 1, grad=n, h_grad=n),
+            dict(value=-(-n // 64) + 1, grad=n, h_grad=n),
             [("fwd", 3)] + [("t", 1), ("fwd", 6)] * (n - 1) + [("t", 1), ("fwd", 3)])
 
 
@@ -615,6 +642,85 @@ def test_ag_traces_pg_row_raises_like_pg_solve():
         ag_traces(comp, scheds, np.zeros(1), 50)
     assert str(many.value) == str(seq.value)
     assert str(seq.value).startswith("objective increased at iteration 1;")
+
+
+def test_ag_traces_values_a_value_and_grad_objective_row_by_row():
+    # an objective without forward knows only vectors: its value summed a
+    # (3, 1) block, and every row read 3.25 = 1 + 2.25 + 0 from the start on
+    comp = make_composite(_quad_obj(), PenaltySpec("l1", 0.0))
+    ag_opt, ag_orig, _ = scheds = _schedules(2.0, 20)
+    traces = ag_traces(comp, scheds, np.zeros(1), 20)
+    seq = [ag_solve(comp, ag_opt, np.zeros(1), 0.0, 20),
+           ag_solve(comp, ag_orig, np.zeros(1), 0.0, 20),
+           pg_solve(comp, 1 / 2.0, np.zeros(1), 0.0, 20)]
+    for t, r in zip(traces, seq):
+        np.testing.assert_allclose(t, r.objective_trace, rtol=1e-12)
+
+
+def _diverging_pg():
+    # f = x1^2/4 + 1.1 x2^2 with L stated as 1: a unit step halves x1 but
+    # multiplies x2 by -1.2, so f falls at first and rises from some step
+    # on; the plain loop gives the iterates and the first rise's iteration
+    obj = SmoothObjective(value=lambda x: float(0.25 * x[0] ** 2 + 1.1 * x[1] ** 2),
+                          grad=lambda x: np.array([0.5, 2.2]) * x, lipschitz=1.0, dimension=2)
+    xs = [np.array([1.0, 1e-12])]
+    vals = [obj.value(xs[0])]
+    while vals[-1] <= (vals[-2] if len(vals) > 1 else np.inf) + 1e-10:
+        xs.append(xs[-1] - obj.grad(xs[-1]))
+        vals.append(obj.value(xs[-1]))
+    return obj, xs, len(vals) - 1
+
+
+def test_pg_solve_raises_at_a_rise_inside_a_chunk():
+    # the objective is valued once per chunk of steps, and the rise is still
+    # reported at the step that made it, as the step-by-step check did
+    obj, xs, rise = _diverging_pg()
+    assert 64 < rise < 127  # inside the second chunk
+    comp = make_composite(obj, PenaltySpec("l1", 0.0))
+    msg = f"objective increased at iteration {rise}; Lipschitz constant too small?"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the steps run past the rise warn of nothing
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(msg)}$"):
+            pg_solve(comp, 1.0, xs[0], 0.0, 2000)
+
+
+def test_a_non_finite_gradient_after_a_pending_rise_reports_the_rise():
+    # the gradient turns NaN three steps after the rise, before the rise's
+    # chunk is valued: the earlier fault is the one reported
+    obj, xs, rise = _diverging_pg()
+    assert rise + 3 <= 128  # both in the second chunk
+    bound = abs(xs[rise][1]) * 1.2**3 * 0.99
+    grad = obj.grad
+    nan_far = replace(obj, grad=lambda x: grad(x) if abs(x[1]) < bound else np.full(2, np.nan))
+    with pytest.raises(FloatingPointError, match=f"^objective increased at iteration {rise};"):
+        pg_solve(make_composite(nan_far, PenaltySpec("l1", 0.0)), 1.0, xs[0], 0.0, 2000)
+    # on a flat objective, with no rise before it, the NaN gradient is reported
+    flat = make_composite(replace(nan_far, value=lambda x: 0.0), PenaltySpec("l1", 0.0))
+    with pytest.raises(FloatingPointError, match=f"^non-finite gradient at iteration {rise + 4}$"):
+        pg_solve(flat, 1.0, xs[0], 0.0, 2000)
+
+
+@pytest.mark.parametrize("solver", ["ag", "traces"])
+def test_a_non_finite_objective_inside_a_chunk_raises_at_its_step(solver):
+    # the loss reads NaN once it falls to its 110th step's value: the steps
+    # run on to the chunk's end, and the fault is reported at its own step
+    obj, pen = _regression("linear", "l1")
+    comp, L, x0 = make_composite(obj, pen.with_lambda(0.0)), obj.lipschitz, np.zeros(90)
+    if solver == "ag":
+        run = lambda c: ag_solve(c, schedule_optimal(L, 300), x0, 0.0, 300).objective_trace
+    else:
+        run = lambda c: ag_traces(c, _schedules(L, 300), x0, 300).min(axis=0)
+    trace = run(comp)
+    cut = trace[109]
+    first = int(np.argmax(trace <= cut)) + 1
+    assert 64 < first <= 110
+    loss = obj.value
+    nan_low = replace(obj, value=lambda b, z=None: np.where((v := loss(b, z)) > cut, v, np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the steps run past the fault warn of nothing
+        with pytest.raises(FloatingPointError,
+                           match=f"^non-finite objective at iteration {first}$"):
+            run(make_composite(nan_low, pen.with_lambda(0.0)))
 
 
 def test_ag_traces_checks_every_schedule_length():

@@ -231,6 +231,22 @@ def test_bench_kinds_come_from_bench_and_each_runs(tmp_path):
         assert len(rows) == 1 and "error" not in rows[0], k
 
 
+def test_bench_records_the_replications_warnings_in_report_json(tmp_path):
+    # the command and the q-Gaussian replication used to silence every
+    # warning; each replication's are now listed in report.json, and none
+    # reaches the terminal
+    out = tmp_path / "q"
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        assert main(["bench", "--kind", "qgaussian_recovery", "--n", "40", "--p", "5",
+                     "--signal", "four_fixed", "--tau", "0", "--replications", "2",
+                     "--seed", "14", "--out-dir", str(out)]) == 0
+    assert [str(w.message) for w in escaped] == []
+    caught = json.loads((out / "report.json").read_text())["warnings"]
+    boundary = [w for w in caught if "returning the near-Gaussian boundary" in w["message"]]
+    assert [(w["rep"], w["category"]) for w in boundary] == [(0, "UserWarning"), (1, "UserWarning")]
+
+
 def test_screen_csv_quotes_feature_names(tmp_path):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 3))

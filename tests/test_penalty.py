@@ -8,6 +8,7 @@ from hdsparse.penalty import (
     h_grad,
     h_value,
     lipschitz_h,
+    penalty_sum,
     penalty_value,
     prox_scaled_l1,
 )
@@ -180,6 +181,16 @@ def test_prox_and_h_grad_take_lists():
     assert prox_scaled_l1([2.0], [1.0], 1.0, 0.5).tolist() == [0.5]
     for spec in (L1, SCAD, MCP):
         assert h_grad(spec, [1.0, -2.0]).tolist() == h_grad(spec, np.array([1.0, -2.0])).tolist()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+def test_penalty_sum_of_a_block_is_each_rows_sum_bitwise(spec):
+    # the solvers value a chunk of steps as one (64, p) block; each row's sum
+    # must be the bits its vector alone gives (an einsum row sum was not)
+    B = np.random.default_rng(3).normal(scale=1.5, size=(64, 90))
+    rows = penalty_sum(spec, B)
+    assert rows.shape == (64,)
+    assert rows.tobytes() == np.array([penalty_sum(spec, b) for b in B]).tobytes()
 
 
 # The piecewise SCAD/MCP formulas the clip-form kernels replaced, kept as the
