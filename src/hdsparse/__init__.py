@@ -66,7 +66,6 @@ from .qgaussian import (
     recover_q_subset,
 )
 from .screen import (
-    MIResult,
     RankedFeatures,
     mi_binning,
     mi_fftkde,

@@ -281,6 +281,9 @@ def _chunk_values(p: CompositeProblem, Z, M, m: int, start: int, prev, descent) 
     return val
 
 
+# no overflow warnings: a non-finite value in the AG loops always ends in their
+# FloatingPointError, after the steps that run on to the end of its chunk
+@np.errstate(over="ignore", invalid="ignore")
 def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
              max_iter: int = 2000) -> SolveReport:
     """Run the accelerated scheme on p from x0, shape (p,), until the prox
@@ -348,6 +351,7 @@ def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
                        np.sqrt(gap2_tr[:it]) / omegas[:it], converged, time.perf_counter() - t0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as ag_solve
 def ag_traces(p: CompositeProblem, schedules, x0, max_iter: int) -> np.ndarray:
     """The (k, max_iter) objective traces of k schedules run in lockstep on p
     from one start x0, shape (p,): row i of a (k, p) block follows schedules[i].

@@ -17,6 +17,7 @@ changes results.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import time
@@ -110,6 +111,17 @@ class BenchReport:
     config: dict
     wall_time: float
     warnings: list      # {"rep", "category", "message"}: each a replication raised
+
+
+@contextlib.contextmanager
+def _recorded_warnings():
+    """Record, and show none of, the warnings raised in the block, its threads'
+    too: on exit the list yielded holds {"category", "message"} of each."""
+    recorded = []
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        yield recorded
+    recorded += [{"category": w.category.__name__, "message": str(w.message)} for w in seen]
 
 
 def _toeplitz_chol(tau: float, p: int) -> np.ndarray | None:
@@ -393,14 +405,12 @@ def run_benchmark(
     rows, caught = [], []
     for rep in range(replications):
         rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(rep,)))
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
+        with _recorded_warnings() as seen:
             try:
                 rows.append({"rep": rep, **protocol(rng)})
             except Exception as exc:  # noqa: BLE001 - keep the run going
                 rows.append({"rep": rep, "error": str(exc)})
-        caught += [{"rep": rep, "category": w.category.__name__, "message": str(w.message)}
-                   for w in seen]
+        caught += [{"rep": rep, **w} for w in seen]
 
     ok = [r for r in rows if "error" not in r]
     keys = list(dict.fromkeys(k for r in ok for k in r if k != "rep"))

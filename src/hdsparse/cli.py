@@ -8,7 +8,8 @@ key of an option is its long flag with hyphens turned into underscores
 line's own, so argparse checks them like flags and, since the last value wins,
 flags > environment > config file > defaults.  A key that is no option of any
 command raises ValueError; one of another command is ignored.  All outputs are
-CSV/JSON files under --out-dir.
+CSV/JSON files under --out-dir; screen, qfit and bench list their warnings in
+their JSON output and print none.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .agsolver import (
     schedule_optimal,
     schedule_original,
 )
-from .bench import E3, KINDS, OUTCOMES, SIGNALS, SimSpec, gen_dataset, run_benchmark
+from .bench import (E3, KINDS, OUTCOMES, SIGNALS, SimSpec, _recorded_warnings, gen_dataset,
+                    run_benchmark)
 from .data import read_table, write_table
 from .pcg import linearized_moreau_grad, pcg_solve
 from .penalty import PenaltySpec
@@ -68,14 +70,16 @@ def _add_penalty(p: argparse.ArgumentParser):
 
 def cmd_screen(args) -> int:
     X, y = read_table(args.data, outcome=args.outcome)
-    ranked = screen_all(X, y, method=args.method, workers=args.workers)
+    with _recorded_warnings() as caught:   # around the call: its threads share the record
+        ranked = screen_all(X, y, method=args.method, workers=args.workers)
     out = _out_dir(args)
     with open(out / "screen.csv", "w", newline="", encoding="utf-8") as fh:
         rows = csv.writer(fh, lineterminator="\n")
         rows.writerow(("feature", "score", "rank", "method"))
         for rank, (j, score) in enumerate(ranked.ranking, start=1):
             rows.writerow((X.column_names[j], f"{score:.17g}", rank, args.method))
-    diag = {"method": args.method, "failures": list(ranked.failures), "workers": args.workers}
+    diag = {"method": args.method, "failures": list(ranked.failures), "workers": args.workers,
+            "warnings": caught}
     (out / "screen_diagnostics.json").write_text(json.dumps(diag, indent=2))
     print(out / "screen.csv")
     return 0
@@ -122,10 +126,10 @@ def cmd_fit(args) -> int:
 def cmd_qfit(args) -> int:
     X, y = read_table(args.data, outcome=args.outcome)
     psi = None if args.psi == "identity" else read_table(args.psi)[0].values
-    model = qfit_model(X.values, y.values, psi=psi, penalty=_penalty_from(args),
-                       solver=args.solver)
-    payload = model.to_config()
-    payload["fit_trace"] = model.fit_trace.tolist()
+    with _recorded_warnings() as caught:
+        model = qfit_model(X.values, y.values, psi=psi, penalty=_penalty_from(args),
+                           solver=args.solver)
+    payload = model.to_config() | {"fit_trace": model.fit_trace.tolist(), "warnings": caught}
     out = _out_dir(args)
     (out / "qfit.json").write_text(json.dumps(payload, indent=2))
     print(out / "qfit.json")

@@ -16,7 +16,8 @@ and importing pcg loads no scipy.  Each line search evaluates that
 derivative only at new points: its value at 0 is <s, d>, which the solver
 holds, and _brentq starts from the bracket's two known values.  pcg_solve
 takes the composite problem (agsolver.make_composite) first, as ag_solve,
-pg_solve and ag_traces do, then x0, tol and max_iter.  pcg forms the loss's
+pg_solve and ag_traces do, then x0, tol and max_iter, and returns its
+SolveReport with ||s||_inf at the estimate as a float.  pcg forms the loss's
 forward product z and the loss gradient lg = p.obj.grad(x, z) once per
 iterate, values the iterate from that z for the trace, and calls g_grad(x,
 lg); the line search moves lg along d as lg + alpha * H d when the loss
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,19 +38,12 @@ from .agsolver import CompositeProblem, SolveReport, _solver_start
 from .penalty import prox_scaled_l1  # noqa: F401 - re-exported, looked up on this module
 
 __all__ = [
-    "StationarityCertificate",
     "linearized_moreau_grad",
     "hz_direction",
     "line_search",
     "pcg_solve",
     "linear_cg",
 ]
-
-
-@dataclass(frozen=True)
-class StationarityCertificate:
-    moreau_grad_norm: float
-    rho_used: float
 
 
 def linearized_moreau_grad(p: CompositeProblem, x, rho: float, g=None) -> np.ndarray:
@@ -174,13 +167,14 @@ def line_search(p: CompositeProblem, x, d, rho: float, loss_grad, slope: float) 
 
 
 def pcg_solve(p: CompositeProblem, x0=None, tol: float = 1e-6,
-              max_iter: int = 1000) -> tuple[SolveReport, StationarityCertificate]:
+              max_iter: int = 1000) -> tuple[SolveReport, float]:
     """Run proximal Hager-Zhang CG from x0, shape (p,) (zeros if None), until
-    ||s||_inf <= tol or max_iter steps.
+    ||s||_inf <= tol or max_iter steps, with rho = 0.5/L.
 
-    A map s whose s @ s underflows to 0 is zero to working precision: no line
-    search can descend along -s, so the solve stops there as converged, and
-    the certificate reports that map's sup-norm.
+    Returns the report and ||s||_inf at the estimate, its stationarity
+    certificate.  A map s whose s @ s underflows to 0 is zero to working
+    precision: no line search can descend along -s, so the solve stops there
+    as converged, and the certificate is that map's sup-norm.
     """
     t0 = time.perf_counter()
     obj = p.obj
@@ -227,16 +221,8 @@ def pcg_solve(p: CompositeProblem, x0=None, tol: float = 1e-6,
         x, s = x_new, s_new
         it = k + 1
     # s is the map at the estimate x, so the certificate forms no new one
-    cert = StationarityCertificate(moreau_grad_norm=float(np.max(np.abs(s))), rho_used=rho)
-    report = SolveReport(
-        estimate=x,
-        iterations=it,
-        objective_trace=np.asarray(obj_trace),
-        grad_map_trace=np.asarray(gm_trace),
-        converged=converged,
-        wall_time=time.perf_counter() - t0,
-    )
-    return report, cert
+    return (SolveReport(x, it, np.asarray(obj_trace), np.asarray(gm_trace), converged,
+                        time.perf_counter() - t0), float(np.max(np.abs(s))))
 
 
 def linear_cg(A_apply, b, tol: float = 1e-10, max_iter: int | None = None,

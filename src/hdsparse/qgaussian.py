@@ -314,8 +314,8 @@ def theta_update(model: QGaussianModel, X, y, solver: str = "pcg", tol: float = 
     obj = _whitened_objective(X, y, _model_cholesky(model), model.penalty)
     comp = make_composite(obj, model.penalty, skip=(0,))  # the intercept is never penalized
     if solver == "pcg":
-        report, cert = pcg_solve(comp, model.theta, tol=tol, max_iter=max_iter)
-        detail = f"stationarity {cert.moreau_grad_norm:.3e}"
+        report, stationarity = pcg_solve(comp, model.theta, tol=tol, max_iter=max_iter)
+        detail = f"stationarity {stationarity:.3e}"
     elif solver == "ag":
         report = ag_solve(comp, schedule_optimal(obj.lipschitz, max_iter), model.theta,
                           tol=tol, max_iter=max_iter)
@@ -370,7 +370,7 @@ def recover_q_subset(q_train: float, n_train: int, n_subset: int) -> float:
 def predict(model: QGaussianModel, X_new, psi_new_block=None):
     """(mean, q_new, covariance-or-None) on the rows of X_new; the covariance
     is m/(m-2) sigma^2 Psi_new (identity if None), and a Psi_new block that
-    is not (rows, rows) raises ValueError."""
+    is not (rows, rows) or not symmetric raises ValueError."""
     X_new = np.asarray(X_new, float)
     if X_new.shape[1] + 1 != model.theta.size:
         raise ValueError("X_new has the wrong number of columns")
@@ -378,6 +378,8 @@ def predict(model: QGaussianModel, X_new, psi_new_block=None):
     psi = np.eye(n) if psi_new_block is None else np.asarray(psi_new_block, float)
     if psi.shape != (n, n):
         raise ValueError(f"psi_new_block must be ({n}, {n}) for {n} rows, got {psi.shape}")
+    if not np.allclose(psi, psi.T):
+        raise ValueError("psi_new_block must be symmetric")
     mean = _design(X_new) @ model.theta
     q_new = recover_q_subset(model.q_train, model.n_train, n)
     m_new = dof_from_q(q_new, n)

@@ -16,7 +16,8 @@ Each estimator is split into the outcome's share (its bandwidth and range, bin
 count, jittered and sorted copy, or centred copy), prepared once, and the
 column's share, run per column.  screen_all prepares the outcome once per
 call; each public per-pair function is the same two steps on one pair, so a
-bad outcome is reported before a bad column.
+bad outcome is reported before a bad column.  Both return the score alone, a
+Python float, which is all that screen_all ranks.
 
 Importing this module loads numpy only: the FFTs are numpy's, and the
 Toeplitz matrix and FFT length are built here, bitwise as scipy builds them.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -37,7 +38,6 @@ from .data import FeatureMatrix, ResponseVector
 
 __all__ = [
     "Grid2D",
-    "MIResult",
     "RankedFeatures",
     "silverman_bandwidth",
     "make_grid",
@@ -83,13 +83,6 @@ class Grid2D:
     @property
     def dy(self) -> float:
         return (self.y_max - self.y_min) / (GRID_NODES - 1)
-
-
-@dataclass(frozen=True)
-class MIResult:
-    value: float
-    method: str
-    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -268,7 +261,7 @@ def _nonzero_span(v) -> slice:
     return slice(nz[0], nz[-1] + 1)
 
 
-def _fftkde_column(x, prep) -> MIResult:
+def _fftkde_column(x, prep) -> float:
     x = _finite(x)
     y, hy, y_range = prep
     hx = silverman_bandwidth(x)
@@ -284,13 +277,12 @@ def _fftkde_column(x, prep) -> MIResult:
     pxy, outer = pxy[rows, cols], np.outer(px[rows], py[cols])
     ok = (pxy > KDE_FLOOR) & (outer > KDE_FLOOR)
     p = pxy[ok]
-    mi = float(np.sum(p * np.log(p / outer[ok])) * grid.dx * grid.dy)
-    return MIResult(mi, "fftkde", {"hx": hx, "hy": hy, "kernel": "gaussian"})
+    return float(np.sum(p * np.log(p / outer[ok])) * grid.dx * grid.dy)
 
 
-def mi_fftkde(x, y) -> MIResult:
-    """Plug-in MI from the FFT-KDE joint; marginals are joint sums, so the
-    three densities are consistent by construction."""
+def mi_fftkde(x, y) -> float:
+    """Plug-in MI in nats from the FFT-KDE joint; marginals are joint sums, so
+    the three densities are consistent by construction."""
     return _fftkde_column(x, _prepare_fftkde(y))
 
 
@@ -352,7 +344,7 @@ def _prepare_binning(y):
     return _bin_index(y, dy_bins := bin_count(y)), dy_bins
 
 
-def _binning_column(x, prep) -> MIResult:
+def _binning_column(x, prep) -> float:
     x = _finite(x)
     iy, dy_bins = prep
     dx_bins = bin_count(x)
@@ -361,12 +353,12 @@ def _binning_column(x, prep) -> MIResult:
     pi = pij.sum(axis=1, keepdims=True)
     pj = pij.sum(axis=0, keepdims=True)
     nz = pij > 0
-    mi = float(np.sum(pij[nz] * np.log(pij[nz] / (pi @ pj)[nz])))
-    return MIResult(max(mi, 0.0), "binning", {"bins_x": dx_bins, "bins_y": dy_bins})
+    return max(float(np.sum(pij[nz] * np.log(pij[nz] / (pi @ pj)[nz]))), 0.0)
 
 
-def mi_binning(x, y) -> MIResult:
-    """Histogram plug-in MI with data-driven equal-width bin counts."""
+def mi_binning(x, y) -> float:
+    """Histogram plug-in MI in nats, at least 0, with data-driven equal-width
+    bin counts (bin_count)."""
     return _binning_column(x, _prepare_binning(y))
 
 
@@ -398,7 +390,7 @@ def _prepare_knn(y):
     return yj, np.sort(yj), digamma(KNN_K) + digamma(n), digamma(np.arange(1, n + 1))
 
 
-def _knn_column(x, prep) -> MIResult:
+def _knn_column(x, prep) -> float:
     from scipy.spatial import cKDTree
 
     yj, ys, psi_kn, psi = prep
@@ -414,12 +406,12 @@ def _knn_column(x, prep) -> MIResult:
           - np.searchsorted(xs, xj - eps, side="right"))
     ny = (np.searchsorted(ys, yj + eps, side="left")
           - np.searchsorted(ys, yj - eps, side="right"))
-    raw = float(psi_kn - np.mean(psi[nx - 1] + psi[ny - 1]))
-    return MIResult(max(raw, 0.0), "knn", {"k": KNN_K, "raw": raw})
+    return max(float(psi_kn - np.mean(psi[nx - 1] + psi[ny - 1])), 0.0)
 
 
-def mi_knn(x, y) -> MIResult:
-    """KSG estimator (variant 1), k = 3, max-norm neighborhoods; needs n > 3."""
+def mi_knn(x, y) -> float:
+    """KSG estimator (variant 1) in nats, k = 3, max-norm neighborhoods,
+    clamped at 0; needs n > 3."""
     return _knn_column(x, _prepare_knn(y))
 
 
@@ -433,19 +425,18 @@ def _prepare_pearson(y):
     return yc, ny_
 
 
-def _pearson_column(x, prep) -> MIResult:
+def _pearson_column(x, prep) -> float:
     x = _finite(x)
     yc, ny_ = prep
     xc = x - x.mean()
     nx_ = np.linalg.norm(xc)
     if nx_ == 0:
         raise ValueError("constant vector has no correlation")
-    r = abs(float(np.dot(xc, yc) / (nx_ * ny_)))
-    return MIResult(min(r, 1.0), "pearson", {})
+    return min(abs(float(np.dot(xc, yc) / (nx_ * ny_))), 1.0)
 
 
-def pearson_abs(x, y) -> MIResult:
-    """Absolute Pearson correlation as a (linear-only) association score."""
+def pearson_abs(x, y) -> float:
+    """Absolute Pearson correlation, in [0, 1], as a (linear-only) association score."""
     return _pearson_column(x, _prepare_pearson(y))
 
 
@@ -488,7 +479,7 @@ def screen_all(m: FeatureMatrix, y: ResponseVector, method: str = "fftkde",
         results = []
         for j in cols:
             try:
-                results.append((column(X[:, j], outcome).value, None))
+                results.append((column(X[:, j], outcome), None))
             except Exception as exc:  # noqa: BLE001 - per-column failures are data issues
                 results.append((-np.inf, str(exc)))
         return results

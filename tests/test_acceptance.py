@@ -354,11 +354,11 @@ def test_c11_mi_calibration():
     x = z[:, 0]
     y = rho * z[:, 0] + np.sqrt(1 - rho**2) * z[:, 1]
     target = -0.5 * np.log(1 - rho**2)   # 0.1438...
-    assert abs(mi_fftkde(x, y).value - target) <= 0.03
-    assert abs(mi_knn(x, y).value - target) <= 0.03
+    assert abs(mi_fftkde(x, y) - target) <= 0.03
+    assert abs(mi_knn(x, y) - target) <= 0.03
     xi, yi = rng.normal(size=(2, n))
-    assert mi_fftkde(xi, yi).value <= 0.02
-    assert mi_knn(xi, yi).value <= 0.02
+    assert mi_fftkde(xi, yi) <= 0.02
+    assert mi_knn(xi, yi) <= 0.02
 
 
 # -- 12. screening trend -----------------------------------------------------

@@ -764,6 +764,38 @@ def test_pg_solve_raises_at_first_rise_with_understated_lipschitz(max_iter):
         pg_solve(make_composite(obj, PenaltySpec("l1", 0.0)), 2.0, np.zeros(1), max_iter=max_iter)
 
 
+def _overflowing_solves():
+    # (name, solve, message): a proximal-gradient schedule with a step 1e3x or
+    # 1e10x too large, and AG from a start of 1e300, each by ag_solve and by
+    # ag_traces; the steps that run on to the chunk's end overflow
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(50, 8)), rng.normal(size=50)
+    pen = PenaltySpec("scad", 0.1, a=3.7)
+    obj = make_linear_objective(X, y, pen)
+    comp, L, ones = make_composite(obj, pen), obj.lipschitz, np.ones(100)
+    rise = "objective increased at iteration 1; Lipschitz constant too small?"
+    for k in (1e3, 1e10):
+        pg = AGSchedule(ones, ones * k / L, ones * k / L)
+        yield f"pg {k:g}", lambda: ag_solve(comp, pg, np.zeros(8), 1e-4, 100), rise
+        yield f"pg {k:g} traces", lambda: ag_traces(comp, [pg], np.zeros(8), 100), rise
+    ag, far = schedule_optimal(L, 100), np.full(8, 1e300)
+    yield "ag 1e300", lambda: ag_solve(comp, ag, far, 1e-4, 100), \
+        "non-finite objective at iteration 1"
+    yield "ag 1e300 traces", lambda: ag_traces(comp, [ag], far, 100), \
+        "non-finite objective at iteration 1"
+
+
+def test_a_failed_solve_raises_without_numpy_warnings():
+    # the fault is raised when its chunk is valued, after the overflow of the
+    # steps that ran on; those printed up to 65 RuntimeWarnings
+    for name, solve, message in _overflowing_solves():
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+                solve()
+        assert [str(w.message) for w in seen] == [], name
+
+
 def test_damping_bounds_and_optimal_ab():
     val = 1 * 0.5 * 2**1.5 - 1 * 0.5 * 0.5 * 2 ** (-0.5) - 1
     assert admissible_ab(1.0, 0.5) == (val >= 0) == True  # noqa: E712

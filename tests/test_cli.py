@@ -43,7 +43,7 @@ def test_screen_command(linear_csv, tmp_path):
     scores = [float(r["score"]) for r in rows]
     assert scores == sorted(scores, reverse=True)
     diag = json.loads((out / "screen_diagnostics.json").read_text())
-    assert diag["method"] == "pearson" and diag["failures"] == []
+    assert diag["method"] == "pearson" and diag["failures"] == [] and diag["warnings"] == []
 
 
 def test_fit_command_solvers(linear_csv, tmp_path):
@@ -170,11 +170,16 @@ def test_qfit_command(linear_csv, tmp_path, psi):
         write_table(psi, FeatureMatrix(toeplitz(0.5 ** np.arange(60)),
                                        tuple(f"r{i}" for i in range(60))))
     out = tmp_path / "qfit_out"
-    with pytest.warns(UserWarning, match="near-Gaussian boundary"):
+    # q_update's boundary warning is listed in qfit.json; it used to reach stderr
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
         rc = main(["qfit", "--data", str(linear_csv), "--outcome", "y", "--psi", str(psi),
                    "--penalty", "l1", "--lambda", "0.0", "--out-dir", str(out)])
-    assert rc == 0
+    assert rc == 0 and [str(w.message) for w in escaped] == []
     payload = json.loads((out / "qfit.json").read_text())
+    [caught] = payload["warnings"]
+    assert caught["category"] == "UserWarning"
+    assert caught["message"].endswith("returning the near-Gaussian boundary")
     assert len(payload["theta"]) == 7           # intercept + 6 coefficients
     assert payload["sigma2"] > 0
     assert payload["n_train"] == 60
@@ -245,6 +250,29 @@ def test_bench_records_the_replications_warnings_in_report_json(tmp_path):
     caught = json.loads((out / "report.json").read_text())["warnings"]
     boundary = [w for w in caught if "returning the near-Gaussian boundary" in w["message"]]
     assert [(w["rep"], w["category"]) for w in boundary] == [(0, "UserWarning"), (1, "UserWarning")]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_screen_records_the_columns_warnings(tmp_path, workers):
+    # bin_count's "constant vector: one bin" is listed in
+    # screen_diagnostics.json once per constant column, from any worker
+    # thread; it used to reach stderr, once per run
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 4))
+    X[:, 1] = X[:, 3] = 2.5
+    path = tmp_path / "const.csv"
+    write_table(path, FeatureMatrix(X, tuple(f"x{j}" for j in range(4))),
+                ResponseVector(X[:, 0]))
+    out = tmp_path / "screen_out"
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        assert main(["screen", "--data", str(path), "--outcome", "y", "--method", "binning",
+                     "--workers", workers, "--out-dir", str(out)]) == 0
+    assert [str(w.message) for w in escaped] == []
+    diag = json.loads((out / "screen_diagnostics.json").read_text())
+    assert diag["failures"] == []
+    assert diag["warnings"] == [{"category": "UserWarning",
+                                 "message": "constant vector: one bin"}] * 2
 
 
 def test_screen_csv_quotes_feature_names(tmp_path):

@@ -350,3 +350,8 @@ def test_predict():
     assert np.array_equal(cov, m_new / (m_new - 2) * model.sigma2 * psi_new)
     with pytest.raises(ValueError, match=r"psi_new_block must be \(5, 5\) for 5 rows"):
         predict(model, Xn, np.eye(3))
+    # as fit and QGaussianParams refuse a Psi that is not symmetric, where it
+    # used to come back scaled as a covariance
+    psi_new[0, 4] += 0.1
+    with pytest.raises(ValueError, match=r"^psi_new_block must be symmetric$"):
+        predict(model, Xn, psi_new)
