@@ -21,10 +21,12 @@ alpha_k/(delta_k*Gamma_k) nonincreasing; two ready-made schedules are provided
 (the optimal one and the classical 2/(k+1) one) plus a checker and the
 theoretical complexity bound.  Every schedule stops once the prox step
 max|x_md - x_ag| = omega_k ||G(x_md)||_inf (Ghadimi & Lan's gradient mapping)
-falls below tol.  pg_solve, the proximal-gradient baseline, is the constant
-schedule alpha_k = 1, delta_k = omega_k = step: x_md = x, one prox step.
-ag_traces runs k schedules in lockstep on a (k, p) block, for the objective
-traces alone, in a loop of its own: a one-row block would slow ag_solve.
+falls below tol.  ag_solve's restart (O'Donoghue & Candes's gradient scheme,
+off by default) starts the schedule again when momentum runs against the prox
+step.  pg_solve, the proximal-gradient baseline, is the constant schedule
+alpha_k = 1, delta_k = omega_k = step: x_md = x, one prox step.  ag_traces
+runs k schedules in lockstep on a (k, p) block, for the objective traces
+alone, in a loop of its own: a one-row block would slow ag_solve.
 """
 
 from __future__ import annotations
@@ -195,6 +197,7 @@ class SolveReport:
     grad_map_trace: np.ndarray
     converged: bool
     wall_time: float
+    restarts: int  # ag_solve's momentum restarts; 0 without restart, and for pcg
 
 
 @functools.lru_cache(maxsize=4)
@@ -285,7 +288,7 @@ def _chunk_values(p: CompositeProblem, Z, M, m: int, start: int, prev, descent) 
 # FloatingPointError, after the steps that run on to the end of its chunk
 @np.errstate(over="ignore", invalid="ignore")
 def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
-             max_iter: int = 2000) -> SolveReport:
+             max_iter: int = 2000, restart: bool = False) -> SolveReport:
     """Run the accelerated scheme on p from x0, shape (p,), until the prox
     step max|x_md - x_ag| < tol; the schedule needs at least max_iter steps.
 
@@ -295,6 +298,9 @@ def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
     objective (else FloatingPointError) and the last iterate is returned.
     The objective is valued by chunks of steps (_chunk_values) when one fills,
     on the stop, on the last step and before a non-finite gradient raises.
+    With restart (off by default), a step that does not stop and has
+    (x_md - x_ag) . (x_ag - previous x_ag) > 0 sets x = x_ag and starts the
+    schedule again at its first entry; report.restarts counts these.
     """
     if len(s) < max_iter:
         raise ValueError(f"schedule has {len(s)} steps, fewer than max_iter={max_iter}")
@@ -311,15 +317,17 @@ def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
     x_ag = best_x = x_md = x  # the first x_md is the start, as x_ag = x there
     best_val, it, converged, z_md = math.inf, 0, False, forward(x)
     prev = p.value(x_md, z_md) if descent else math.inf
-    obj_tr, gap2_tr = np.empty((2, max_iter))
+    obj_tr, gap2_tr, w_tr = np.empty((3, max_iter))
     Z, M = _chunk_buffers(z_md.shape, x.shape)
     xs, m = [None] * len(Z), 0  # the chunk's x_ag, fresh arrays that no later step writes to
+    j = restarts = 0  # step i's schedule entry: i itself until a restart
     for i in range(max_iter):
-        d, w = deltas.item(i), omegas.item(i)  # Python floats: cheaper, the same bits
+        d, w = deltas.item(j), omegas.item(j)  # Python floats: cheaper, the same bits
         g = p.g_grad(x_md, loss_grad(x_md, z_md))
         x_new, mag = soft(x - d * g, d * lam, skip)  # mag = |x_new|, penalized coordinates
+        x_old = x_ag
         # with x_md = x and delta = omega both prox steps take the same point
-        x_ag, mag = soft(x_md - w * g, w * lam, skip) if two_prox[i] else (x_new, mag)
+        x_ag, mag = soft(x_md - w * g, w * lam, skip) if two_prox[j] else (x_new, mag)
         gap = x_md - x_ag
         gap2 = gap @ gap
         # a non-finite entry of g makes that entry of x_ag, and so gap2,
@@ -329,26 +337,30 @@ def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
                 _chunk_values(p, Z, M, m, i - m, prev, descent)
             raise FloatingPointError(f"non-finite gradient at iteration {i + 1}")
         stop = np.maximum.reduce(np.abs(gap)) < tol
-        if i + 1 == max_iter or stop or not (mixed[i + 1] or two_prox[i]):
+        k = j + 1  # the next step's schedule entry
+        if restart and not stop and gap @ (x_ag - x_old) > 0:  # momentum against the prox step
+            k, x_new, restarts = 0, x_ag, restarts + 1
+        if i + 1 == max_iter or stop or k == 0 or not (mixed[k] or two_prox[j]):
             x_md, z_md = x_ag, forward(x_ag)  # no next step, or its x_md is x_ag
             z_ag = z_md
         else:  # the next x_md: alpha on the plain sequence, the rest on the aggregated one
-            a = alphas.item(i + 1)
-            x_md = (1.0 - a) * x_ag + a * x_new if mixed[i + 1] else x_new
+            a = alphas.item(k)
+            x_md = (1.0 - a) * x_ag + a * x_new if mixed[k] else x_new
             z_ag, z_md = forward(np.array((x_ag, x_md)))
-        Z[m], M[m], xs[m], gap2_tr[i] = z_ag, mag, x_ag, gap2
-        x, it, m = x_new, i + 1, m + 1
+        Z[m], M[m], xs[m], gap2_tr[i], w_tr[i] = z_ag, mag, x_ag, gap2, w
+        x, it, m, j = x_new, i + 1, m + 1, k
         if m == len(Z) or stop or it == max_iter:
             val = obj_tr[it - m:it] = _chunk_values(p, Z, M, m, it - m, prev, descent)
-            j = val.argmin()  # the chunk's first least value: the first to beat best_val
-            if val[j] < best_val:
-                best_val, best_x = val[j], xs[j]
+            first = val.argmin()  # the chunk's first least value: the first to beat best_val
+            if val[first] < best_val:
+                best_val, best_x = val[first], xs[first]
             prev, m = val[-1], 0
         if stop:
             converged = True
             break
     return SolveReport(x_ag if descent else best_x, it, obj_tr[:it].copy(),
-                       np.sqrt(gap2_tr[:it]) / omegas[:it], converged, time.perf_counter() - t0)
+                       np.sqrt(gap2_tr[:it]) / w_tr[:it], converged, time.perf_counter() - t0,
+                       restarts)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as ag_solve

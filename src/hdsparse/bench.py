@@ -303,21 +303,25 @@ def _fit_path(make, X, y, penalty, lams, tol, max_iter, counts=None):
     # |grad_j loss| > lambda (SCAD's and MCP's slope at 0) breaks the KKT
     # conditions: it joins S and the lambda is solved again.  An empty S needs
     # no solve, as every |grad_j| < 2 lambda_k - lambda_{k-1} <= lambda_k.
-    # counts, if given, gains the solves, their iterations and the unconverged ones.
+    # Every solve restarts AG's momentum.  counts, if given, gains the solves,
+    # their iterations and restarts, and the unconverged ones.
     counts = {} if counts is None else counts
-    counts.update(path_solves=0, path_iterations=0, path_unconverged=0)
+    counts.update(path_solves=0, path_iterations=0, path_restarts=0, path_unconverged=0)
     full = make(X, y, penalty)
     x = np.zeros(X.shape[1])
-    grad, fits = full.grad(x), []
+    grad, fits, built = full.grad(x), [], np.zeros(0, bool)
     for lam, lam_prev in zip(lams, [lams[0], *lams[:-1]]):
         pen = penalty.with_lambda(float(lam))
         S = new = (x != 0) | (np.abs(grad) >= 2 * lam - lam_prev)
         while new.any():
-            obj = full if S.all() else make(X[:, S], y, penalty)  # S = all: the full path
-            rep = ag_solve(make_composite(obj, pen), schedule_optimal(obj.lipschitz, max_iter),
-                           x[S], tol=tol, max_iter=max_iter)
+            if not np.array_equal(S, built):  # obj and sched, and so L, depend on S alone
+                built, obj = S, full if S.all() else make(X[:, S], y, penalty)
+                sched = schedule_optimal(obj.lipschitz, max_iter)
+            rep = ag_solve(make_composite(obj, pen), sched, x[S], tol=tol, max_iter=max_iter,
+                           restart=True)
             counts["path_solves"] += 1
             counts["path_iterations"] += rep.iterations
+            counts["path_restarts"] += rep.restarts
             counts["path_unconverged"] += not rep.converged
             x = np.zeros(X.shape[1])
             x[S] = rep.estimate

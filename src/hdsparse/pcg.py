@@ -222,7 +222,7 @@ def pcg_solve(p: CompositeProblem, x0=None, tol: float = 1e-6,
         it = k + 1
     # s is the map at the estimate x, so the certificate forms no new one
     return (SolveReport(x, it, np.asarray(obj_trace), np.asarray(gm_trace), converged,
-                        time.perf_counter() - t0), float(np.max(np.abs(s))))
+                        time.perf_counter() - t0, 0), float(np.max(np.abs(s))))
 
 
 def linear_cg(A_apply, b, tol: float = 1e-10, max_iter: int | None = None,

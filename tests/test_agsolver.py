@@ -457,6 +457,20 @@ def test_ag_solve_is_the_plain_loop_bitwise(loss, kind, skip, tol):
     assert (rep.iterations, rep.converged) == (it, conv)
 
 
+@pytest.mark.parametrize("kind", ["l1", "scad", "mcp"])
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+def test_restart_never_fires_on_proximal_gradient(loss, kind):
+    # there x_md is the last x_ag, so the restart product is -||step||^2 <= 0
+    obj, pen = _regression(loss, kind)
+    comp, step, ones = make_composite(obj, pen), 1 / obj.lipschitz, np.ones(2000)
+    x0 = np.zeros(obj.dimension)
+    rep = ag_solve(comp, AGSchedule(ones, ones * step, ones * step), x0, 1e-6, 2000, restart=True)
+    ref = pg_solve(comp, step, x0, 1e-6, 2000)
+    for f in ("estimate", "objective_trace", "grad_map_trace"):
+        assert getattr(rep, f).tobytes() == getattr(ref, f).tobytes()
+    assert (rep.iterations, rep.converged, rep.restarts) == (ref.iterations, ref.converged, 0)
+
+
 @pytest.mark.parametrize("loss, kind", [("linear", "l1"), ("linear", "scad"),
                                         ("linear", "mcp"), ("logistic", "l1")])
 def test_ag_and_pg_stop_at_one_stationarity(loss, kind):

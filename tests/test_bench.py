@@ -246,6 +246,7 @@ def test_run_benchmark_signal_recovery(monkeypatch):
         at += len(mine)
         assert row["path_solves"] == len(mine) >= 1
         assert row["path_iterations"] == sum(r.iterations for r in mine)
+        assert row["path_restarts"] == sum(r.restarts for r in mine)
         assert row["path_unconverged"] == sum(not r.converged for r in mine)
     assert at == len(solves)
 
@@ -417,6 +418,55 @@ def test_fit_path_matches_the_full_warm_started_path():
     for lam, b in zip(lams[:-1], fits):
         x = ag_solve(make_composite(obj, pen.with_lambda(float(lam))), sched, x, tol, 2000).estimate
         assert np.max(np.abs(x - b)) <= bound
+
+
+def test_restart_shortens_a_warm_started_path():
+    # O'Donoghue & Candes's gradient restart, on every lambda of a linear
+    # SCAD path warm-started from the last fit, as _fit_path solves it
+    from hdsparse.agsolver import ag_solve, make_composite, schedule_optimal
+
+    make, X, y, pen, lams = _path_problem("linear", PenaltySpec("scad", 0.5, a=3.7))
+    obj = make(X, y, pen)
+    sched, runs = schedule_optimal(obj.lipschitz, 2000), {}
+    for restart in (False, True):
+        x, runs[restart] = np.zeros(X.shape[1]), []
+        for lam in lams:
+            rep = ag_solve(make_composite(obj, pen.with_lambda(float(lam))), sched, x,
+                           1e-4, 2000, restart=restart)
+            runs[restart].append(rep)
+            x = rep.estimate
+        assert all(r.converged for r in runs[restart])
+    assert sum(r.restarts for r in runs[False]) == 0 < sum(r.restarts for r in runs[True])
+    assert sum(r.iterations for r in runs[True]) < sum(r.iterations for r in runs[False])
+
+
+def test_signal_recovery_keeps_its_choice_with_restart(monkeypatch):
+    # the lambda path restarts AG; the chosen lambda, and so its support, is
+    # the one the path without restart chooses, in fewer iterations
+    spec = SimSpec(n=100, p=120, signal="five_blocks", seed=21)
+    on = run_benchmark("signal_recovery", spec, replications=2, path_len=20)
+    orig = bench.ag_solve
+    monkeypatch.setattr(bench, "ag_solve", lambda *a, **k: orig(*a, **{**k, "restart": False}))
+    off = run_benchmark("signal_recovery", spec, replications=2, path_len=20)
+    kept = ("lambda", "ppv", "npv", "path_solves", "path_unconverged")
+    for a, b in zip(on.rows, off.rows):
+        assert [a[k] for k in kept] == [b[k] for k in kept]
+        assert a["scaled_error"] == pytest.approx(b["scaled_error"], rel=1e-3)
+        assert b["path_restarts"] == 0 < a["path_restarts"]
+        assert a["path_iterations"] < b["path_iterations"]
+
+
+def test_fit_path_reuses_the_last_strong_sets_objective(monkeypatch):
+    # L depends on the columns alone, so a lambda whose strong set is the last
+    # solve's reuses its objective: no two builds in a row take the same columns
+    built, orig = [], bench.make_linear_objective
+    monkeypatch.setattr(bench, "make_linear_objective",
+                        lambda X, *a, **k: built.append(X) or orig(X, *a, **k))
+    make, X, y, pen, lams = _path_problem("linear", PenaltySpec("scad", 0.5, a=3.7))
+    counts = {}
+    bench._fit_path(make, X, y, pen, lams, 1e-4, 2000, counts)
+    assert not any(a.shape == b.shape and (a == b).all() for a, b in zip(built, built[1:]))
+    assert counts["path_solves"] > len(built) - 1  # the first build is the full objective
 
 
 def test_fit_path_adds_a_kkt_violator_and_solves_again(monkeypatch):
