@@ -14,9 +14,9 @@ with P the scaled soft-threshold prox, and the traced objective the loss plus
 the penalty's sum at x_ag.  The loss sees x only through z = x X', so a step
 streams X twice: one forward product [x_ag; next x_md] X' gives x_ag's z and
 the next gradient's, and the gradient's X' r is the other.  A step buffers
-x_ag's z and |x_ag| (the prox's magnitude); one loss call values a chunk of
-up to 64 steps, and its checks name the step that failed.  The damping
-schedule must satisfy alpha_k*delta_k <= omega_k < 1/L and
+x_ag's z and |x_ag| (the prox's magnitude); one call of the composite's
+value values a chunk of up to 64 steps, and its checks name the failed step.
+The damping schedule must satisfy alpha_k*delta_k <= omega_k < 1/L and
 alpha_k/(delta_k*Gamma_k) nonincreasing; two ready-made schedules are provided
 (the optimal one and the classical 2/(k+1) one) plus a checker and the
 theoretical complexity bound.  Every schedule stops once the prox step
@@ -90,10 +90,10 @@ class CompositeProblem:
     """f = g + h, g = loss + smooth penalty part, h convex with a prox; built
     by make_composite.  obj is the loss, with forward and (x, z)-taking value
     and grad, penalty the spec of g's concave part and of h = lambda*l1, and
-    skip the unpenalized coordinates.  value(x, z=None) = g + h,
-    the loss plus sum_j p(x_j) over the penalized coordinates; g_grad(x, lg)
-    takes a known lg = obj.grad(x), or forms it; h_prox(v, rho) returns
-    argmin_u h(u) + ||u - v||^2 / (2 rho).
+    skip the unpenalized coordinates.  value(x, z=None, mag=None) = g + h,
+    the loss plus sum_j p(x_j) over the penalized coordinates (or a known
+    mag = |x| there, 0 in skip); g_grad(x, lg) takes a known lg = obj.grad(x),
+    or forms it; h_prox(v, rho) returns argmin_u h(u) + ||u - v||^2 / (2 rho).
     """
 
     obj: SmoothObjective
@@ -124,12 +124,12 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
         obj = replace(obj, forward=lambda b: b, value=rows(obj.value), grad=rows(obj.grad))
     loss_value, loss_grad = obj.value, obj.grad
 
-    def value(x, z=None):
+    def value(x, z=None, mag=None):
         loss = loss_value(x, z)
-        if skip.size:
-            x = np.array(x, dtype=float)
-            x.T[skip] = 0.0  # .T: a block's columns
-        return loss + _penalty.penalty_sum(penalty, x)
+        if mag is None and skip.size:
+            mag = np.array(x, dtype=float)
+            mag.T[skip] = 0.0  # .T: a block's columns
+        return loss + _penalty.penalty_sum(penalty, x if mag is None else mag)
 
     def g_grad(x, lg=None):
         hg = _penalty.h_grad(penalty, x)
@@ -266,13 +266,12 @@ def _chunk_buffers(*rows) -> list[np.ndarray]:
 
 
 def _chunk_values(p: CompositeProblem, Z, M, m: int, start: int, prev, descent) -> np.ndarray:
-    """The objective at the x_ag of steps start+1 .. start+m, from their rows
-    Z[:m] (predictors) and M[:m] (|x_ag|), each bit for bit as valued alone.
+    """p.value at the x_ag of steps start+1 .. start+m, from their rows Z[:m]
+    (predictors) and M[:m] (|x_ag|), each bit for bit as valued alone.
     FloatingPointError names the first step with a value not finite or, in a
     descent row, above the step before's (prev before the chunk) + 1e-10."""
-    z, mag = Z[:m], M[:m]
-    val = (p.obj.value(None, z.reshape(-1, z.shape[-1]))  # value reads the known z
-           + _penalty._sum_abs(p.penalty, mag.reshape(-1, mag.shape[-1]))).reshape(z.shape[:-1])
+    val = p.value(None, Z[:m].reshape(-1, Z.shape[-1]),  # the known z and |x_ag|: x unread
+                  M[:m].reshape(-1, M.shape[-1])).reshape(m, *Z.shape[1:-1])
     bad = ~np.isfinite(val)
     rise = (val > np.concatenate(([prev], val))[:-1] + 1e-10) & descent
     if (steps := (bad | rise).reshape(m, -1).any(axis=1)).any():
@@ -307,8 +306,7 @@ def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
     t0 = time.perf_counter()
     x = _solver_start(p, x0, max_iter, tol)
     forward, loss_grad, skip = p.obj.forward, p.obj.grad, p.skip
-    # the soft threshold that prox_scaled_l1 runs behind its input checks
-    soft, lam = _penalty._soft, p.penalty.lam
+    soft, lam = _penalty._soft, p.penalty.lam  # the soft threshold behind prox_scaled_l1's checks
     alphas, deltas, omegas = s.alphas[:max_iter], s.deltas[:max_iter], s.omegas[:max_iter]
     # read step by step, so a solve that stops early pays nothing for the rest
     mixed = alphas != 1.0

@@ -226,8 +226,9 @@ def gen_dataset(spec: SimSpec, rng: np.random.Generator | None = None):
 
 def ppv_npv(selected, truth) -> tuple[float | None, float | None]:
     """Positive / negative predictive value of a support guess."""
-    sel = np.asarray(selected, bool).ravel()
-    tru = np.asarray(truth, bool).ravel()
+    sel, tru = np.asarray(selected, bool).ravel(), np.asarray(truth, bool).ravel()
+    if sel.size != tru.size:  # broadcasting would hide it
+        raise ValueError(f"lengths differ: {sel.size} and {tru.size}")
     ppv = float((sel & tru).sum() / sel.sum()) if sel.any() else None
     npv = float((~sel & ~tru).sum() / (~sel).sum()) if (~sel).any() else None
     return ppv, npv
@@ -235,8 +236,9 @@ def ppv_npv(selected, truth) -> tuple[float | None, float | None]:
 
 def scaled_estimation_error(beta_true, beta_hat) -> float:
     """||beta_true - beta_hat||^2 / ||beta_true||^2."""
-    bt = np.asarray(beta_true, float).ravel()
-    bh = np.asarray(beta_hat, float).ravel()
+    bt, bh = np.asarray(beta_true, float).ravel(), np.asarray(beta_hat, float).ravel()
+    if bt.size != bh.size:
+        raise ValueError(f"lengths differ: {bt.size} and {bh.size}")
     denom = float(bt @ bt)
     if denom == 0:
         raise ValueError("beta_true must be nonzero")

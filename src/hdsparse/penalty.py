@@ -17,10 +17,10 @@ and the soft threshold is copysign(max(|z| - c*lambda, 0), z).  The solvers'
 objective takes the penalty's sum over coordinates in one pass of reductions,
 lambda*sum(t) - sum(q) (penalty_sum), without forming p elementwise.
 
-prox_scaled_l1 and penalty_sum are input handling in front of private kernels
-(_soft, _sum_abs).  The AG step calls those kernels itself, and sums the
-penalty at x_ag from the max(|z| - c*lambda, 0) that its soft threshold
-already formed, which is |x_ag| exactly.
+prox_scaled_l1 is input handling in front of a private kernel, _soft, which
+the AG step calls itself.  Every objective value goes through penalty_sum;
+the AG step passes it the max(|z| - c*lambda, 0) that its soft threshold
+already formed, which is |x_ag| exactly, and abs leaves it as it is.
 """
 
 from __future__ import annotations
@@ -81,7 +81,9 @@ def _clip(spec: PenaltySpec, b):
     lam = spec.lam
     if spec.kind == "scad":
         t = np.minimum(b, spec.a * lam)
-        return t, np.maximum(t - lam, 0.0), 2.0 * (spec.a - 1.0)
+        u = np.maximum(t, lam)  # (t - lam)_+ with one block-sized temporary fewer
+        u -= lam
+        return t, u, 2.0 * (spec.a - 1.0)
     t = np.minimum(b, spec.gamma * lam)
     return t, t, 2.0 * spec.gamma
 
@@ -99,16 +101,11 @@ def penalty_value(spec: PenaltySpec, beta):
 
 def penalty_sum(spec: PenaltySpec, beta):
     """sum_j p(beta_j) over the last axis, one value per row of a (k, p) block:
-    lam*sum(t) - u.u/c, no elementwise p formed."""
-    return _sum_abs(spec, np.abs(beta))
-
-
-def _sum_abs(spec: PenaltySpec, b):
-    """penalty_sum's kernel, from b = |beta|.  Its sums are add.reduce's
+    lam*sum(t) - u.u/c, no elementwise p formed.  Its sums are add.reduce's
     over the last axis, so a block's row sums as that vector alone, bit for bit."""
     if spec.kind == "l1":
-        return spec.lam * np.add.reduce(b, axis=-1)
-    t, u, c = _clip(spec, b)
+        return spec.lam * np.add.reduce(np.abs(beta), axis=-1)
+    t, u, c = _clip(spec, np.abs(beta))  # |beta| freed before u*u is formed
     return spec.lam * np.add.reduce(t, axis=-1) - np.add.reduce(u * u, axis=-1) / c
 
 
@@ -165,7 +162,7 @@ def prox_scaled_l1(x, y, c: float, lam: float, skip=()) -> np.ndarray:
 def _soft(z: np.ndarray, t, skip: np.ndarray):
     """prox_scaled_l1's kernel: the soft threshold of z at t, with the columns
     in skip passed through, and its magnitude max(|z| - t, 0) with them zeroed
-    (the |beta| that _sum_abs takes over the penalized coordinates)."""
+    (the |beta| that penalty_sum takes over the penalized coordinates)."""
     mag = np.maximum(np.abs(z) - t, 0.0)
     out = np.copysign(mag, z)
     if skip.size:

@@ -98,6 +98,8 @@ class QShape:
     n: int
 
     def __post_init__(self):
+        if not self.n >= 1:
+            raise ValueError(f"dimension n must be at least 1, got {self.n}")
         dof_from_q(self.q, self.n)  # validates
 
     @property
@@ -120,12 +122,22 @@ class QGaussianParams:
     def __post_init__(self):
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be positive")
+        n = self.shape.n
         object.__setattr__(self, "mu", np.asarray(self.mu, float).ravel())
+        if self.mu.size != n:
+            raise ValueError(f"mu has {self.mu.size} entries; need {n}")
         if self.psi is not None:
-            p = np.asarray(self.psi, float)
-            if not np.allclose(p, p.T):
-                raise ValueError("psi must be symmetric")
-            object.__setattr__(self, "psi", p)
+            object.__setattr__(self, "psi", _checked_psi(self.psi, n))
+
+
+def _checked_psi(psi, n: int, name: str = "psi") -> np.ndarray:
+    """psi as a float array; ValueError unless it is (n, n) and symmetric."""
+    psi = np.asarray(psi, float)
+    if psi.shape != (n, n):
+        raise ValueError(f"{name} must be ({n}, {n}) for {n} rows, got {psi.shape}")
+    if not np.allclose(psi, psi.T):
+        raise ValueError(f"{name} must be symmetric")
+    return psi
 
 
 def _psi_cholesky(psi: np.ndarray | None) -> np.ndarray | None:
@@ -152,9 +164,10 @@ def _logdet(C: np.ndarray | None) -> float:
     return 0.0 if C is None else 2.0 * float(np.sum(np.log(np.diag(C))))
 
 
-def logpdf(x, params: QGaussianParams, form: str = "sigma") -> float:
-    """Log density; the 'sigma' and 'lambda' parameterizations agree
-    (Lambda = m*Sigma) and both equal the multivariate t log density."""
+def logpdf(x, params: QGaussianParams) -> float:
+    """Log density: the multivariate t's with m degrees of freedom and scale
+    Sigma = sigma2*Psi.  In Lambda = m*Sigma, the q-Gaussian's own
+    parameterization, its -(n/2) log m term folds into -log det(pi Lambda)/2."""
     from scipy.special import gammaln
 
     sh = params.shape
@@ -163,22 +176,12 @@ def logpdf(x, params: QGaussianParams, form: str = "sigma") -> float:
     w = _whiten(C, np.asarray(x, float).ravel() - params.mu)
     quad = float(w @ w) / params.sigma2
     logdet_sigma = n * np.log(params.sigma2) + _logdet(C)
-    if form == "sigma":
-        return float(
-            -0.5 * (n * np.log(np.pi) + logdet_sigma)
-            + gammaln(u) - gammaln(u - n / 2)
-            - (n / 2) * np.log(m)
-            - u * np.log1p(quad / m)
-        )
-    if form == "lambda":
-        # Lambda = m * Sigma
-        logdet_lam = n * np.log(m) + logdet_sigma
-        return float(
-            -0.5 * (n * np.log(np.pi) + logdet_lam)
-            + gammaln(u) - gammaln(u - n / 2)
-            - u * np.log1p(quad / m)
-        )
-    raise ValueError(f"unknown parameterization {form!r}")
+    return float(
+        -0.5 * (n * np.log(np.pi) + logdet_sigma)
+        + gammaln(u) - gammaln(u - n / 2)
+        - (n / 2) * np.log(m)
+        - u * np.log1p(quad / m)
+    )
 
 
 def q_covariance(params: QGaussianParams) -> np.ndarray:
@@ -342,13 +345,8 @@ def fit(X, y, psi=None, penalty: PenaltySpec | None = None, solver: str = "pcg",
     n = X.shape[0]
     if y.size != n:
         raise ValueError("X and y length mismatch")
-    if psi is not None:
-        psi = np.asarray(psi, float)
-        if psi.shape != (n, n):
-            raise ValueError(f"psi must be ({n}, {n}) for {n} rows, got {psi.shape}")
-        if not np.allclose(psi, psi.T):
-            raise ValueError("psi must be symmetric")
-        # positive definiteness: theta_update factors psi before any solve
+    if psi is not None:  # positive definiteness: theta_update factors psi before any solve
+        psi = _checked_psi(psi, n)
     model = QGaussianModel(np.zeros(X.shape[1] + 1), 1.0, 1.0 + 1.0 / n, n, psi, penalty)
     model.theta = theta_update(model, X, y, solver, tol, max_iter)
     model.sigma2 = sigma2_update(model, X, y)
@@ -375,11 +373,7 @@ def predict(model: QGaussianModel, X_new, psi_new_block=None):
     if X_new.shape[1] + 1 != model.theta.size:
         raise ValueError("X_new has the wrong number of columns")
     n = X_new.shape[0]
-    psi = np.eye(n) if psi_new_block is None else np.asarray(psi_new_block, float)
-    if psi.shape != (n, n):
-        raise ValueError(f"psi_new_block must be ({n}, {n}) for {n} rows, got {psi.shape}")
-    if not np.allclose(psi, psi.T):
-        raise ValueError("psi_new_block must be symmetric")
+    psi = np.eye(n) if psi_new_block is None else _checked_psi(psi_new_block, n, "psi_new_block")
     mean = _design(X_new) @ model.theta
     q_new = recover_q_subset(model.q_train, model.n_train, n)
     m_new = dof_from_q(q_new, n)

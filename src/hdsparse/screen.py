@@ -28,7 +28,6 @@ imported on first use.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +89,6 @@ class RankedFeatures:
     """(column index, score) pairs, descending score, ties by ascending index."""
 
     ranking: tuple[tuple[int, float], ...]
-    method: str
     failures: tuple[tuple[int, str], ...] = ()
 
     def indices(self) -> list[int]:
@@ -490,6 +488,8 @@ def screen_all(m: FeatureMatrix, y: ResponseVector, method: str = "fftkde",
         results = [(-np.inf, str(exc))] * m.p
     else:
         if workers > 1:
+            # imported here: it loads logging, queue and traceback, which one thread never needs
+            from concurrent.futures import ThreadPoolExecutor
             blocks = np.array_split(np.arange(m.p), min(workers, m.p))
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = [r for block in pool.map(score_block, blocks) for r in block]
@@ -500,7 +500,7 @@ def screen_all(m: FeatureMatrix, y: ResponseVector, method: str = "fftkde",
     # descending score, ascending index on ties
     order = np.lexsort((np.arange(m.p), -scores))
     ranking = tuple((int(j), float(scores[j])) for j in order)
-    return RankedFeatures(ranking, method, failures)
+    return RankedFeatures(ranking, failures)
 
 
 def selection_auroc(scores, truth) -> float:

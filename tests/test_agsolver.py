@@ -572,8 +572,10 @@ def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch, design_products):
     # one forward product [x_ag; next x_md] X', 2 rows on a mixed step, 1 on
     # a pg step and on the last step.  The start's product serves the first
     # gradient and pg's descent check.  Each step makes one loss gradient and
-    # one h_grad, and each chunk of up to 64 steps one loss value, plus one at
-    # pg's start; the public prox and h_value are not called.  The lockstep of
+    # one h_grad, and each chunk of up to 64 steps one loss value and one
+    # penalty_sum, plus one of each at pg's start: every value goes through
+    # the composite's, so a wrapper on penalty_sum sees AG's penalty work.
+    # The public prox and h_value are not called.  The lockstep of
     # k rows does the same with k rows where a solve has one.
     import hdsparse.agsolver as ag
     import hdsparse.penalty as pen_mod
@@ -590,7 +592,7 @@ def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch, design_products):
     X, y, pen = rng.normal(size=(60, 90)), rng.normal(size=60), PenaltySpec("scad", 0.1, a=3.7)
     base = make_linear_objective(X, y, pen)
     obj = replace(base, value=counted("value", base.value), grad=counted("grad", base.grad))
-    for name in ("h_grad", "h_value"):
+    for name in ("h_grad", "h_value", "penalty_sum"):
         monkeypatch.setattr(pen_mod, name, counted(name, getattr(pen_mod, name)))
     monkeypatch.setattr(ag, "prox_scaled_l1", counted("prox", ag.prox_scaled_l1))
     products = design_products(X)
@@ -610,17 +612,18 @@ def test_an_ag_step_does_a_fixed_amount_of_work(monkeypatch, design_products):
     for n in (2, 7, 40, 150):
         chunks = -(-n // 64)
         assert count(ag_run, n) == (
-            dict(value=chunks, grad=n, h_grad=n),
+            dict(value=chunks, grad=n, h_grad=n, penalty_sum=chunks),
             [("fwd", 1)] + [("t", 1), ("fwd", 2)] * (n - 1) + [("t", 1), ("fwd", 1)])
         assert count(pg_run, n) == (
-            dict(value=chunks + 1, grad=n, h_grad=n), [("fwd", 1)] + [("t", 1), ("fwd", 1)] * n)
+            dict(value=chunks + 1, grad=n, h_grad=n, penalty_sum=chunks + 1),
+            [("fwd", 1)] + [("t", 1), ("fwd", 1)] * n)
     # ag_convergence's three rows: after the pg step every step has a mixing row
     for n in (1, 2, 7, 40, 150):
         calls.clear()
         products.clear()
         assert ag_traces(comp, _schedules(L, n), x0, n).shape == (3, n)
         assert (dict(calls), products) == (
-            dict(value=-(-n // 64) + 1, grad=n, h_grad=n),
+            dict(value=-(-n // 64) + 1, grad=n, h_grad=n, penalty_sum=-(-n // 64) + 1),
             [("fwd", 3)] + [("t", 1), ("fwd", 6)] * (n - 1) + [("t", 1), ("fwd", 3)])
 
 

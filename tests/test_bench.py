@@ -154,6 +154,14 @@ def test_scaled_estimation_error():
         scaled_estimation_error(np.zeros(3), bt)
 
 
+def test_support_and_error_metrics_reject_inputs_of_different_lengths():
+    # broadcasting once made these quietly wrong: (1.0, None) and 1.0
+    with pytest.raises(ValueError, match="lengths differ: 1 and 3"):
+        ppv_npv([True], [True, False, False])
+    with pytest.raises(ValueError, match="lengths differ: 3 and 1"):
+        scaled_estimation_error([1, 2, 3], [0.0])
+
+
 def test_lambda_path():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(60, 12))

@@ -375,9 +375,11 @@ def test_screen_requires_outcome_column(tmp_path):
 
 
 def test_cli_import_skips_scipy_signal_and_stats():
-    # each costs about half a second of start-up and nothing needs them
-    code = ("import sys, hdsparse.cli; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    # each scipy module costs about half a second of start-up and nothing
+    # needs it; concurrent.futures (with logging, queue and traceback) only
+    # serves screening with workers > 1
+    mods = ("scipy.signal", "scipy.stats", "concurrent.futures", "logging", "queue", "traceback")
+    code = f"import sys, hdsparse.cli; print(sorted(m for m in {mods!r} if m in sys.modules))"
     src = str(Path(hdsparse.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.linalg import toeplitz
+from scipy.special import gammaln
 from scipy.stats import multivariate_t
 
 from hdsparse.penalty import PenaltySpec, penalty_value
@@ -69,6 +70,23 @@ def test_dof_conversions():
     assert sh.u == pytest.approx(5.0) and sh.m == pytest.approx(5.0)
 
 
+def test_shape_and_params_check_their_dimension():
+    with pytest.raises(ValueError, match="^dimension n must be at least 1, got 0$"):
+        QShape(1.5, 0)  # was a ZeroDivisionError from 2/n
+    # a 5-dimensional q-Gaussian with a 3x3 Psi used to be accepted, and its
+    # q_covariance came back 3x3
+    sh = QShape(q_from_dof(4.0, 5), 5)
+    with pytest.raises(ValueError, match=r"^psi must be \(5, 5\) for 5 rows, got \(3, 3\)$"):
+        QGaussianParams(np.zeros(5), 1.0, np.eye(3), sh)
+    with pytest.raises(ValueError, match=r"^mu has 3 entries; need 5$"):
+        QGaussianParams(np.zeros(3), 1.0, None, sh)
+    psi = np.eye(5)
+    psi[0, 4] = 0.3
+    with pytest.raises(ValueError, match=r"^psi must be symmetric$"):
+        QGaussianParams(np.zeros(5), 1.0, psi, sh)
+    assert q_covariance(QGaussianParams(np.zeros(5), 1.0, np.eye(5), sh)).shape == (5, 5)
+
+
 def test_logpdf_matches_multivariate_t():
     rng = np.random.default_rng(1)
     n = 3
@@ -82,12 +100,13 @@ def test_logpdf_matches_multivariate_t():
         ref = multivariate_t(loc=mu, shape=sigma2 * psi, df=m)
         for _ in range(5):
             x = mu + rng.normal(size=n) * 2
-            lp_sigma = logpdf(x, params, form="sigma")
-            lp_lambda = logpdf(x, params, form="lambda")
-            assert lp_sigma == pytest.approx(ref.logpdf(x), abs=1e-12)
-            assert lp_lambda == pytest.approx(lp_sigma, abs=1e-12)
-    with pytest.raises(ValueError):
-        logpdf(mu, params, form="theta")
+            assert logpdf(x, params) == pytest.approx(ref.logpdf(x), abs=1e-12)
+            # the same density in the q-Gaussian's Lambda = m*Sigma form
+            lam, u = m * sigma2 * psi, (m + n) / 2
+            d = x - mu
+            lp_lambda = (-0.5 * np.linalg.slogdet(np.pi * lam)[1] + gammaln(u)
+                         - gammaln(u - n / 2) - u * np.log1p(d @ np.linalg.solve(lam, d)))
+            assert logpdf(x, params) == pytest.approx(lp_lambda, abs=1e-12)
 
 
 def test_logpdf_cauchy_and_gaussian_limit():
