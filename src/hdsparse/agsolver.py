@@ -13,9 +13,9 @@ their first argument and make the same entry checks.  One iteration:
 with P the scaled soft-threshold prox, and the traced objective the loss plus
 the penalty's sum at x_ag.  The loss sees x only through z = x X', so a step
 streams X twice: one forward product [x_ag; next x_md] X' gives x_ag's z and
-the next gradient's, and the gradient's X' r is the other.  A step buffers
-x_ag's z and |x_ag| (the prox's magnitude); one call of the composite's
-value values a chunk of up to 64 steps, and its checks name the failed step.
+the next gradient's, and the gradient's X' r is the other.  A step stores
+x_ag's predictor z and x_ag itself; one call of the composite's value values
+a chunk of up to 64 steps, and its checks name the failed step.
 The damping schedule must satisfy alpha_k*delta_k <= omega_k < 1/L and
 alpha_k/(delta_k*Gamma_k) nonincreasing; two ready-made schedules are provided
 (the optimal one and the classical 2/(k+1) one) plus a checker and the
@@ -90,10 +90,10 @@ class CompositeProblem:
     """f = g + h, g = loss + smooth penalty part, h convex with a prox; built
     by make_composite.  obj is the loss, with forward and (x, z)-taking value
     and grad, penalty the spec of g's concave part and of h = lambda*l1, and
-    skip the unpenalized coordinates.  value(x, z=None, mag=None) = g + h,
-    the loss plus sum_j p(x_j) over the penalized coordinates (or a known
-    mag = |x| there, 0 in skip); g_grad(x, lg) takes a known lg = obj.grad(x),
-    or forms it; h_prox(v, rho) returns argmin_u h(u) + ||u - v||^2 / (2 rho).
+    skip the unpenalized coordinates.  value(x, z=None) = g + h, the loss
+    plus sum_j p(x_j) over the penalized coordinates; g_grad(x, lg) takes a
+    known lg = obj.grad(x), or forms it; h_prox(v, rho) returns
+    argmin_u h(u) + ||u - v||^2 / (2 rho).
     """
 
     obj: SmoothObjective
@@ -124,12 +124,12 @@ def make_composite(obj: SmoothObjective, penalty: PenaltySpec, skip=()) -> Compo
         obj = replace(obj, forward=lambda b: b, value=rows(obj.value), grad=rows(obj.grad))
     loss_value, loss_grad = obj.value, obj.grad
 
-    def value(x, z=None, mag=None):
+    def value(x, z=None):
         loss = loss_value(x, z)
-        if mag is None and skip.size:
-            mag = np.array(x, dtype=float)
-            mag.T[skip] = 0.0  # .T: a block's columns
-        return loss + _penalty.penalty_sum(penalty, x if mag is None else mag)
+        if skip.size:
+            x = np.array(x, dtype=float)
+            x.T[skip] = 0.0  # .T: a block's columns
+        return loss + _penalty.penalty_sum(penalty, x)
 
     def g_grad(x, lg=None):
         hg = _penalty.h_grad(penalty, x)
@@ -265,13 +265,13 @@ def _chunk_buffers(*rows) -> list[np.ndarray]:
     return [np.empty((max(1, min(_CHUNK_STEPS, steps)), *r)) for r in rows]
 
 
-def _chunk_values(p: CompositeProblem, Z, M, m: int, start: int, prev, descent) -> np.ndarray:
+def _chunk_values(p: CompositeProblem, Z, XA, m: int, start: int, prev, descent) -> np.ndarray:
     """p.value at the x_ag of steps start+1 .. start+m, from their rows Z[:m]
-    (predictors) and M[:m] (|x_ag|), each bit for bit as valued alone.
+    (predictors) and XA[:m] (x_ag), each bit for bit as valued alone.
     FloatingPointError names the first step with a value not finite or, in a
     descent row, above the step before's (prev before the chunk) + 1e-10."""
-    val = p.value(None, Z[:m].reshape(-1, Z.shape[-1]),  # the known z and |x_ag|: x unread
-                  M[:m].reshape(-1, M.shape[-1])).reshape(m, *Z.shape[1:-1])
+    val = p.value(XA[:m].reshape(-1, XA.shape[-1]),  # the loss reads the known z alone
+                  Z[:m].reshape(-1, Z.shape[-1])).reshape(m, *Z.shape[1:-1])
     bad = ~np.isfinite(val)
     rise = (val > np.concatenate(([prev], val))[:-1] + 1e-10) & descent
     if (steps := (bad | rise).reshape(m, -1).any(axis=1)).any():
@@ -316,23 +316,22 @@ def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
     best_val, it, converged, z_md = math.inf, 0, False, forward(x)
     prev = p.value(x_md, z_md) if descent else math.inf
     obj_tr, gap2_tr, w_tr = np.empty((3, max_iter))
-    Z, M = _chunk_buffers(z_md.shape, x.shape)
-    xs, m = [None] * len(Z), 0  # the chunk's x_ag, fresh arrays that no later step writes to
-    j = restarts = 0  # step i's schedule entry: i itself until a restart
+    Z, XA = _chunk_buffers(z_md.shape, x.shape)
+    m = j = restarts = 0  # j: step i's schedule entry, i itself until a restart
     for i in range(max_iter):
         d, w = deltas.item(j), omegas.item(j)  # Python floats: cheaper, the same bits
         g = p.g_grad(x_md, loss_grad(x_md, z_md))
-        x_new, mag = soft(x - d * g, d * lam, skip)  # mag = |x_new|, penalized coordinates
+        x_new = soft(x - d * g, d * lam, skip)
         x_old = x_ag
         # with x_md = x and delta = omega both prox steps take the same point
-        x_ag, mag = soft(x_md - w * g, w * lam, skip) if two_prox[j] else (x_new, mag)
+        x_ag = soft(x_md - w * g, w * lam, skip) if two_prox[j] else x_new
         gap = x_md - x_ag
         gap2 = gap @ gap
         # a non-finite entry of g makes that entry of x_ag, and so gap2,
         # non-finite; only then does g itself need a scan
         if not math.isfinite(gap2) and not np.isfinite(g).all():
             if m:  # an earlier step's fault comes first
-                _chunk_values(p, Z, M, m, i - m, prev, descent)
+                _chunk_values(p, Z, XA, m, i - m, prev, descent)
             raise FloatingPointError(f"non-finite gradient at iteration {i + 1}")
         stop = np.maximum.reduce(np.abs(gap)) < tol
         k = j + 1  # the next step's schedule entry
@@ -345,13 +344,13 @@ def ag_solve(p: CompositeProblem, s: AGSchedule, x0, tol: float = 1e-4,
             a = alphas.item(k)
             x_md = (1.0 - a) * x_ag + a * x_new if mixed[k] else x_new
             z_ag, z_md = forward(np.array((x_ag, x_md)))
-        Z[m], M[m], xs[m], gap2_tr[i], w_tr[i] = z_ag, mag, x_ag, gap2, w
+        Z[m], XA[m], gap2_tr[i], w_tr[i] = z_ag, x_ag, gap2, w
         x, it, m, j = x_new, i + 1, m + 1, k
         if m == len(Z) or stop or it == max_iter:
-            val = obj_tr[it - m:it] = _chunk_values(p, Z, M, m, it - m, prev, descent)
+            val = obj_tr[it - m:it] = _chunk_values(p, Z, XA, m, it - m, prev, descent)
             first = val.argmin()  # the chunk's first least value: the first to beat best_val
             if val[first] < best_val:
-                best_val, best_x = val[first], xs[first]
+                best_val, best_x = val[first], XA[first].copy()
             prev, m = val[-1], 0
         if stop:
             converged = True
@@ -389,12 +388,12 @@ def ag_traces(p: CompositeProblem, schedules, x0, max_iter: int) -> np.ndarray:
     z_md = forward(x)
     prev = p.value(x, z_md)
     traces = np.empty((k, max_iter))
-    (Z, M), m = _chunk_buffers(z_md.shape, x.shape), 0
+    (Z, XA), m = _chunk_buffers(z_md.shape, x.shape), 0
     for i in range(max_iter):
         d, w = deltas[i], omegas[i]
         g = p.g_grad(x_md, loss_grad(x_md, z_md))
-        x_new, mag = soft(x - d * g, d * lam, skip)
-        x_ag, mag = soft(x_md - w * g, w * lam, skip) if two_prox[i] else (x_new, mag)
+        x_new = soft(x - d * g, d * lam, skip)
+        x_ag = soft(x_md - w * g, w * lam, skip) if two_prox[i] else x_new
         if i + 1 == max_iter or not (mixed[i + 1] or two_prox[i]):
             x_md, z_md = x_ag, forward(x_ag)
             z_ag = z_md
@@ -403,10 +402,10 @@ def ag_traces(p: CompositeProblem, schedules, x0, max_iter: int) -> np.ndarray:
             x_md = (1.0 - a) * x_ag + a * x_new if mixed[i + 1] else x_new
             z = forward(np.concatenate((x_ag, x_md)))
             z_ag, z_md = z.reshape(2, k, z.shape[-1])
-        Z[m], M[m] = z_ag, mag
+        Z[m], XA[m] = z_ag, x_ag
         x, m = x_new, m + 1
         if m == len(Z) or i + 1 == max_iter:
-            val = _chunk_values(p, Z, M, m, i + 1 - m, prev, descent)
+            val = _chunk_values(p, Z, XA, m, i + 1 - m, prev, descent)
             traces[:, i + 1 - m:i + 1], prev, m = val.T, val[-1], 0
     return traces
 

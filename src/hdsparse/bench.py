@@ -40,7 +40,7 @@ from .agsolver import (  # noqa: F401 - pg_solve stays for perfbench's tracer to
     schedule_optimal,
     schedule_original,
 )
-from .data import FeatureMatrix, ResponseVector
+from .data import FeatureMatrix, ResponseVector, _finite_json
 from .penalty import PenaltySpec
 from .screen import screen_all, selection_auroc, toeplitz
 
@@ -297,7 +297,7 @@ def _rep_ag(spec: SimSpec, rng, penalty: PenaltySpec, threshold: float, max_iter
             for k, t in zip(("ag_opt", "ag_orig", "pg"), traces)}
 
 
-def _fit_path(make, X, y, penalty, lams, tol, max_iter, counts=None):
+def _fit_path(make, X, y, penalty, lams, tol, max_iter):
     # warm-started path, strongest penalty first, each lambda solved on a
     # strong set S (Tibshirani et al. 2012): the support so far and every
     # column whose loss gradient reaches 2 lambda_k - lambda_{k-1}.  ag_solve
@@ -305,10 +305,9 @@ def _fit_path(make, X, y, penalty, lams, tol, max_iter, counts=None):
     # |grad_j loss| > lambda (SCAD's and MCP's slope at 0) breaks the KKT
     # conditions: it joins S and the lambda is solved again.  An empty S needs
     # no solve, as every |grad_j| < 2 lambda_k - lambda_{k-1} <= lambda_k.
-    # Every solve restarts AG's momentum.  counts, if given, gains the solves,
-    # their iterations and restarts, and the unconverged ones.
-    counts = {} if counts is None else counts
-    counts.update(path_solves=0, path_iterations=0, path_restarts=0, path_unconverged=0)
+    # Every solve restarts AG's momentum.  Returns the fits and counts of the
+    # solves, their iterations and restarts, and the unconverged ones.
+    counts = dict(path_solves=0, path_iterations=0, path_restarts=0, path_unconverged=0)
     full = make(X, y, penalty)
     x = np.zeros(X.shape[1])
     grad, fits, built = full.grad(x), [], np.zeros(0, bool)
@@ -331,7 +330,7 @@ def _fit_path(make, X, y, penalty, lams, tol, max_iter, counts=None):
             new = ~S & (np.abs(grad) > lam)
             S = S | new
         fits.append(x)
-    return fits
+    return fits, counts
 
 
 def _rep_signal(spec: SimSpec, rng, penalty: PenaltySpec, path_len: int, max_iter: int) -> dict:
@@ -341,8 +340,7 @@ def _rep_signal(spec: SimSpec, rng, penalty: PenaltySpec, path_len: int, max_ite
     yv = gen_outcome(spec, Xv, beta, rng)
     make = make_logistic_objective if spec.outcome == "logistic" else make_linear_objective
     lams = lambda_path(X.values, y.values, path_len)
-    counts = {}
-    fits = _fit_path(make, X.values, y.values, penalty, lams, 1e-4, max_iter, counts)
+    fits, counts = _fit_path(make, X.values, y.values, penalty, lams, 1e-4, max_iter)
     # the validation loss alone: an objective would also compute a Lipschitz constant
     loss = logistic_loss if spec.outcome == "logistic" else least_squares_loss
     losses = [loss(Xv.values, yv.values, b) for b in fits]
@@ -432,7 +430,7 @@ def run_benchmark(
         kind=kind,
         rows=rows,
         summary=summary,
-        config={"spec": asdict(spec), "replications": replications,
+        config={"spec": _finite_json(asdict(spec)), "replications": replications,
                 "penalty": penalty.to_config(), "threshold": threshold,
                 "max_iter": max_iter, "path_len": path_len},
         wall_time=time.perf_counter() - t0,

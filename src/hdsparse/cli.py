@@ -8,8 +8,9 @@ key of an option is its long flag with hyphens turned into underscores
 line's own, so argparse checks them like flags and, since the last value wins,
 flags > environment > config file > defaults.  A key that is no option of any
 command raises ValueError; one of another command is ignored.  All outputs are
-CSV/JSON files under --out-dir; screen, qfit and bench list their warnings in
-their JSON output and print none.
+CSV and standard JSON files under --out-dir (a non-finite --snr is the string
+"inf" there); screen, qfit and bench list their warnings in their JSON output
+and print none.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .agsolver import (
 )
 from .bench import (E3, KINDS, OUTCOMES, SIGNALS, SimSpec, _recorded_warnings, gen_dataset,
                     run_benchmark)
-from .data import read_table, write_table
+from .data import _finite_json, read_table, write_table
 from .pcg import linearized_moreau_grad, pcg_solve
 from .penalty import PenaltySpec
 from .qgaussian import fit as qfit_model
@@ -147,7 +148,7 @@ def cmd_simulate(args) -> int:
     X, y, beta = gen_dataset(spec)
     out = _out_dir(args)
     write_table(out / "simulated.csv", X, y)
-    truth = {"beta_true": beta.tolist(), "spec": spec.__dict__}
+    truth = {"beta_true": beta.tolist(), "spec": _finite_json(spec.__dict__)}
     (out / "truth.json").write_text(json.dumps(truth, indent=2))
     print(out / "simulated.csv")
     return 0

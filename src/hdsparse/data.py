@@ -74,9 +74,10 @@ def read_table(
     """Read a numeric CSV with a header row; optionally pull out one column as the outcome.
 
     `outcome` is a column name, unique in the header.  An outcome holding
-    only 0 and 1 is binary, any other continuous.
+    only 0 and 1 is binary, any other continuous.  A UTF-8 byte-order mark
+    (Excel's "CSV UTF-8") is dropped, not read into the first name.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         text = fh.read()
     names, values = _read_fast(text) or _read_csv(path, text)
     width = values.shape[1]
@@ -158,6 +159,12 @@ def _scan_body(path, body, width: int) -> np.ndarray:
                 raise ValueError(f"{path}: non-numeric cell at row {rownum}, column {j}")
             values[i, j] = v
     return values
+
+
+def _finite_json(d: dict) -> dict:
+    """d with each non-finite float as its string ("inf"): standard JSON has no
+    Infinity, and the CLI's float options read the string back as the float."""
+    return {k: str(v) if isinstance(v, float) and not np.isfinite(v) else v for k, v in d.items()}
 
 
 def write_table(path, m: FeatureMatrix, y: ResponseVector | None = None) -> None:

@@ -79,15 +79,12 @@ def hz_direction(s_next, s_prev, d_prev) -> np.ndarray:
 def _phi_grad(p, x, d, rho, loss_grad):
     # directional derivative surrogate: <s(x + alpha d), d>; with the loss's
     # curvature the gradient along d is lg + alpha * H d, no matvec per step
-    if p.obj.curvature is None:
-        grad = lambda alpha: p.g_grad(x + alpha * d)
-    else:
-        hd = p.obj.curvature(d)
-        grad = lambda alpha: p.g_grad(x + alpha * d, loss_grad + alpha * hd)
+    hd = None if p.obj.curvature is None else p.obj.curvature(d)
 
     def phi(alpha):
-        s = linearized_moreau_grad(p, x + alpha * d, rho, grad(alpha))
-        return float(s @ d)
+        xa = x + alpha * d
+        g = p.g_grad(xa) if hd is None else p.g_grad(xa, loss_grad + alpha * hd)
+        return float(linearized_moreau_grad(p, xa, rho, g) @ d)
 
     return phi
 
@@ -188,7 +185,6 @@ def pcg_solve(p: CompositeProblem, x0=None, tol: float = 1e-6,
     z = obj.forward(x)
     lg = obj.grad(x, z)
     s = linearized_moreau_grad(p, x, rho, p.g_grad(x, lg))
-    d = -s
     obj_trace, gm_trace = [], []
     converged = False
     it = 0
@@ -202,9 +198,8 @@ def pcg_solve(p: CompositeProblem, x0=None, tol: float = 1e-6,
         if sn <= tol:
             converged = True
             break
-        # hard restart periodically and whenever d stops being a descent dir
-        slope = float(s @ d)
-        if k % obj.dimension == 0 or slope >= 0:
+        # hard restart at k = 0, periodically, and whenever d stops being a descent dir
+        if k % obj.dimension == 0 or (slope := float(s @ d)) >= 0:
             d = -s
             slope = float(s @ d)
             if slope == 0.0:  # s @ s underflows: s is zero to working precision

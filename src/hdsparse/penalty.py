@@ -19,8 +19,7 @@ lambda*sum(t) - sum(q) (penalty_sum), without forming p elementwise.
 
 prox_scaled_l1 is input handling in front of a private kernel, _soft, which
 the AG step calls itself.  Every objective value goes through penalty_sum;
-the AG step passes it the max(|z| - c*lambda, 0) that its soft threshold
-already formed, which is |x_ag| exactly, and abs leaves it as it is.
+an AG step stores x_ag's predictor and x_ag, whose abs penalty_sum takes.
 """
 
 from __future__ import annotations
@@ -156,16 +155,13 @@ def prox_scaled_l1(x, y, c: float, lam: float, skip=()) -> np.ndarray:
         z = z - c * np.asarray(y, dtype=float)
     if not isinstance(skip, np.ndarray):  # make_composite passes a built index
         skip = np.asarray(list(skip), dtype=int)
-    return _soft(z, c * lam, skip)[0]
+    return _soft(z, c * lam, skip)
 
 
-def _soft(z: np.ndarray, t, skip: np.ndarray):
+def _soft(z: np.ndarray, t, skip: np.ndarray) -> np.ndarray:
     """prox_scaled_l1's kernel: the soft threshold of z at t, with the columns
-    in skip passed through, and its magnitude max(|z| - t, 0) with them zeroed
-    (the |beta| that penalty_sum takes over the penalized coordinates)."""
-    mag = np.maximum(np.abs(z) - t, 0.0)
-    out = np.copysign(mag, z)
+    in skip passed through."""
+    out = np.copysign(np.maximum(np.abs(z) - t, 0.0), z)
     if skip.size:
         out.T[skip] = z.T[skip]  # .T: a block's columns
-        mag.T[skip] = 0.0
-    return out, mag
+    return out

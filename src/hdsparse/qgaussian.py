@@ -224,8 +224,13 @@ class QGaussianModel:
     psi_train: np.ndarray | None
     penalty: PenaltySpec
     fit_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-    # (psi_train, its Cholesky factor), so that the blocks of one fit factor once
-    _psi_factor: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # psi_train's Cholesky factor, formed once per Psi the model is given
+    _chol: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name == "psi_train":  # __init__'s assignment too
+            super().__setattr__("_chol", _psi_cholesky(value))
+        super().__setattr__(name, value)
 
     def to_config(self) -> dict:
         return {
@@ -237,13 +242,6 @@ class QGaussianModel:
         }
 
 
-def _model_cholesky(model: QGaussianModel) -> np.ndarray | None:
-    """Cholesky factor of model.psi_train, computed once per psi_train array."""
-    if model._psi_factor[0] is not model.psi_train:
-        model._psi_factor = (model.psi_train, _psi_cholesky(model.psi_train))
-    return model._psi_factor[1]
-
-
 def _design(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, float)
     return np.column_stack([np.ones(X.shape[0]), X])
@@ -253,7 +251,7 @@ def _quad_Q(model: QGaussianModel, X: np.ndarray, y: np.ndarray) -> float:
     """Q = <r, Psi^{-1} r> + 2 n sum_j w(theta_j), the pooled quadratic behind
     sigma^2 = Q/n and the objective."""
     Xd = _design(X)
-    w = _whiten(_model_cholesky(model), np.asarray(y, float).ravel() - Xd @ model.theta)
+    w = _whiten(model._chol, np.asarray(y, float).ravel() - Xd @ model.theta)
     quad = float(w @ w)
     pen = float(penalty_sum(model.penalty, model.theta[1:]))
     return quad + 2.0 * model.n_train * pen
@@ -314,7 +312,7 @@ def theta_update(model: QGaussianModel, X, y, solver: str = "pcg", tol: float = 
     """Solve the central-trend subproblem (independent of q and sigma^2) from
     model.theta by solver "pcg" or "ag", each with its own stop test at tol
     and at most max_iter steps; RuntimeError if it does not converge."""
-    obj = _whitened_objective(X, y, _model_cholesky(model), model.penalty)
+    obj = _whitened_objective(X, y, model._chol, model.penalty)
     comp = make_composite(obj, model.penalty, skip=(0,))  # the intercept is never penalized
     if solver == "pcg":
         report, stationarity = pcg_solve(comp, model.theta, tol=tol, max_iter=max_iter)
@@ -337,15 +335,17 @@ def fit(X, y, psi=None, penalty: PenaltySpec | None = None, solver: str = "pcg",
     once).  fit_trace holds the one final objective.
 
     A Psi that is not (n, n), not symmetric or not positive definite raises
-    ValueError before any solve.
+    ValueError before any solve, as does an X that is not 2-D.
     """
     penalty = penalty or PenaltySpec("l1", 0.0)
     X = np.asarray(X, float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D (rows by columns), got shape {X.shape}")
     y = np.asarray(y, float).ravel()
     n = X.shape[0]
     if y.size != n:
         raise ValueError("X and y length mismatch")
-    if psi is not None:  # positive definiteness: theta_update factors psi before any solve
+    if psi is not None:  # positive definiteness: the model factors psi before any solve
         psi = _checked_psi(psi, n)
     model = QGaussianModel(np.zeros(X.shape[1] + 1), 1.0, 1.0 + 1.0 / n, n, psi, penalty)
     model.theta = theta_update(model, X, y, solver, tol, max_iter)
@@ -367,9 +367,12 @@ def recover_q_subset(q_train: float, n_train: int, n_subset: int) -> float:
 
 def predict(model: QGaussianModel, X_new, psi_new_block=None):
     """(mean, q_new, covariance-or-None) on the rows of X_new; the covariance
-    is m/(m-2) sigma^2 Psi_new (identity if None), and a Psi_new block that
-    is not (rows, rows) or not symmetric raises ValueError."""
+    is m/(m-2) sigma^2 Psi_new (identity if None).  An X_new that is not 2-D
+    or a Psi_new block that is not (rows, rows) or not symmetric raises
+    ValueError."""
     X_new = np.asarray(X_new, float)
+    if X_new.ndim != 2:
+        raise ValueError(f"X_new must be 2-D (rows by columns), got shape {X_new.shape}")
     if X_new.shape[1] + 1 != model.theta.size:
         raise ValueError("X_new has the wrong number of columns")
     n = X_new.shape[0]

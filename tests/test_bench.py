@@ -403,7 +403,7 @@ def test_fit_path_points_pass_the_full_kkt_check(outcome, penalty):
     # off its support every coordinate of a path point has |grad_j loss| <=
     # lambda, SCAD's and MCP's slope at 0, whether or not it was in the strong set
     make, X, y, pen, lams = _path_problem(outcome, penalty)
-    fits = bench._fit_path(make, X, y, pen, lams, 1e-4, 2000)
+    fits, _ = bench._fit_path(make, X, y, pen, lams, 1e-4, 2000)
     assert len(fits) == len(lams)
     full = make(X, y)
     for b, lam in zip(fits, lams):
@@ -420,7 +420,7 @@ def test_fit_path_matches_the_full_warm_started_path():
     # paths solve at tol 1e-6 and must agree to 1e-3.
     tol, bound = 1e-6, 1e-3
     make, X, y, pen, lams = _path_problem("linear", PenaltySpec("scad", 0.5, a=3.7))
-    fits = bench._fit_path(make, X, y, pen, lams, tol, 2000)
+    fits, _ = bench._fit_path(make, X, y, pen, lams, tol, 2000)
     obj = make(X, y, pen)
     sched, x = schedule_optimal(obj.lipschitz, 2000), np.zeros(X.shape[1])
     for lam, b in zip(lams[:-1], fits):
@@ -471,8 +471,7 @@ def test_fit_path_reuses_the_last_strong_sets_objective(monkeypatch):
     monkeypatch.setattr(bench, "make_linear_objective",
                         lambda X, *a, **k: built.append(X) or orig(X, *a, **k))
     make, X, y, pen, lams = _path_problem("linear", PenaltySpec("scad", 0.5, a=3.7))
-    counts = {}
-    bench._fit_path(make, X, y, pen, lams, 1e-4, 2000, counts)
+    _, counts = bench._fit_path(make, X, y, pen, lams, 1e-4, 2000)
     assert not any(a.shape == b.shape and (a == b).all() for a, b in zip(built, built[1:]))
     assert counts["path_solves"] > len(built) - 1  # the first build is the full objective
 
@@ -489,7 +488,8 @@ def test_fit_path_adds_a_kkt_violator_and_solves_again(monkeypatch):
     monkeypatch.setattr(bench, "ag_solve",
                         lambda p, *a, **k: dims.append(p.obj.dimension) or orig(p, *a, **k))
     pen = PenaltySpec("scad", 0.5, a=3.7)
-    (b,) = bench._fit_path(bench.make_linear_objective, X, y, pen, np.array([0.5]), 1e-8, 5000)
+    (b,), _ = bench._fit_path(bench.make_linear_objective, X, y, pen, np.array([0.5]), 1e-8,
+                              5000)
     assert dims == [1, 2]
     assert b[1] != 0
     full = bench.make_linear_objective(X, y, pen)

@@ -216,6 +216,40 @@ def test_bench_command(tmp_path):
     assert len(rows) == 2
 
 
+def _strict_json(path):
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not standard JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_every_json_output_is_standard_json(linear_csv, tmp_path, monkeypatch):
+    # with --snr inf, truth.json and report.json used to hold "snr": Infinity,
+    # a token that jq, JavaScript and a strict json.loads reject; "inf" reads
+    # back through --config and HDSL_SNR as the same spec
+    data = ["--data", str(linear_csv), "--outcome", "y"]
+    sim = ["--n", "40", "--p", "12", "--signal", "four_fixed"]
+    runs = {"screen": ["screen", *data, "--method", "pearson"], "fit": ["fit", *data],
+            "qfit": ["qfit", *data], "simulate": ["simulate", *sim, "--snr", "inf"],
+            "bench": ["bench", "--kind", "ag_convergence", "--replications", "1", *sim,
+                      "--snr", "inf"]}
+    for name, argv in runs.items():
+        assert main([*argv, "--out-dir", str(tmp_path / name)]) == 0
+    written = sorted(tmp_path.glob("*/*.json"))
+    assert {p.parent.name for p in written} == set(runs)
+    parsed = {p.name: _strict_json(p) for p in written}
+    assert parsed["truth.json"]["spec"]["snr"] == "inf"
+    assert parsed["report.json"]["config"]["spec"]["snr"] == "inf"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"snr": "inf"}))
+    assert main(["simulate", *sim, "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 0
+    monkeypatch.setenv("HDSL_SNR", "inf")
+    assert main(["simulate", *sim, "--out-dir", str(tmp_path / "e")]) == 0
+    for again in ("c", "e"):
+        for name in ("truth.json", "simulated.csv"):
+            assert (tmp_path / again / name).read_bytes() == \
+                (tmp_path / "simulate" / name).read_bytes()
+
+
 def test_bench_kinds_come_from_bench_and_each_runs(tmp_path):
     # --kind's choices are bench.KINDS, not a copy of them, and every kind
     # runs one tiny replication through the command line

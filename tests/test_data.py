@@ -28,6 +28,17 @@ def test_read_table_outcome_extraction(tmp_path):
     assert np.array_equal(y.values, [0.0, 1.0, 0.0])
 
 
+def test_read_table_drops_a_utf8_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with a BOM, which used to stay on
+    # the first column's name, so --outcome y found no column 'y'
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfy,a\r\n1.5,2\r\n3,4\r\n")
+    fm, y = read_table(path, outcome="y")
+    assert fm.column_names == ("a",)
+    assert np.array_equal(y.values, [1.5, 3.0])
+    assert read_table(path)[0].column_names == ("y", "a")
+
+
 def test_outcome_name_must_be_one_column(tmp_path):
     # a header that repeats the outcome's name used to give the first column
     # of that name as the outcome, and the real outcome as a feature

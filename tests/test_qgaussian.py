@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -324,6 +327,10 @@ def test_fit_factors_psi_once(monkeypatch):
         model = fit(X, y, psi=toeplitz(0.5 ** np.arange(n)))
     assert len(calls) == 1
     assert model.sigma2 > 0 and model.fit_trace.size == 1
+    # a Psi assigned later is the one the model reads, not the old factor
+    model.psi_train = np.eye(n)
+    identity = sigma2_update(replace(model, psi_train=None), X, y)
+    assert sigma2_update(model, X, y) == pytest.approx(identity, rel=1e-12)
 
 
 def test_fit_trace_monotone_and_converges():
@@ -374,3 +381,14 @@ def test_predict():
     psi_new[0, 4] += 0.1
     with pytest.raises(ValueError, match=r"^psi_new_block must be symmetric$"):
         predict(model, Xn, psi_new)
+
+
+@pytest.mark.parametrize("shape", [(40,), (40, 3, 1), ()])
+def test_fit_and_predict_reject_a_design_that_is_not_2d(shape):
+    # both used to raise IndexError: tuple index out of range on a 1-D X
+    X = np.ones(shape)
+    with pytest.raises(ValueError, match=rf"^X must be 2-D .*shape {re.escape(str(shape))}$"):
+        fit(X, np.ones(40))
+    model = QGaussianModel(np.zeros(4), 1.0, 1 + 1 / 60, 60, None, PenaltySpec("l1", 0.0))
+    with pytest.raises(ValueError, match=rf"^X_new must be 2-D .*shape {re.escape(str(shape))}$"):
+        predict(model, X)
